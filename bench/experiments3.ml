@@ -2,9 +2,10 @@
 
    A small fixed-seed campaign over the parameterized pipeline generator:
    every sampled design runs the full differential oracle battery
-   (validate, lint admission, elaboration determinism, -j1/-j2 digest
-   identity, warm-cache identity, prune-mode identity, portfolio
-   identity, taint-grid containment).  The bench gate pins the campaign's
+   (validate, known-bits containment, lint admission, elaboration
+   determinism, frontend round trip, -j1/-j2 digest identity, warm-cache
+   identity, prune-mode identity, sweep identity, taint-grid
+   containment).  The bench gate pins the campaign's
    semantic outputs — zero failures and the deterministic per-design
    netlist digests — while timings stay warn-only. *)
 

@@ -186,15 +186,13 @@ let write_json path ~profile ~jobs ~total rows =
   | None -> add "  \"static_flow\": null,\n");
   (match !Experiments2.sat_result with
   | Some s ->
-    add "  \"sat\": {\"t_legacy_s\": %.3f, \"t_new_s\": %.3f, \"speedup\": %.3f, \"conflicts_legacy\": %.0f, \"conflicts_new\": %.0f, \"cse_hits\": %d, \"cse_lookups\": %d, \"cse_hit_rate\": %.4f, \"reduce_events\": %d, \"learnt_peak\": %d, \"portfolio_domains\": %d, \"t_seq_s\": %.3f, \"t_portfolio_s\": %.3f, \"digest_identical\": %b, \"report_digest\": \"%s\"},\n"
+    add "  \"sat\": {\"t_legacy_s\": %.3f, \"t_new_s\": %.3f, \"speedup\": %.3f, \"conflicts_legacy\": %.0f, \"conflicts_new\": %.0f, \"cse_hits\": %d, \"cse_lookups\": %d, \"cse_hit_rate\": %.4f, \"reduce_events\": %d, \"learnt_peak\": %d, \"digest_identical\": %b, \"report_digest\": \"%s\"},\n"
       s.Experiments2.sb_t_legacy s.Experiments2.sb_t_new
       s.Experiments2.sb_speedup s.Experiments2.sb_conflicts_legacy
       s.Experiments2.sb_conflicts_new s.Experiments2.sb_cse_hits
       s.Experiments2.sb_cse_lookups s.Experiments2.sb_cse_hit_rate
       s.Experiments2.sb_reduce_events s.Experiments2.sb_learnt_peak
-      s.Experiments2.sb_port_domains s.Experiments2.sb_t_seq
-      s.Experiments2.sb_t_port s.Experiments2.sb_equal
-      s.Experiments2.sb_digest
+      s.Experiments2.sb_equal s.Experiments2.sb_digest
   | None -> add "  \"sat\": null,\n");
   (match !Experiments3.fuzz_result with
   | Some f ->

@@ -197,31 +197,22 @@ let static_flow_prune_arg =
     & opt flow_prune_conv Synthlc.Types.Prune_on
     & info [ "static-flow-prune" ] ~docv:"MODE" ~doc)
 
-let no_static_flow_prune_arg =
-  let doc = "Shorthand for $(b,--static-flow-prune=audit)." in
-  Arg.(value & flag & info [ "no-static-flow-prune" ] ~doc)
-
 let absint_arg =
   let doc =
     "Known-bits abstract-interpretation pruning: $(b,on) (default) \
      discharges the extra µPATH covers and IFT covers the known-bits \
-     refinement proves unreachable beyond the base pre-passes; $(b,off) \
-     dispatches them as a trailing batch and trusts the checker; \
-     $(b,audit) fails the run on any reachable verdict.  All modes issue \
-     the same mid-stream checker sequence, so the report digest is \
-     bit-identical across them."
+     refinement proves unreachable beyond the base pre-passes; $(b,audit) \
+     dispatches them as a trailing batch and fails the run on any \
+     reachable verdict; $(b,off) trusts the checker for the IFT covers \
+     but audits the µPATH covers exactly like $(b,audit), since synthesis \
+     cannot re-admit a late reachable cover.  All modes issue the same \
+     mid-stream checker sequence, so the report digest is bit-identical \
+     across them."
   in
   Arg.(
     value
     & opt flow_prune_conv Synthlc.Types.Prune_on
     & info [ "absint" ] ~docv:"MODE" ~doc)
-
-(* Mupath's absint mode is a structural variant (it cannot depend on
-   Synthlc.Types); the mapping is one-to-one. *)
-let synth_absint_mode = function
-  | Synthlc.Types.Prune_on -> `On
-  | Synthlc.Types.Prune_off -> `Off
-  | Synthlc.Types.Prune_audit -> `Audit
 
 let no_known_bits_arg =
   let doc =
@@ -335,23 +326,6 @@ let with_obs ~trace ~metrics f =
       f
   end
 
-let portfolio_arg =
-  let doc =
-    "Race $(docv) diversified solver configurations per hard BMC query \
-     (clause-sharing portfolio).  The canonical solver's verdict and \
-     witness are always the ones reported, so results and the report \
-     digest are bit-identical to $(b,--portfolio=1)."
-  in
-  Arg.(value & opt int 1 & info [ "portfolio" ] ~docv:"K" ~doc)
-
-let no_cse_arg =
-  let doc =
-    "Disable structural hashing (CSE) in the Tseitin encoding — mainly for \
-     measuring the encoding-sharing win.  Changes the solver trajectory, so \
-     witnesses (and the digest) may differ from the default."
-  in
-  Arg.(value & flag & info [ "no-cse" ] ~doc)
-
 let dump_cnf_arg =
   let doc =
     "Write the BMC unrolling as DIMACS CNF to $(docv) at the end of the run \
@@ -360,7 +334,7 @@ let dump_cnf_arg =
   in
   Arg.(value & opt (some string) None & info [ "dump-cnf" ] ~docv:"FILE" ~doc)
 
-let config_of depth episodes ~portfolio ~no_cse ~no_known_bits ~sweep =
+let config_of depth episodes ~no_known_bits ~sweep =
   {
     Mc.Checker.default_config with
     Mc.Checker.bmc_depth = depth;
@@ -368,9 +342,7 @@ let config_of depth episodes ~portfolio ~no_cse ~no_known_bits ~sweep =
     induction_max_k = 2;
     sim_episodes = episodes;
     sim_cycles = 44;
-    encode_cse = not no_cse;
     known_bits = not no_known_bits;
-    portfolio_domains = max 1 portfolio;
     sweep;
   }
 
@@ -466,21 +438,18 @@ let sim_cmd =
 
 let mupath_cmd =
   let run dname meta_path iuv depth episodes dot counts shards cache_dir nsp
-      absint portfolio no_cse no_known_bits sweep semantic_cache dump_cnf trace
-      metrics =
+      absint no_known_bits sweep semantic_cache dump_cnf trace metrics =
     let src = resolve_design ~cmd:"mupath" ?meta:meta_path dname in
     with_obs ~trace ~metrics (fun () ->
         let meta = builder_of ~cmd:"mupath" src () in
         let iuv_pc = iuv_pc_of src in
         let stim = stimulus_of src ~pins:[ (iuv_pc, iuv) ] meta in
-        let config =
-          config_of depth episodes ~portfolio ~no_cse ~no_known_bits ~sweep
-        in
+        let config = config_of depth episodes ~no_known_bits ~sweep in
         let cache = cache_of cache_dir in
         let r =
           Mupath.Synth.run ?cache ~config ?stimulus:stim ~semantic_cache
             ~static_prune:(not nsp)
-            ~absint:(synth_absint_mode absint) ?dump_cnf
+            ~absint:(Synthlc.Engine.synth_absint_mode absint) ?dump_cnf
             ~revisit_count_labels:counts ~shards ~meta ~iuv ~iuv_pc ()
         in
         Format.printf "%a@." Mupath.Synth.pp_result r;
@@ -501,15 +470,15 @@ let mupath_cmd =
     Term.(
       const run $ design_arg $ meta_arg $ instr_arg $ depth_arg $ episodes_arg
       $ dot $ counts $ shards_arg $ cache_dir_arg $ no_static_prune_arg
-      $ absint_arg $ portfolio_arg $ no_cse_arg $ no_known_bits_arg
-      $ sweep_arg $ semantic_cache_arg $ dump_cnf_arg $ trace_arg $ metrics_arg)
+      $ absint_arg $ no_known_bits_arg $ sweep_arg $ semantic_cache_arg
+      $ dump_cnf_arg $ trace_arg $ metrics_arg)
 
 (* --- synthlc ---------------------------------------------------------- *)
 
 let synthlc_cmd =
   let run dname meta_path instructions txs depth episodes static jobs cache_dir
-      nsp flow_prune no_flow_prune absint imprecise portfolio no_cse
-      no_known_bits sweep semantic_cache dump_cnf trace metrics =
+      nsp static_flow_prune absint imprecise no_known_bits sweep semantic_cache
+      dump_cnf trace metrics =
     let src = resolve_design ~cmd:"synthlc" ?meta:meta_path dname in
     with_obs ~trace ~metrics @@ fun () ->
     let transmitters =
@@ -518,9 +487,7 @@ let synthlc_cmd =
     let design = builder_of ~cmd:"synthlc" src in
     let iuv_pc = iuv_pc_of src in
     let stimulus = rotating_stimulus_of src in
-    let config =
-      config_of depth episodes ~portfolio ~no_cse ~no_known_bits ~sweep
-    in
+    let config = config_of depth episodes ~no_known_bits ~sweep in
     let kinds =
       [ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older; Synthlc.Types.Dynamic_younger ]
       @ (if static then [ Synthlc.Types.Static ] else [])
@@ -533,9 +500,6 @@ let synthlc_cmd =
       List.filter (fun l -> List.mem l available) [ "divU"; "mulU"; "ID" ]
     in
     let cache = cache_of cache_dir in
-    let static_flow_prune =
-      if no_flow_prune then Synthlc.Types.Prune_audit else flow_prune
-    in
     let report =
       Synthlc.Engine.run ?cache ~config ~synth_config:config ~semantic_cache
         ~static_prune:(not nsp) ?dump_cnf ~precise:(not imprecise)
@@ -572,9 +536,9 @@ let synthlc_cmd =
     Term.(
       const run $ design_arg $ meta_arg $ instrs $ txs $ depth_arg
       $ episodes_arg $ static $ jobs_arg $ cache_dir_arg $ no_static_prune_arg
-      $ static_flow_prune_arg $ no_static_flow_prune_arg $ absint_arg
-      $ imprecise_ift_arg $ portfolio_arg $ no_cse_arg $ no_known_bits_arg
-      $ sweep_arg $ semantic_cache_arg $ dump_cnf_arg $ trace_arg $ metrics_arg)
+      $ static_flow_prune_arg $ absint_arg $ imprecise_ift_arg
+      $ no_known_bits_arg $ sweep_arg $ semantic_cache_arg $ dump_cnf_arg
+      $ trace_arg $ metrics_arg)
 
 (* --- scsafe ----------------------------------------------------------- *)
 
@@ -789,11 +753,13 @@ let fuzz_cmd =
            `P "Samples pipeline configs (frontend depth, MUL/DIV latency \
                mix, store-buffer depth, cache tags, speculation), elaborates \
                each into a netlist with auto-derived µFSM/IFR metadata, and \
-               runs a differential oracle battery over it: µLint admission, \
-               elaboration determinism, -j1 vs -j2 digest equality, cold vs \
-               warm verdict-cache bit-identity, static prune on/off/audit \
-               digest identity, --portfolio 2 digest equality, and static \
-               leakage-grid containment of every dynamically tagged flow.";
+               runs a differential oracle battery over it: netlist \
+               validation, known-bits containment of a random simulation, \
+               µLint admission, elaboration determinism, Yosys-JSON round \
+               trip, -j1 vs -j2 digest equality, cold vs warm verdict-cache \
+               bit-identity, static prune on/audit digest identity, sweep \
+               on/audit digest identity, and static leakage-grid \
+               containment of every dynamically tagged flow.";
            `P "On a failure the config is shrunk along its parameter \
                lattice (the shrunk config must reproduce the same oracle \
                failure class) and a one-line reproducer is printed: \

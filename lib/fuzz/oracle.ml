@@ -9,7 +9,6 @@ type oracle =
   | O_jobs
   | O_cache_warm
   | O_prune_modes
-  | O_portfolio
   | O_sweep
   | O_grid
 
@@ -38,7 +37,6 @@ let all_oracles =
     O_jobs;
     O_cache_warm;
     O_prune_modes;
-    O_portfolio;
     O_sweep;
     O_grid;
   ]
@@ -52,7 +50,6 @@ let oracle_name = function
   | O_jobs -> "jobs"
   | O_cache_warm -> "cache-warm"
   | O_prune_modes -> "prune-modes"
-  | O_portfolio -> "portfolio"
   | O_sweep -> "sweep"
   | O_grid -> "grid"
 
@@ -61,7 +58,7 @@ let failure o =
     (fun (orc, v) -> match v with Fail m -> Some (orc, m) | _ -> None)
     o.verdicts
 
-let config_of ~depth ~episodes ~portfolio =
+let config_of ~depth ~episodes =
   {
     Mc.Checker.default_config with
     Mc.Checker.bmc_depth = depth;
@@ -69,15 +66,14 @@ let config_of ~depth ~episodes ~portfolio =
     induction_max_k = 2;
     sim_episodes = episodes;
     sim_cycles = 44;
-    portfolio_domains = portfolio;
   }
 
 (* One Engine.run over the generated design.  Exceptions (including the
    audit tripwires' [failwith]) are turned into [Error msg] so the caller
    can attribute them to the oracle the run serves. *)
-let engine_run ~cache ~depth ~episodes ~jobs ~portfolio ~static_prune
-    ~static_flow_prune ~sweep cfg =
-  let config = { (config_of ~depth ~episodes ~portfolio) with Mc.Checker.sweep } in
+let engine_run ~cache ~depth ~episodes ~jobs ~static_prune ~static_flow_prune
+    ~sweep cfg =
+  let config = { (config_of ~depth ~episodes) with Mc.Checker.sweep } in
   try
     Ok
       (Synthlc.Engine.run ~cache ~config ~synth_config:config ~static_prune
@@ -156,12 +152,12 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
       (Printf.sprintf "vcache_%d_%s" (Unix.getpid ()) (Gen.name cfg))
   in
   rm_rf cache_dir;
-  let check_engine ?(sweep = Mc.Checker.Sweep_off) ~jobs ~portfolio
-      ~static_prune ~static_flow_prune ~judge () =
+  let check_engine ?(sweep = Mc.Checker.Sweep_off) ~jobs ~static_prune
+      ~static_flow_prune ~judge () =
     let cache = Vcache.create ~dir:cache_dir () in
     match
-      engine_run ~cache ~depth ~episodes ~jobs ~portfolio ~static_prune
-        ~static_flow_prune ~sweep cfg
+      engine_run ~cache ~depth ~episodes ~jobs ~static_prune ~static_flow_prune
+        ~sweep cfg
     with
     | Error m -> Some m
     | Ok r -> judge cache r
@@ -303,7 +299,7 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
     continue
     && step O_jobs (fun () ->
            match
-             check_engine ~jobs:1 ~portfolio:1 ~static_prune:true
+             check_engine ~jobs:1 ~static_prune:true
                ~static_flow_prune:Synthlc.Types.Prune_on
                ~judge:(fun _cache r ->
                  report := Some r;
@@ -313,7 +309,7 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
            with
            | Some m -> Some ("baseline run: " ^ m)
            | None ->
-             check_engine ~jobs:2 ~portfolio:1 ~static_prune:true
+             check_engine ~jobs:2 ~static_prune:true
                ~static_flow_prune:Synthlc.Types.Prune_on
                ~judge:(fun cache r ->
                  match digest_equal "-j2" r with
@@ -342,16 +338,9 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
   let continue =
     continue
     && step O_prune_modes
-         (check_engine ~jobs:1 ~portfolio:1 ~static_prune:false
+         (check_engine ~jobs:1 ~static_prune:false
             ~static_flow_prune:Synthlc.Types.Prune_audit
             ~judge:(fun _cache r -> digest_equal "audit (prunes off)" r))
-  in
-  let continue =
-    continue
-    && step O_portfolio
-         (check_engine ~jobs:1 ~portfolio:2 ~static_prune:true
-            ~static_flow_prune:Synthlc.Types.Prune_on
-            ~judge:(fun _cache r -> digest_equal "--portfolio 2" r))
   in
   (* Sweep tri-mode identity: the equivalence-swept engines (and the
      audit's swept-vs-unswept cross-check, whose divergence tripwire
@@ -361,14 +350,14 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
     continue
     && step O_sweep (fun () ->
            match
-             check_engine ~sweep:Mc.Checker.Sweep_on ~jobs:1 ~portfolio:1
+             check_engine ~sweep:Mc.Checker.Sweep_on ~jobs:1
                ~static_prune:true ~static_flow_prune:Synthlc.Types.Prune_on
                ~judge:(fun _cache r -> digest_equal "--sweep on" r)
                ()
            with
            | Some m -> Some m
            | None ->
-             check_engine ~sweep:Mc.Checker.Sweep_audit ~jobs:1 ~portfolio:1
+             check_engine ~sweep:Mc.Checker.Sweep_audit ~jobs:1
                ~static_prune:true ~static_flow_prune:Synthlc.Types.Prune_on
                ~judge:(fun _cache r -> digest_equal "--sweep audit" r)
                ())

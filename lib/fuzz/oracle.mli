@@ -22,7 +22,6 @@
     - [O_prune_modes]: static FSM-reachability prune off (audit batch,
       tripwires armed) + static taint-flow prune in audit mode reproduce
       the pruned run's digest;
-    - [O_portfolio]: [--portfolio 2] reproduces the sequential digest;
     - [O_sweep]: equivalence-swept runs ([config.sweep] on, then audit —
       the audit re-running every SAT-resolved cover unswept with its
       divergence tripwire armed) reproduce the unswept digest;
@@ -44,7 +43,6 @@ type oracle =
   | O_jobs
   | O_cache_warm
   | O_prune_modes
-  | O_portfolio
   | O_sweep
   | O_grid
 

@@ -154,8 +154,6 @@ type config = {
   seed : int;
   encode_cse : bool;  (* structural hashing in the Tseitin encoding *)
   known_bits : bool;  (* known-bits substitution: BMC + induction strengthening *)
-  reduce_db : bool;  (* periodic learnt-clause DB reduction *)
-  portfolio_domains : int;  (* <= 1 disables portfolio racing *)
   sweep : sweep_mode;  (* SAT-sweep the netlist the engines encode *)
 }
 
@@ -170,8 +168,6 @@ let default_config =
     seed = 1;
     encode_cse = true;
     known_bits = true;
-    reduce_db = true;
-    portfolio_domains = 1;
     sweep = Sweep_off;
   }
 
@@ -221,18 +217,16 @@ type t = {
    the config, and a caller salt (for inputs the checker cannot see, e.g.
    the stimulus closure's identity).  The per-property key then appends
    the cover literals — see [cover_key]. *)
-(* [encode_cse], [known_bits] and [reduce_db] are part of the key: they
-   change the solver trajectory and hence which engine decides a verdict.
-   [sweep] participates as its effective boolean — audit mode computes
+(* [encode_cse] and [known_bits] are part of the key: they change the
+   solver trajectory and hence which engine decides a verdict.  [sweep]
+   participates as its effective boolean — audit mode computes
    bit-identically to on (the unswept shadow run is a tripwire, not an
-   input).  [portfolio_domains] deliberately is not — the canonical
-   solver's verdict and model are bit-identical whatever the domain count
-   (see Solver.solve_portfolio). *)
+   input). *)
 let config_key (config : config) =
-  Printf.sprintf "c:%d.%d.%d.%d.%d.%d.%d|e:%b.%b.%b|w:%b" config.bmc_depth
+  Printf.sprintf "c:%d.%d.%d.%d.%d.%d.%d|e:%b.%b|w:%b" config.bmc_depth
     config.bmc_conflicts config.induction_max_k config.induction_conflicts
     config.sim_episodes config.sim_cycles config.seed config.encode_cse
-    config.known_bits config.reduce_db (config.sweep <> Sweep_off)
+    config.known_bits (config.sweep <> Sweep_off)
 
 let make_key_prefix ~salt ~assumes ~assume_initial ~(config : config) nl =
   Printf.sprintf "%s|a:%s|i:%s|%s|s:%s" (Netlist.digest nl)
@@ -282,7 +276,6 @@ let make_engine ~(config : config) ~assumes ~assume_initial ~sweep_barriers
     Blast.create ~assume_initial:(tr assume_initial) ?known
       ~cse:config.encode_cse ~initial:`Reset ~assumes:(tr assumes) enc_nl
   in
-  Solver.set_reduce_db (Blast.solver bmc) config.reduce_db;
   ({ enc_nl; map; bmc; known; ind_vars = 0 }, sweep_stats)
 
 let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
@@ -427,7 +420,6 @@ let try_induction t eng cover =
         ~assumes:(List.map (fun s -> eng.map.(s)) t.assumes)
         eng.enc_nl
     in
-    Solver.set_reduce_db (Blast.solver ind) t.config.reduce_db;
     let lits_at time =
       List.map
         (fun (s, pol) ->
@@ -653,24 +645,7 @@ let compute_sat t eng cover =
     let act = Solver.pos (Solver.new_var s) in
     Solver.add_clause s (Solver.negate act :: List.map snd gates);
     let result =
-      if t.config.portfolio_domains > 1 then begin
-        let pr =
-          Solver.solve_portfolio ~assumptions:[ act ]
-            ~max_conflicts:t.config.bmc_conflicts
-            ~domains:t.config.portfolio_domains s
-        in
-        if Obs.enabled () then begin
-          Obs.Metrics.incr "sat.portfolio_solves";
-          Obs.Metrics.incr "sat.portfolio_shared" ~by:pr.Solver.p_shared;
-          Obs.Metrics.incr "sat.portfolio_imported" ~by:pr.Solver.p_imported;
-          Obs.Metrics.incr "sat.portfolio_racer_decisive"
-            ~by:pr.Solver.p_racer_decisive
-        end;
-        pr.Solver.p_result
-      end
-      else
-        Solver.solve ~assumptions:[ act ] ~max_conflicts:t.config.bmc_conflicts
-          s
+      Solver.solve ~assumptions:[ act ] ~max_conflicts:t.config.bmc_conflicts s
     in
     (* Retire this property's activation clause. *)
     Solver.add_clause s [ Solver.negate act ];
@@ -724,7 +699,7 @@ let compute_cover t cover =
     (outcome, false, draws)
 
 let check_cover ?name t cover =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now_ns () in
   (* Snapshots for the per-property sat.* metrics; deltas are taken over the
      shared BMC solver (the induction pass uses short-lived solvers whose
      work is not attributed here). *)
@@ -735,7 +710,8 @@ let check_cover ?name t cover =
   let h0, l0 = Blast.cse_stats t.eng.bmc in
   let finish ~hit ~sim_discharged outcome =
     t.stats.Stats.n_props <- t.stats.Stats.n_props + 1;
-    t.stats.Stats.total_time <- t.stats.Stats.total_time +. Unix.gettimeofday () -. t0;
+    let elapsed = Obs.seconds_since t0 in
+    t.stats.Stats.total_time <- t.stats.Stats.total_time +. elapsed;
     if sim_discharged then
       t.stats.Stats.n_sim_discharged <- t.stats.Stats.n_sim_discharged + 1;
     (match hit with
@@ -758,7 +734,7 @@ let check_cover ?name t cover =
       | None -> ()
       | Some true -> Obs.Metrics.incr "cache.hits"
       | Some false -> Obs.Metrics.incr "cache.misses");
-      Obs.Metrics.observe "checker.check_time_s" (Unix.gettimeofday () -. t0);
+      Obs.Metrics.observe "checker.check_time_s" elapsed;
       Obs.Metrics.observe "sat.conflicts"
         (float_of_int (Solver.num_conflicts bmc_s - c0));
       Obs.Metrics.observe "sat.propagations"
@@ -774,8 +750,7 @@ let check_cover ?name t cover =
     end;
     if debug then
       Printf.eprintf "[checker] %-12s %-24s %.2fs%s\n%!"
-        (Option.value name ~default:"?") (outcome_tag outcome)
-        (Unix.gettimeofday () -. t0)
+        (Option.value name ~default:"?") (outcome_tag outcome) elapsed
         (if hit = Some true then " (cached)" else "");
     outcome
   in

@@ -60,6 +60,8 @@ module Stats : sig
     mutable n_cache_misses : int;
         (** Verdicts computed and stored (0 when no cache is attached). *)
     mutable total_time : float;
+        (** Seconds spent in {!check_cover}, on the monotonic
+            {!Obs.now_ns} clock. *)
   }
 
   val create : unit -> t
@@ -134,14 +136,6 @@ type config = {
           becoming Unreachable) and solver trajectories.  When sweeping,
           known bits are computed on the netlist each engine actually
           encodes. *)
-  reduce_db : bool;
-      (** Periodic learnt-clause DB reduction (default [true]).  Also part
-          of the cache key, for the same reason. *)
-  portfolio_domains : int;
-      (** Race this many diversified solver configurations per hard BMC
-          query (default 1 = off).  Deliberately {e not} part of the cache
-          key: the canonical solver's verdict and model are bit-identical
-          whatever the domain count — see {!Sat.Solver.solve_portfolio}. *)
   sweep : sweep_mode;
       (** Equivalence-sweep the netlist the SAT engines encode (default
           {!Sweep_off}).  Verdicts, witnesses and hence report digests

@@ -92,11 +92,11 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
      widened to Top, and additionally discharge any cover whose occupancy
      monitor bit is itself proven stuck at 0.  Only covers the FSM
      abstraction did NOT already discharge count as known-bits prunes.
-     Computed in every [absint] mode so the live/dead partition — and with
+     Computed in both [absint] modes so the live/dead partition — and with
      it the mid-stream checker sequence and the report digest — is
      mode-independent; the mode only decides whether the extra dead covers
      are discharged ([`On]) or re-checked in a trailing audit batch
-     ([`Off]/[`Audit], which both fail hard on a [Reachable] verdict). *)
+     ([`Audit], which fails hard on a [Reachable] verdict). *)
   let kb =
     let go () = Hdl.Absint.known_bits nl in
     if Obs.enabled () then Obs.with_span "synth.absint" go else go ()
@@ -458,7 +458,7 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
     (st "duv_pl").pruned_absint <- n_absint_decided;
     if Obs.enabled () then
       Obs.Metrics.incr "synth.pruned_absint" ~by:n_absint_decided
-  | `Off | `Audit -> ());
+  | `Audit -> ());
 
   (* ------------------------------------------------------------------ *)
   (* Stage B: PL reachability for the IUV (§V-B2).                        *)
@@ -789,14 +789,13 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
       unlabeled_info
   end;
 
-  (* Same discipline for the known-bits extra dead set: with [absint] off
-     or auditing, re-check each discharged cover after the main stream.
-     Synthesis has no honest-feedback path for a late [Reachable] (the
-     result is already assembled from the live covers), so both non-prune
-     modes treat it as an unsoundness failure. *)
+  (* Same discipline for the known-bits extra dead set: when auditing,
+     re-check each discharged cover after the main stream.  Synthesis has
+     no honest-feedback path for a late [Reachable] (the result is already
+     assembled from the live covers), so it is an unsoundness failure. *)
   (match absint with
   | `On -> ()
-  | `Off | `Audit ->
+  | `Audit ->
     List.iter
       (fun lbl ->
         match check "duv_pl" [ (Harness.occ_any h lbl, true) ] with

@@ -74,7 +74,7 @@ val run :
   ?presim_episodes:int ->
   ?presim_cycles:int ->
   ?static_prune:bool ->
-  ?absint:[ `On | `Off | `Audit ] ->
+  ?absint:[ `On | `Audit ] ->
   ?dump_cnf:string ->
   ?shards:int ->
   ?pool:Pool.t ->
@@ -102,12 +102,13 @@ val run :
     known-bits-refined reachability — or whose occupancy monitor bit is
     proven stuck at 0 ({!Hdl.Absint.known_bits} over the monitored
     netlist) — are discharged without a property.  The dead/live partition
-    is computed in {e every} mode, so the mid-stream checker sequence and
-    the report digest are bit-identical across [`On]/[`Off]/[`Audit]; with
-    [`Off] or [`Audit] the extra dead covers are re-dispatched as a second
-    trailing batch (after the [static_prune] audit batch), and a
-    [Reachable] verdict raises [Failure] in both — synthesis has no honest
-    path to re-admit a cover after the main stream has run.
+    is computed in both modes, so the mid-stream checker sequence and the
+    report digest are bit-identical across [`On]/[`Audit]; with [`Audit]
+    the extra dead covers are re-dispatched as a second trailing batch
+    (after the [static_prune] audit batch), and a [Reachable] verdict
+    raises [Failure] — synthesis has no honest path to re-admit a cover
+    after the main stream has run, so there is no trust-the-checker
+    mode.
 
     [cache] attaches a persistent verdict store (see {!Mc.Checker.create}):
     every checker property — including each shard's — is looked up before

@@ -13,6 +13,8 @@
 
 external now_ns : unit -> int = "obs_monotonic_ns" [@@noalloc]
 
+let seconds_since t0 = float_of_int (now_ns () - t0) *. 1e-9
+
 type event = {
   ev_name : string;
   ev_ts_ns : int;

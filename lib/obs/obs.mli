@@ -25,6 +25,10 @@ val now_ns : unit -> int
 (** Monotonic time in nanoseconds (arbitrary epoch).  Always live, even
     when the layer is disabled. *)
 
+val seconds_since : int -> float
+(** [seconds_since t0] is the time elapsed since the {!now_ns} reading
+    [t0], in seconds. *)
+
 val enabled : unit -> bool
 (** One atomic read — the guard instrumented call sites branch on. *)
 

@@ -27,7 +27,6 @@ module Vec = struct
   let set v i x = v.data.(i) <- x
   let len v = v.len
   let shrink v n = v.len <- n
-  let copy v = { data = Array.copy v.data; len = v.len }
 end
 
 type clause = {
@@ -64,18 +63,9 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable learnt_limit : int; (* reduce_db trigger; grows geometrically *)
-  mutable reduce_enabled : bool;
   mutable reduces : int; (* reduce_db events *)
   mutable learnt_peak : int; (* high-water mark of n_learnt *)
   mutable has_model : bool; (* last solve ended Sat and no solve undid it *)
-  mutable restart_base : int; (* Luby unit (conflicts); portfolio diversity *)
-  mutable stop_check : (unit -> bool) option;
-      (* Cooperative cancellation for portfolio racers: polled once per
-         search iteration; [true] aborts the solve with [Unknown]. *)
-  mutable share_out : (int array -> int -> unit) option;
-      (* Called with (copy of learnt clause, lbd) on every learn. *)
-  mutable share_in : (unit -> int array list) option;
-      (* Polled at restarts; returned clauses are imported at level 0. *)
   mutable seen : Vec.t; (* scratch for analyze: vars marked *)
   mutable seen_arr : bool array; (* persistent analyze marks, cleared via seen *)
   mutable lbd_seen : int array; (* per-level stamps for LBD computation *)
@@ -107,14 +97,9 @@ let create () =
     decisions = 0;
     propagations = 0;
     learnt_limit = 4096;
-    reduce_enabled = true;
     reduces = 0;
     learnt_peak = 0;
     has_model = false;
-    restart_base = 100;
-    stop_check = None;
-    share_out = None;
-    share_in = None;
     seen = Vec.create ();
     seen_arr = Array.make 8 false;
     lbd_seen = Array.make 8 0;
@@ -130,7 +115,6 @@ let num_reduces s = s.reduces
 let learnt_peak s = s.learnt_peak
 let learnt_limit s = s.learnt_limit
 let set_learnt_limit s n = s.learnt_limit <- max 1 n
-let set_reduce_db s b = s.reduce_enabled <- b
 let has_model s = s.has_model
 
 let grow_arrays s n =
@@ -287,10 +271,8 @@ let add_clause_internal s lits learnt lbd =
   Vec.push s.watches.(negate lits.(1)) id;
   id
 
-(* Simplify a clause against the level-0 assignment and add it.  [learnt]
-   clauses carry an [lbd] and are eligible for [reduce_db]; problem clauses
-   are permanent. *)
-let add_simplified s lits ~learnt ~lbd =
+(* Simplify a problem clause against the level-0 assignment and add it. *)
+let add_clause s lits =
   if s.ok then begin
     (* Simplify: drop duplicates and false lits at level 0; detect tautology. *)
     let lits = List.sort_uniq Int.compare lits in
@@ -309,11 +291,9 @@ let add_simplified s lits ~learnt ~lbd =
           else if lit_val s l = 0 then enqueue s l (-1)
         | _ ->
           let arr = Array.of_list lits in
-          ignore (add_clause_internal s arr learnt lbd)
+          ignore (add_clause_internal s arr false 0)
     end
   end
-
-let add_clause s lits = add_simplified s lits ~learnt:false ~lbd:0
 
 (* --- propagation ------------------------------------------------------ *)
 
@@ -557,6 +537,9 @@ let luby i =
   let rec size k = if i < (1 lsl k) - 1 then k else size (k + 1) in
   go (size 1) i
 
+(* Luby unit: conflicts per restart are [restart_base * luby i]. *)
+let restart_base = 100
+
 let solve ?(assumptions = []) ?(max_conflicts = max_int) s =
   s.has_model <- false;
   if not s.ok then Unsat
@@ -566,20 +549,14 @@ let solve ?(assumptions = []) ?(max_conflicts = max_int) s =
     let result = ref None in
     let restart_idx = ref 0 in
     let conflicts_this_restart = ref 0 in
-    let restart_limit = ref (s.restart_base * luby 1) in
+    let restart_limit = ref (restart_base * luby 1) in
     (* Scale the reduce trigger with the problem: a big unrolling earns a
        proportionally larger learnt DB before the first reduction. *)
-    if s.reduce_enabled then
-      s.learnt_limit <- max s.learnt_limit ((s.nclauses - s.n_learnt) / 2);
+    s.learnt_limit <- max s.learnt_limit ((s.nclauses - s.n_learnt) / 2);
     (match propagate s with
     | -1 -> ()
     | _ -> begin s.ok <- false; result := Some Unsat end);
     while !result = None do
-      (match s.stop_check with
-      | Some f when f () -> result := Some Unknown
-      | _ -> ());
-      if !result <> None then ()
-      else begin
       let confl = propagate s in
       if confl >= 0 then begin
         s.conflicts <- s.conflicts + 1;
@@ -610,14 +587,11 @@ let solve ?(assumptions = []) ?(max_conflicts = max_int) s =
             arr.(!pos1) <- tmp;
             let id = add_clause_internal s arr true lbd in
             enqueue s l id);
-          (match s.share_out with
-          | Some f -> f (Array.of_list learnt) lbd
-          | None -> ());
           s.var_inc <- s.var_inc /. 0.95;
           s.cla_inc <- s.cla_inc /. 0.999
         end
       end
-      else if s.reduce_enabled && s.n_learnt >= s.learnt_limit then begin
+      else if s.n_learnt >= s.learnt_limit then begin
         (* Propagation fixpoint: safe to halve the learnt DB in place.  The
            limit grows geometrically so reductions get rarer as the search
            earns its keepers. *)
@@ -630,21 +604,8 @@ let solve ?(assumptions = []) ?(max_conflicts = max_int) s =
         (* Restart, keeping the assumption prefix. *)
         conflicts_this_restart := 0;
         incr restart_idx;
-        restart_limit := s.restart_base * luby (!restart_idx + 1);
-        match s.share_in with
-        | None -> cancel_until s (min (decision_level s) (Array.length assumps))
-        | Some f ->
-          (* Portfolio import point: backtrack all the way to level 0 so the
-             foreign clauses can be simplified against the root assignment
-             (units enqueue, satisfied clauses drop), then let the decide
-             branch re-establish the assumptions. *)
-          cancel_until s 0;
-          List.iter
-            (fun lits ->
-              add_simplified s (Array.to_list lits) ~learnt:true
-                ~lbd:(Array.length lits))
-            (f ());
-          if not s.ok then result := Some Unsat
+        restart_limit := restart_base * luby (!restart_idx + 1);
+        cancel_until s (min (decision_level s) (Array.length assumps))
       end
       else begin
         (* Decide: first re-establish pending assumptions, then branch. *)
@@ -671,7 +632,6 @@ let solve ?(assumptions = []) ?(max_conflicts = max_int) s =
             enqueue s l (-1)
           end
         end
-      end
       end
     done;
     (* For Sat we keep the trail so [value] can read the model, but reset
@@ -719,168 +679,3 @@ let export_clauses s =
         Array.to_list (Array.map dimacs s.clauses.(cid).lits))
   in
   if s.ok then units @ arena else [ [] ]
-
-(* --- cloning and portfolio solving -------------------------------------- *)
-
-(* Deep copy of a quiescent solver (decision level 0 — the state every
-   [solve] leaves behind).  Clause literal arrays are copied because
-   propagation reorders them in place; exchange hooks are not inherited. *)
-let clone s =
-  {
-    clauses =
-      Array.init (Array.length s.clauses) (fun i ->
-          let c = s.clauses.(i) in
-          { lits = Array.copy c.lits; activity = c.activity; learnt = c.learnt; lbd = c.lbd });
-    nclauses = s.nclauses;
-    n_learnt = s.n_learnt;
-    watches = Array.map Vec.copy s.watches;
-    assigns = Array.copy s.assigns;
-    level = Array.copy s.level;
-    reason = Array.copy s.reason;
-    phase = Array.copy s.phase;
-    activity = Array.copy s.activity;
-    heap = Array.copy s.heap;
-    heap_pos = Array.copy s.heap_pos;
-    heap_len = s.heap_len;
-    trail = Vec.copy s.trail;
-    trail_lim = Vec.copy s.trail_lim;
-    qhead = s.qhead;
-    nvars = s.nvars;
-    var_inc = s.var_inc;
-    cla_inc = s.cla_inc;
-    ok = s.ok;
-    conflicts = 0;
-    decisions = 0;
-    propagations = 0;
-    learnt_limit = s.learnt_limit;
-    reduce_enabled = s.reduce_enabled;
-    reduces = 0;
-    learnt_peak = s.n_learnt;
-    has_model = false;
-    restart_base = s.restart_base;
-    stop_check = None;
-    share_out = None;
-    share_in = None;
-    seen = Vec.create ();
-    seen_arr = Array.make (Array.length s.seen_arr) false;
-    lbd_seen = Array.make (Array.length s.lbd_seen) 0;
-    lbd_stamp = 0;
-  }
-
-(* Deterministic configuration diversity for portfolio racers: scramble the
-   saved phases and pick a different Luby restart unit.  Nothing here
-   affects soundness — only the order the search explores the space. *)
-let diversify ~seed s =
-  let rng = Random.State.make [| 0x5EED1; seed |] in
-  for v = 0 to s.nvars - 1 do
-    if Random.State.int rng 4 < 3 then s.phase.(v) <- Random.State.bool rng
-  done;
-  s.restart_base <-
-    (match seed land 3 with 0 -> 64 | 1 -> 110 | 2 -> 170 | _ -> 260)
-
-type portfolio_result = {
-  p_result : result;
-  p_domains : int;
-  p_first : int;
-  p_racer_decisive : int;
-  p_shared : int;
-  p_imported : int;
-  p_agree : bool;
-}
-
-(* Canonical-authoritative portfolio: the calling solver [s] runs exactly
-   the sequential search — no imported clauses, no cancellation — and its
-   verdict/model is what the caller sees, so results (and everything
-   downstream: witnesses, report digests) are bit-identical to [solve].
-   The remaining [domains - 1] slots run diversified clones that race each
-   other, exchanging small learnt clauses through per-racer inboxes under
-   one mutex; they are cancelled as soon as the canonical solver finishes.
-   Decisive racer verdicts are cross-checked against the canonical one —
-   a contradiction means a soundness bug, and fails loudly. *)
-let solve_portfolio ?(assumptions = []) ?(max_conflicts = max_int)
-    ?(share_lbd = 6) ?pool ~domains s =
-  let domains = max 1 domains in
-  if domains = 1 then
-    {
-      p_result = solve ~assumptions ~max_conflicts s;
-      p_domains = 1;
-      p_first = -1;
-      p_racer_decisive = 0;
-      p_shared = 0;
-      p_imported = 0;
-      p_agree = true;
-    }
-  else begin
-    let n_racers = domains - 1 in
-    let racers =
-      Array.init n_racers (fun i ->
-          let r = clone s in
-          diversify ~seed:((i * 0x9E3779B1) lxor 0x5EED) r;
-          r)
-    in
-    let stop = Atomic.make false in
-    let first = Atomic.make min_int in
-    let shared = Atomic.make 0 in
-    let imported = Atomic.make 0 in
-    let lock = Mutex.create () in
-    let inboxes = Array.init n_racers (fun _ -> ref []) in
-    let canonical () =
-      let r = solve ~assumptions ~max_conflicts s in
-      Atomic.set stop true;
-      ignore (Atomic.compare_and_set first min_int (-1));
-      r
-    in
-    let racer i () =
-      let r = racers.(i) in
-      r.stop_check <- Some (fun () -> Atomic.get stop);
-      r.share_out <-
-        Some
-          (fun lits lbd ->
-            if lbd <= share_lbd && Array.length lits <= 32 then begin
-              Mutex.lock lock;
-              for j = 0 to n_racers - 1 do
-                if j <> i then inboxes.(j) := lits :: !(inboxes.(j))
-              done;
-              Mutex.unlock lock;
-              Atomic.incr shared
-            end);
-      r.share_in <-
-        Some
-          (fun () ->
-            Mutex.lock lock;
-            let l = !(inboxes.(i)) in
-            inboxes.(i) := [];
-            Mutex.unlock lock;
-            List.iter (fun _ -> Atomic.incr imported) l;
-            l);
-      let res = solve ~assumptions ~max_conflicts r in
-      if res <> Unknown then
-        ignore (Atomic.compare_and_set first min_int i);
-      res
-    in
-    let thunks = canonical :: List.init n_racers racer in
-    let results =
-      match pool with
-      | Some p -> Pool.run p thunks
-      | None -> Pool.with_pool ~jobs:domains (fun p -> Pool.run p thunks)
-    in
-    let canon = List.hd results in
-    let racer_results = List.tl results in
-    let decisive = List.filter (fun r -> r <> Unknown) racer_results in
-    let agree =
-      canon = Unknown || List.for_all (fun r -> r = canon) decisive
-    in
-    if not agree then
-      failwith
-        "Solver.solve_portfolio: a racer verdict contradicts the canonical \
-         solver (soundness bug)";
-    {
-      p_result = canon;
-      p_domains = domains;
-      p_first = (match Atomic.get first with x when x = min_int -> -1 | x -> x);
-      p_racer_decisive = List.length decisive;
-      p_shared = Atomic.get shared;
-      p_imported = Atomic.get imported;
-      p_agree = agree;
-    }
-  end

@@ -8,10 +8,7 @@
 
     Learnt clauses carry an LBD ("glue") score and the database is
     periodically halved by {!reduce_db} once it outgrows a geometrically
-    growing limit, keeping binary, glue and locked clauses.  A
-    canonical-authoritative portfolio mode ({!solve_portfolio}) races
-    diversified solver clones that exchange small learnt clauses without
-    perturbing the canonical verdict or model. *)
+    growing limit, keeping binary, glue and locked clauses. *)
 
 type t
 
@@ -32,7 +29,7 @@ val is_pos : lit -> bool
 type result =
   | Sat
   | Unsat
-  | Unknown (** Conflict budget exhausted (or a portfolio racer cancelled). *)
+  | Unknown (** Conflict budget exhausted. *)
 
 val create : unit -> t
 
@@ -76,9 +73,6 @@ val reduce_db : t -> unit
     whenever the learnt count reaches the (geometrically growing) limit;
     callable manually between solves. *)
 
-val set_reduce_db : t -> bool -> unit
-(** Enable/disable automatic database reduction (default: enabled). *)
-
 val learnt_limit : t -> int
 (** Current reduce trigger: when the learnt count reaches this, [solve]
     calls {!reduce_db} and grows the limit by 3/2. *)
@@ -111,53 +105,3 @@ val export_clauses : t -> int list list
     unit assignments (unit clauses never enter the arena).  Returns [[[]]]
     (the empty clause) if the instance is known unsatisfiable.  Call
     between [solve]s. *)
-
-(** {2 Portfolio solving} *)
-
-val clone : t -> t
-(** Deep copy of a quiescent solver (every [solve] returns at decision
-    level 0).  The clone shares no mutable state with the original; its
-    per-solve statistics start at zero and exchange hooks are cleared. *)
-
-val diversify : seed:int -> t -> unit
-(** Deterministically scramble saved phases and the restart schedule so
-    portfolio clones explore the search space in different orders.  Does
-    not affect soundness or the clause set. *)
-
-type portfolio_result = {
-  p_result : result;  (** The canonical solver's verdict. *)
-  p_domains : int;  (** Configurations raced (including the canonical). *)
-  p_first : int;
-      (** Who finished decisively first: [-1] the canonical solver, [i >= 0]
-          racer [i].  Informational only. *)
-  p_racer_decisive : int;  (** Racers that returned [Sat]/[Unsat]. *)
-  p_shared : int;  (** Clauses posted to the exchange. *)
-  p_imported : int;  (** Clause imports across all racers. *)
-  p_agree : bool;  (** Decisive racers agreed with the canonical verdict. *)
-}
-
-val solve_portfolio :
-  ?assumptions:lit list ->
-  ?max_conflicts:int ->
-  ?share_lbd:int ->
-  ?pool:Pool.t ->
-  domains:int ->
-  t ->
-  portfolio_result
-(** [solve_portfolio ~domains:k s] races [k] solver configurations on the
-    same query: the canonical solver [s] runs the exact sequential search
-    (same clause DB trajectory, no imports, never cancelled) and [k-1]
-    diversified clones race each other, exchanging learnt clauses with
-    LBD <= [share_lbd] (default 6) through a mutex-protected exchange.
-    The canonical verdict/model is always the one returned, so results are
-    bit-identical to [solve] — racers only provide cross-checking and,
-    on multi-core hosts, early wall-clock verdicts for future use.  The
-    canonical solver finishing cancels the racers.
-
-    With [~pool], thunks run on the given pool (the canonical thunk is
-    submitted first, so a sequential [jobs=1] pool runs it to completion
-    before any racer starts); otherwise a transient pool of [domains] jobs
-    is used.  [domains <= 1] degenerates to plain [solve].
-
-    @raise Failure if a decisive racer contradicts a decisive canonical
-    verdict — that would mean a soundness bug in clause sharing. *)

@@ -145,11 +145,11 @@ let assert_inside_grid ~grid (tagged : Types.tagged_decision list) =
     tagged
 
 (* {!Mupath.Synth} cannot depend on this library's {!Types}, so its absint
-   mode is a structural variant; the mapping is one-to-one. *)
+   mode is a structural variant.  Synthesis cannot re-admit a late
+   [Reachable] cover, so off re-checks exactly like audit. *)
 let synth_absint_mode = function
   | Types.Prune_on -> `On
-  | Types.Prune_off -> `Off
-  | Types.Prune_audit -> `Audit
+  | Types.Prune_off | Types.Prune_audit -> `Audit
 
 let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
     ?static_prune ?dump_cnf
@@ -159,7 +159,7 @@ let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
     ~(design : unit -> Meta.t) ~(instr : Isa.t)
     ~(transmitters : Isa.opcode list) ~(kinds : Types.transmitter_kind list)
     ~(revisit_count_labels : string list) ~iuv_pc () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now_ns () in
   (* Stage 1: µPATH synthesis on a fresh design instance. *)
   let meta = design () in
   let stim =
@@ -196,7 +196,7 @@ let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
       flow_pruned_static = 0;
       flow_pruned_absint = 0;
       static_flow_live = [];
-      flow_time = Unix.gettimeofday () -. t0;
+      flow_time = Obs.seconds_since t0;
     }
   else begin
     (* Stage 2: symbolic IFT per (kind, operand). *)
@@ -280,7 +280,7 @@ let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
       flow_pruned_static = flow_pruned;
       flow_pruned_absint = flow_pruned_ai;
       static_flow_live = grid;
-      flow_time = Unix.gettimeofday () -. t0;
+      flow_time = Obs.seconds_since t0;
     }
   end
 
@@ -292,7 +292,7 @@ let run ?cache ?config ?synth_config ?semantic_cache ?static_prune ?dump_cnf
     ~(instructions : Isa.t list) ~(transmitters : Isa.opcode list)
     ~(kinds : Types.transmitter_kind list) ~(revisit_count_labels : string list)
     ~iuv_pc () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now_ns () in
   let design_name = (design ()).Meta.design_name in
   (* Per-task configs carry a seed derived from (base seed, task index) —
      a pure function of the input position, so any jobs count (including 1)
@@ -374,7 +374,7 @@ let run ?cache ?config ?synth_config ?semantic_cache ?static_prune ?dump_cnf
   let total_flow_pruned_absint =
     List.fold_left (fun acc t -> acc + t.flow_pruned_absint) 0 transponders
   in
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Obs.seconds_since t0 in
   let metrics =
     if Obs.enabled () then begin
       Obs.Metrics.gauge "engine.elapsed_s" elapsed;

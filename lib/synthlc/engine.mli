@@ -81,6 +81,12 @@ val static_leakage_grid :
     ARF/AMEM blocked.  Any decision destination outside the grid can never
     be tagged by a sound flow analysis. *)
 
+val synth_absint_mode : Types.prune_mode -> [ `On | `Audit ]
+(** The {!Mupath.Synth.run} [absint] mode for a prune mode:
+    {!Types.Prune_on} prunes, {!Types.Prune_off} and {!Types.Prune_audit}
+    both re-check the pruned covers and fail on a [Reachable] verdict —
+    synthesis cannot re-admit a cover after its main stream has run. *)
+
 val analyze_transponder :
   ?cache:Vcache.t ->
   ?config:Mc.Checker.config ->
@@ -141,8 +147,9 @@ val analyze_transponder :
     ({!Hdl.Absint}) independently: it is forwarded to {!Mupath.Synth.run}
     (extra statically-dead µFSM states and known-zero occupancy monitors)
     and to {!Flow.analyze} (covers dead only under the known-bits-refined
-    taint pre-pass), with the same tri-mode contract and the same
-    digest-invariance guarantee.  [precise] (default [true])
+    taint pre-pass), with the same digest-invariance guarantee.  Flow
+    honours all three modes; synthesis maps off to audit (see
+    {!synth_absint_mode}).  [precise] (default [true])
     selects the IFT cell-rule precision, is threaded identically into the
     instrumentation and the static pre-pass, and namespaces the verdict
     cache when imprecise. *)

@@ -45,7 +45,7 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
     ~(decisions : (string * string list list) list)
     ~(transmitters : Isa.opcode list) ~(kind : Types.transmitter_kind)
     ~(operand : Types.operand) ~iuv_pc () =
-  let t_start = Unix.gettimeofday () in
+  let t_start = Obs.now_ns () in
   let meta = design () in
   let nl = meta.Meta.nl in
   let module D = Hdl.Dsl.Make (struct
@@ -407,7 +407,7 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
         stats.q_audit_undetermined <- stats.q_audit_undetermined + 1
       | Checker.Unreachable _ -> ())
     (List.rev !deferred_absint);
-  stats.q_time <- Unix.gettimeofday () -. t_start;
+  stats.q_time <- Obs.seconds_since t_start;
   { tagged = List.rev !tagged; static_live; stats }
 
 let analyze ?cache ?cache_salt ?config ?stimulus ?semantic_cache ?precise

@@ -56,8 +56,7 @@ project_semantic() {
           kv("static_flow.flow_props"; .flow_props)),
       (.sat? // empty
         | kv("sat.digest_identical"; .digest_identical),
-          kv("sat.report_digest"; .report_digest),
-          kv("sat.portfolio_domains"; .portfolio_domains)),
+          kv("sat.report_digest"; .report_digest)),
       (.obs? // empty
         | kv("obs.digest_identical"; .digest_identical),
           kv("obs.events"; .events)),

@@ -156,48 +156,6 @@ let test_cse_outcomes_agree () =
   Alcotest.(check (pair string string))
     "cse on/off verdicts" (outcome_with false) (outcome_with true)
 
-(* Portfolio-vs-sequential verdict agreement on random netlist covers: the
-   same checker configuration, portfolio on vs off, must produce identical
-   outcomes and witnesses (the canonical solver is authoritative). *)
-let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 10_000)
-
-let portfolio_qcheck =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:12 ~name:"portfolio agrees on netlist covers"
-       arb_seed (fun seed ->
-         let rng = Random.State.make [| seed; 77 |] in
-         let k1 = Random.State.int rng 64 and k2 = Random.State.int rng 64 in
-         let bits =
-           List.filter_map
-             (fun i ->
-               match Random.State.int rng 3 with
-               | 0 -> Some (i, true)
-               | 1 -> Some (i, false)
-               | _ -> None)
-             [ 0; 1; 2; 3 ]
-         in
-         let cover_of nl =
-           List.map
-             (fun (i, pol) ->
-               (Option.get (N.find_named nl (Printf.sprintf "acc%d" i)), pol))
-             bits
-         in
-         let outcome_with domains =
-           let nl = build_circuit k1 k2 in
-           let chk =
-             C.create
-               ~config:{ no_sim_config with C.portfolio_domains = domains }
-               ~assumes:[] nl
-           in
-           match C.check_cover chk (cover_of nl) with
-           | C.Reachable cex ->
-             Printf.sprintf "reachable:%d:%d" (C.Cex.length cex)
-               (Bitvec.to_int
-                  (C.Cex.value_exn cex "acc" ~cycle:(C.Cex.length cex - 1)))
-           | o -> C.outcome_tag o
-         in
-         bits = [] || outcome_with 1 = outcome_with 3))
-
 let suite =
   ( "blast",
     [
@@ -211,5 +169,4 @@ let suite =
         test_assume_respected_in_model;
       Alcotest.test_case "cse hit rate" `Quick test_cse_hit_rate;
       Alcotest.test_case "cse outcomes agree" `Quick test_cse_outcomes_agree;
-      portfolio_qcheck;
     ] )

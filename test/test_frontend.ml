@@ -59,6 +59,27 @@ let test_golden_example () =
     (List.length builtin.Designs.Meta.arf)
     (List.length meta.Designs.Meta.arf)
 
+(* The CLI's [report digest:] line for [args]. *)
+let cli_report_digest args =
+  let out = Filename.temp_file "synthlc_cli" ".txt" in
+  let code = Sys.command (Printf.sprintf "%s %s > %s 2>&1" cli args out) in
+  let lines = In_channel.with_open_text out In_channel.input_lines in
+  Sys.remove out;
+  Alcotest.(check int) (args ^ " exits 0") 0 code;
+  let prefix = "report digest: " in
+  let n = String.length prefix in
+  match
+    List.find_opt
+      (fun l -> String.length l > n && String.sub l 0 n = prefix)
+      lines
+  with
+  | Some l -> String.sub l n (String.length l - n)
+  | None -> Alcotest.failf "%s printed no report digest" args
+
+(* Admission, then [mupath] ADD on the admitted example with every CLI
+   default: an absolute pin on one report digest, so a change anywhere
+   along the import -> synthesis -> checker -> SAT path that alters a
+   verdict or witness fails here. *)
 let test_example_admission () =
   let d =
     Frontend.Admission.load ~json_path:example_json ~meta_path:example_meta ()
@@ -68,7 +89,11 @@ let test_example_admission () =
       (fun (x : D.t) -> x.D.severity = D.Error)
       d.Frontend.Admission.report.D.diags
   in
-  Alcotest.(check int) "no admission errors" 0 (List.length errors)
+  Alcotest.(check int) "no admission errors" 0 (List.length errors);
+  Alcotest.(check string) "mupath ADD report digest"
+    "16387a7c6c6c0e8ec71e318557630819"
+    (cli_report_digest
+       (Printf.sprintf "mupath -d %s -i 'add r1, r2, r3'" example_json))
 
 (* --- rejection per unsupported-cell class -------------------------------- *)
 

@@ -4,7 +4,7 @@
    caught by the lint oracle, and shrinking is sound — a shrunk config
    still reproduces the original oracle failure class (qcheck over the
    parameter lattice).  One engine-level battery on the minimal config
-   keeps the expensive oracles (jobs/cache/prune/portfolio/grid) covered
+   keeps the expensive oracles (jobs/cache/prune/sweep/grid) covered
    without ballooning tier-1 runtime. *)
 
 module G = Fuzz.Gen
@@ -161,8 +161,8 @@ let test_campaign_defect_path () =
   | l -> Alcotest.failf "expected one failure row, got %d" (List.length l)
 
 (* One engine-level battery: the minimal config through every oracle
-   (validate/lint/determinism/jobs/cache-warm/prune-modes/portfolio/
-   sweep/grid), every verdict Pass. *)
+   (validate/absint/lint/determinism/roundtrip/jobs/cache-warm/
+   prune-modes/sweep/grid), every verdict Pass. *)
 let test_minimal_battery_green () =
   let outcome = O.run ~depth:5 ~episodes:2 G.minimal in
   List.iter

@@ -125,25 +125,6 @@ let test_symbolic_init_reachability () =
     Alcotest.(check int) "witness at cycle 0" 1 (C.Cex.length cex)
   | o -> Alcotest.failf "expected reachable, got %s" (C.outcome_tag o)
 
-let test_portfolio_witness_identical () =
-  (* The BMC witness — not just the verdict — must be bit-identical with
-     the portfolio on: the canonical solver produces the model either way. *)
-  let run domains =
-    let nl, _, at5, _, _ = counter_design () in
-    let chk =
-      C.create
-        ~config:
-          { quick_config with C.sim_episodes = 0; portfolio_domains = domains }
-        ~assumes:[] nl
-    in
-    match C.check_cover chk [ (at5, true) ] with
-    | C.Reachable cex ->
-      List.init (C.Cex.length cex) (fun c ->
-          Bitvec.to_int (C.Cex.value_exn cex "count" ~cycle:c))
-    | o -> Alcotest.failf "expected reachable, got %s" (C.outcome_tag o)
-  in
-  Alcotest.(check (list int)) "witnesses identical" (run 1) (run 3)
-
 let suite =
   ( "mc",
     [
@@ -154,6 +135,4 @@ let suite =
       Alcotest.test_case "conjunction and negation" `Quick test_conjunction_and_negation;
       Alcotest.test_case "stats accumulate" `Quick test_stats_accumulate;
       Alcotest.test_case "symbolic initial state" `Quick test_symbolic_init_reachability;
-      Alcotest.test_case "portfolio witness identical" `Quick
-        test_portfolio_witness_identical;
     ] )

@@ -55,9 +55,23 @@ let php holes =
   done;
   s
 
+(* php 6 and php 7 also pin the search trajectory: any edit to the CDCL
+   loop (decision order, restarts, learning, the DB-reduction trigger)
+   that changes which conflicts the search visits moves these counts.
+   php 7 is the smallest pigeonhole instance whose search reduces the DB. *)
 let test_pigeonhole () =
   Alcotest.(check bool) "php5 unsat" true (S.solve (php 5) = S.Unsat);
-  Alcotest.(check bool) "php6 unsat" true (S.solve (php 6) = S.Unsat)
+  let s = php 6 in
+  Alcotest.(check bool) "php6 unsat" true (S.solve s = S.Unsat);
+  Alcotest.(check int) "php6 conflicts" 1020 (S.num_conflicts s);
+  Alcotest.(check int) "php6 decisions" 1247 (S.num_decisions s);
+  Alcotest.(check int) "php6 propagations" 13427 (S.num_propagations s);
+  let s = php 7 in
+  Alcotest.(check bool) "php7 unsat" true (S.solve s = S.Unsat);
+  Alcotest.(check int) "php7 conflicts" 5405 (S.num_conflicts s);
+  Alcotest.(check int) "php7 decisions" 6582 (S.num_decisions s);
+  Alcotest.(check int) "php7 propagations" 73196 (S.num_propagations s);
+  Alcotest.(check int) "php7 reduces" 1 (S.num_reduces s)
 
 let test_budget () =
   let s = php 9 in
@@ -132,13 +146,6 @@ let test_reduce_db_shrinks () =
     (S.learnt_peak s > S.num_learnts s);
   (* The solver stays sound after reductions. *)
   Alcotest.(check bool) "php5 still unsat" true (S.solve (php 5) = S.Unsat)
-
-let test_reduce_db_disabled () =
-  let s = php 6 in
-  S.set_reduce_db s false;
-  S.set_learnt_limit s 1;
-  Alcotest.(check bool) "unsat" true (S.solve s = S.Unsat);
-  Alcotest.(check int) "no reduce events" 0 (S.num_reduces s)
 
 (* --- model guard -------------------------------------------------------- *)
 
@@ -267,23 +274,6 @@ let qcheck_tests =
                cls
            | S.Unsat -> not (brute_force nv cls)
            | S.Unknown -> false));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:60
-         ~name:"portfolio verdict and model match sequential" arb_cnf
-         (fun (nv, cls) ->
-           let seq = mk nv cls in
-           let r_seq = S.solve seq in
-           let s = mk nv cls in
-           let pr = S.solve_portfolio ~domains:3 s in
-           pr.S.p_result = r_seq && pr.S.p_agree
-           &&
-           (* The canonical solver is unperturbed, so on Sat its model is
-              bit-identical to the sequential one. *)
-           match r_seq with
-           | S.Sat ->
-             List.init nv (fun v -> v)
-             |> List.for_all (fun v -> S.value s v = S.value seq v)
-           | _ -> true));
   ]
 
 let suite =
@@ -295,7 +285,6 @@ let suite =
       Alcotest.test_case "conflict budget" `Quick test_budget;
       Alcotest.test_case "assumptions" `Quick test_assumptions;
       Alcotest.test_case "reduce_db shrinks learnt DB" `Quick test_reduce_db_shrinks;
-      Alcotest.test_case "reduce_db can be disabled" `Quick test_reduce_db_disabled;
       Alcotest.test_case "model guard" `Quick test_model_guard;
       Alcotest.test_case "dimacs round-trip" `Quick test_dimacs_roundtrip;
     ]
