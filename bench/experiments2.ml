@@ -413,14 +413,15 @@ let cache_warmup () =
 
 (* P3 — static FSM-abstraction reachability pre-pass: covers over
    statically-dead µFSM states are discharged by abstract interpretation
-   instead of being dispatched to simulation/BMC.  Both modes must produce
-   the same report digest (the audit mode re-checks the pruned covers as a
-   trailing batch, tripping a hard failure on any unsound prune). *)
+   instead of being dispatched to simulation/BMC.  Prune on and audit must
+   produce the same report digest (the audit re-checks the pruned covers
+   after the main stream, tripping a hard failure on any unsound prune).
+   The [_off] names below are the audit run. *)
 
 type static_prune_record = {
   st_pruned : int;  (* covers discharged statically (pre-pass on) *)
   st_duv_props_on : int;  (* duv_pl properties dispatched with the pre-pass *)
-  st_duv_props_off : int;  (* ... and without (includes the audit batch) *)
+  st_duv_props_off : int;  (* ... and when auditing (includes the re-checks) *)
   st_t_on : float;
   st_t_off : float;
   st_equal : bool;  (* digests identical across modes *)
@@ -435,11 +436,11 @@ let static_prune_bench () =
   let design, stimulus, instructions, transmitters, light_config =
     engine_workload ()
   in
-  let run_with static_prune =
+  let run_with prune =
     let t0 = Unix.gettimeofday () in
     let r =
       Synthlc.Engine.run ~config:light_config ~synth_config:light_config
-        ~static_prune ~stimulus ~design ~jobs:1
+        ~prune ~stimulus ~design ~jobs:1
         ~exclude_sources:[ "IF"; "scbCmt" ]
         ~instructions ~transmitters
         ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
@@ -447,8 +448,8 @@ let static_prune_bench () =
     in
     (Unix.gettimeofday () -. t0, r)
   in
-  let t_on, r_on = run_with true in
-  let t_off, r_off = run_with false in
+  let t_on, r_on = run_with `On in
+  let t_off, r_off = run_with `Audit in
   let duv_stage (r : Synthlc.Engine.report) =
     List.map
       (fun (t : Synthlc.Engine.transponder_report) ->
@@ -458,6 +459,10 @@ let static_prune_bench () =
   let sum f l = List.fold_left (fun a s -> a + f s) 0 l in
   let pruned =
     sum (fun (s : Mupath.Synth.stage_stats) -> s.Mupath.Synth.pruned_static)
+      (duv_stage r_on)
+  in
+  let pruned_absint =
+    sum (fun (s : Mupath.Synth.stage_stats) -> s.Mupath.Synth.pruned_absint)
       (duv_stage r_on)
   in
   let props_on =
@@ -472,12 +477,12 @@ let static_prune_bench () =
   let dg_off = Synthlc.Engine.report_digest r_off in
   Printf.printf "  pre-pass on : %6.1fs (%d duv_pl properties, %d pruned statically)\n"
     t_on props_on pruned;
-  Printf.printf "  pre-pass off: %6.1fs (%d duv_pl properties incl. audit batch)\n"
+  Printf.printf "  audit       : %6.1fs (%d duv_pl properties incl. re-checks)\n"
     t_off props_off;
-  Printf.printf "  report digests: on %s, off %s\n" dg_on dg_off;
+  Printf.printf "  report digests: on %s, audit %s\n" dg_on dg_off;
   check "pre-pass prunes at least one cover" (pruned > 0);
   check "every pruned cover reappears as an audit property"
-    (props_off = props_on + pruned);
+    (props_off = props_on + pruned + pruned_absint);
   check "report digest identical across modes" (dg_on = dg_off);
   static_prune_result :=
     Some
@@ -632,10 +637,11 @@ let ablation_sim_assist () =
 
 (* P5 — static taint-flow pre-pass: IFT covers whose destinations lie
    outside the static taint cone of the operand register are discharged
-   without a checker call.  Pruning must not perturb the report: the
-   prune-off run trails the same covers behind an identical mid-stream
-   checker sequence, so both modes land on the same digest (any divergence
-   would mean the word-level abstraction dropped a reachable flow). *)
+   without a checker call.  Pruning must not perturb the report: the audit
+   run re-checks the same covers after an identical mid-stream checker
+   sequence, so both modes land on the same digest (a reachable re-check
+   would mean the word-level abstraction dropped a flow, and fails the
+   run).  The [_off] names below are the audit run. *)
 
 type static_flow_record = {
   sf_pruned : int;  (* IFT covers discharged statically (prune on) *)
@@ -654,11 +660,11 @@ let static_flow_bench () =
   let design, stimulus, instructions, transmitters, light_config =
     engine_workload ()
   in
-  let run_with static_flow_prune =
+  let run_with prune =
     let t0 = Unix.gettimeofday () in
     let r =
       Synthlc.Engine.run ~config:light_config ~synth_config:light_config
-        ~static_flow_prune ~stimulus ~design ~jobs:1
+        ~prune ~stimulus ~design ~jobs:1
         ~exclude_sources:[ "IF"; "scbCmt" ]
         ~instructions ~transmitters
         ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
@@ -666,17 +672,17 @@ let static_flow_bench () =
     in
     (Unix.gettimeofday () -. t0, r)
   in
-  let t_on, r_on = run_with Synthlc.Types.Prune_on in
-  let t_off, r_off = run_with Synthlc.Types.Prune_off in
+  let t_on, r_on = run_with `On in
+  let t_off, r_off = run_with `Audit in
   let pruned = r_on.Synthlc.Engine.total_flow_pruned_static in
   let dg_on = Synthlc.Engine.report_digest r_on in
   let dg_off = Synthlc.Engine.report_digest r_off in
   Printf.printf
     "  pre-pass on : %6.1fs (%d IFT covers, %d discharged statically)\n" t_on
     r_on.Synthlc.Engine.total_flow_props pruned;
-  Printf.printf "  pre-pass off: %6.1fs (%d IFT covers, all dispatched)\n"
+  Printf.printf "  audit       : %6.1fs (%d IFT covers, all dispatched)\n"
     t_off r_off.Synthlc.Engine.total_flow_props;
-  Printf.printf "  report digests: on %s, off %s\n" dg_on dg_off;
+  Printf.printf "  report digests: on %s, audit %s\n" dg_on dg_off;
   check "pre-pass discharges at least one IFT cover" (pruned > 0);
   check "both modes consider the same covers"
     (r_on.Synthlc.Engine.total_flow_props

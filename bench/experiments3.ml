@@ -87,8 +87,8 @@ let fuzz_campaign () =
    - prune: the gated demo DUV's "gate" µFSM keeps two states the plain
      FSM abstraction cannot kill but known-bits can — the absint prune
      must discharge both, and the report digest must be bit-identical
-     across --absint on/off/audit (pruned counters are digest-excluded,
-     pruned state names are digest-included in every mode);
+     with the prune on and audited (pruned counters are digest-excluded,
+     pruned state names are digest-included in both modes);
    - SAT substitution: re-running the P6 cover batch with
      [Checker.known_bits] off must allocate strictly more induction-side
      solver variables while synthesizing the identical µPATH set (the
@@ -101,9 +101,8 @@ type absint_row = {
   ab_covers_pruned : int;  (* absint-discharged covers, mode on *)
   ab_pruned_static : int;  (* base static prune, for scale *)
   ab_t_on : float;
-  ab_t_off : float;
   ab_t_audit : float;
-  ab_equal : bool;  (* digests identical across on/off/audit *)
+  ab_equal : bool;  (* digests identical across on/audit *)
   ab_digest : string;
   ab_vars_kb_on : int;  (* induction solver vars, known-bits on *)
   ab_vars_kb_off : int;
@@ -115,9 +114,9 @@ let absint_result : absint_row option ref = ref None
 
 let absint_bench () =
   section "P8"
-    "Known-bits absint - tri-mode prune identity, SAT substitution, A-series \
+    "Known-bits absint - on/audit prune identity, SAT substitution, A-series \
      lint";
-  (* Tri-mode engine runs on the gated demo DUV (see Designs.Gated). *)
+  (* On/audit engine runs on the gated demo DUV (see Designs.Gated). *)
   let gated_config =
     {
       Mc.Checker.default_config with
@@ -126,11 +125,11 @@ let absint_bench () =
       sim_cycles = 16;
     }
   in
-  let run_gated absint =
+  let run_gated prune =
     let t0 = Unix.gettimeofday () in
     let r =
       Synthlc.Engine.run ~config:gated_config ~synth_config:gated_config
-        ~absint
+        ~prune
         ~design:(fun () -> Designs.Gated.build ())
         ~jobs:1
         ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD ]
@@ -140,9 +139,8 @@ let absint_bench () =
     in
     (Unix.gettimeofday () -. t0, r)
   in
-  let t_on, r_on = run_gated Synthlc.Types.Prune_on in
-  let t_off, r_off = run_gated Synthlc.Types.Prune_off in
-  let t_audit, r_audit = run_gated Synthlc.Types.Prune_audit in
+  let t_on, r_on = run_gated `On in
+  let t_audit, r_audit = run_gated `Audit in
   let sum_stage f (r : Synthlc.Engine.report) =
     List.fold_left
       (fun acc (t : Synthlc.Engine.transponder_report) ->
@@ -158,19 +156,15 @@ let absint_bench () =
     sum_stage (fun s -> s.Mupath.Synth.pruned_static) r_on
   in
   let dg_on = Synthlc.Engine.report_digest r_on in
-  let dg_off = Synthlc.Engine.report_digest r_off in
   let dg_audit = Synthlc.Engine.report_digest r_audit in
   Printf.printf
     "  absint on   : %6.1fs (%d covers known-bits-pruned, %d static-pruned)\n"
     t_on covers_pruned pruned_static;
-  Printf.printf "  absint off  : %6.1fs (pruned covers re-dispatched)\n" t_off;
-  Printf.printf "  absint audit: %6.1fs\n" t_audit;
-  Printf.printf "  report digests: on %s, off %s, audit %s\n" dg_on dg_off
-    dg_audit;
+  Printf.printf "  prune audit : %6.1fs (pruned covers re-checked)\n" t_audit;
+  Printf.printf "  report digests: on %s, audit %s\n" dg_on dg_audit;
   check "known-bits prune discharges covers beyond the FSM abstraction"
     (covers_pruned > 0);
-  check "report digest identical across absint on/off/audit"
-    (dg_on = dg_off && dg_on = dg_audit);
+  check "report digest identical across prune on/audit" (dg_on = dg_audit);
   (* SAT substitution on a cold cover batch (the P6 batch shape, on the
      gated DUV — the workload with register-level known bits in both
      profiles): same synthesized set, fewer induction-side solver
@@ -243,9 +237,8 @@ let absint_bench () =
         ab_covers_pruned = covers_pruned;
         ab_pruned_static = pruned_static;
         ab_t_on = t_on;
-        ab_t_off = t_off;
         ab_t_audit = t_audit;
-        ab_equal = dg_on = dg_off && dg_on = dg_audit;
+        ab_equal = dg_on = dg_audit;
         ab_digest = dg_on;
         ab_vars_kb_on = vars_kb;
         ab_vars_kb_off = vars_plain;

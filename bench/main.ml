@@ -204,9 +204,9 @@ let write_json path ~profile ~jobs ~total rows =
   | None -> add "  \"fuzz\": null,\n");
   (match !Experiments3.absint_result with
   | Some a ->
-    add "  \"absint\": {\"covers_pruned\": %d, \"pruned_static\": %d, \"t_on_s\": %.3f, \"t_off_s\": %.3f, \"t_audit_s\": %.3f, \"digest_identical\": %b, \"report_digest\": \"%s\", \"vars_kb_on\": %d, \"vars_kb_off\": %d, \"kb_set_identical\": %b, \"lint_info\": %d},\n"
+    add "  \"absint\": {\"covers_pruned\": %d, \"pruned_static\": %d, \"t_on_s\": %.3f, \"t_audit_s\": %.3f, \"digest_identical\": %b, \"report_digest\": \"%s\", \"vars_kb_on\": %d, \"vars_kb_off\": %d, \"kb_set_identical\": %b, \"lint_info\": %d},\n"
       a.Experiments3.ab_covers_pruned a.Experiments3.ab_pruned_static
-      a.Experiments3.ab_t_on a.Experiments3.ab_t_off a.Experiments3.ab_t_audit
+      a.Experiments3.ab_t_on a.Experiments3.ab_t_audit
       a.Experiments3.ab_equal a.Experiments3.ab_digest
       a.Experiments3.ab_vars_kb_on a.Experiments3.ab_vars_kb_off
       a.Experiments3.ab_kb_equal a.Experiments3.ab_lint_info

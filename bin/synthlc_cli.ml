@@ -162,57 +162,16 @@ let cache_dir_arg =
 
 let cache_of = Option.map (fun dir -> Vcache.create ~dir ())
 
-let no_static_prune_arg =
+let prune_arg =
   let doc =
-    "Disable the static FSM-abstraction reachability pre-pass: dispatch \
-     covers over statically-unreachable states to the model checker as a \
-     trailing audit batch instead of discharging them statically.  The \
-     report digest is bit-identical either way; this flag exists to audit \
-     the abstraction (an unsound verdict fails the run)."
+    "Audit the static pre-passes instead of trusting them: µFSM \
+     reachability and, for $(b,synthlc), the operand taint cone, each with \
+     its known-bits refinement.  The covers they prove unreachable are \
+     re-checked by the model checker after the main property stream, and \
+     a reachable one fails the run.  The report digest is bit-identical \
+     either way."
   in
-  Arg.(value & flag & info [ "no-static-prune" ] ~doc)
-
-let flow_prune_conv =
-  let parse = function
-    | "on" -> Ok Synthlc.Types.Prune_on
-    | "off" -> Ok Synthlc.Types.Prune_off
-    | "audit" -> Ok Synthlc.Types.Prune_audit
-    | s -> Error (`Msg (Printf.sprintf "invalid prune mode %S (expected on, off, or audit)" s))
-  in
-  let print fmt m = Format.pp_print_string fmt (Synthlc.Types.prune_mode_name m) in
-  Arg.conv (parse, print)
-
-let static_flow_prune_arg =
-  let doc =
-    "Static taint-flow pre-pass over the IFT covers: $(b,on) (default) \
-     discharges covers whose destinations lie outside the operand's static \
-     taint cone without checker calls; $(b,off) dispatches them as a \
-     trailing batch and trusts the checker; $(b,audit) dispatches the same \
-     batch but fails the run on any reachable verdict (the unsoundness \
-     tripwire).  All modes issue the same mid-stream checker sequence, so \
-     the report digest is bit-identical across them."
-  in
-  Arg.(
-    value
-    & opt flow_prune_conv Synthlc.Types.Prune_on
-    & info [ "static-flow-prune" ] ~docv:"MODE" ~doc)
-
-let absint_arg =
-  let doc =
-    "Known-bits abstract-interpretation pruning: $(b,on) (default) \
-     discharges the extra µPATH covers and IFT covers the known-bits \
-     refinement proves unreachable beyond the base pre-passes; $(b,audit) \
-     dispatches them as a trailing batch and fails the run on any \
-     reachable verdict; $(b,off) trusts the checker for the IFT covers \
-     but audits the µPATH covers exactly like $(b,audit), since synthesis \
-     cannot re-admit a late reachable cover.  All modes issue the same \
-     mid-stream checker sequence, so the report digest is bit-identical \
-     across them."
-  in
-  Arg.(
-    value
-    & opt flow_prune_conv Synthlc.Types.Prune_on
-    & info [ "absint" ] ~docv:"MODE" ~doc)
+  Arg.(value & vflag `On [ (`Audit, info [ "no-static-prune" ] ~doc) ])
 
 let no_known_bits_arg =
   let doc =
@@ -437,8 +396,8 @@ let sim_cmd =
 (* --- mupath ----------------------------------------------------------- *)
 
 let mupath_cmd =
-  let run dname meta_path iuv depth episodes dot counts shards cache_dir nsp
-      absint no_known_bits sweep semantic_cache dump_cnf trace metrics =
+  let run dname meta_path iuv depth episodes dot counts shards cache_dir prune
+      no_known_bits sweep semantic_cache dump_cnf trace metrics =
     let src = resolve_design ~cmd:"mupath" ?meta:meta_path dname in
     with_obs ~trace ~metrics (fun () ->
         let meta = builder_of ~cmd:"mupath" src () in
@@ -448,8 +407,7 @@ let mupath_cmd =
         let cache = cache_of cache_dir in
         let r =
           Mupath.Synth.run ?cache ~config ?stimulus:stim ~semantic_cache
-            ~static_prune:(not nsp)
-            ~absint:(Synthlc.Engine.synth_absint_mode absint) ?dump_cnf
+            ~static_prune:(prune = `On) ~absint:prune ?dump_cnf
             ~revisit_count_labels:counts ~shards ~meta ~iuv ~iuv_pc ()
         in
         Format.printf "%a@." Mupath.Synth.pp_result r;
@@ -469,15 +427,15 @@ let mupath_cmd =
     (Cmd.info "mupath" ~doc:"RTL2MuPATH: synthesize the uPATH set for one instruction")
     Term.(
       const run $ design_arg $ meta_arg $ instr_arg $ depth_arg $ episodes_arg
-      $ dot $ counts $ shards_arg $ cache_dir_arg $ no_static_prune_arg
-      $ absint_arg $ no_known_bits_arg $ sweep_arg $ semantic_cache_arg
+      $ dot $ counts $ shards_arg $ cache_dir_arg $ prune_arg
+      $ no_known_bits_arg $ sweep_arg $ semantic_cache_arg
       $ dump_cnf_arg $ trace_arg $ metrics_arg)
 
 (* --- synthlc ---------------------------------------------------------- *)
 
 let synthlc_cmd =
   let run dname meta_path instructions txs depth episodes static jobs cache_dir
-      nsp static_flow_prune absint imprecise no_known_bits sweep semantic_cache
+      prune imprecise no_known_bits sweep semantic_cache
       dump_cnf trace metrics =
     let src = resolve_design ~cmd:"synthlc" ?meta:meta_path dname in
     with_obs ~trace ~metrics @@ fun () ->
@@ -502,9 +460,8 @@ let synthlc_cmd =
     let cache = cache_of cache_dir in
     let report =
       Synthlc.Engine.run ?cache ~config ~synth_config:config ~semantic_cache
-        ~static_prune:(not nsp) ?dump_cnf ~precise:(not imprecise)
-        ~static_flow_prune ~absint ?stimulus ~design ~jobs ~instructions
-        ~transmitters ~kinds ~revisit_count_labels ~iuv_pc ()
+        ?dump_cnf ~precise:(not imprecise) ~prune ?stimulus ~design ~jobs
+        ~instructions ~transmitters ~kinds ~revisit_count_labels ~iuv_pc ()
     in
     Format.printf "%a@." Synthlc.Engine.pp_report report;
     Printf.printf "report digest: %s\n" (Synthlc.Engine.report_digest report);
@@ -535,8 +492,8 @@ let synthlc_cmd =
     (Cmd.info "synthlc" ~doc:"SynthLC: synthesize leakage signatures and contracts")
     Term.(
       const run $ design_arg $ meta_arg $ instrs $ txs $ depth_arg
-      $ episodes_arg $ static $ jobs_arg $ cache_dir_arg $ no_static_prune_arg
-      $ static_flow_prune_arg $ absint_arg $ imprecise_ift_arg
+      $ episodes_arg $ static $ jobs_arg $ cache_dir_arg $ prune_arg
+      $ imprecise_ift_arg
       $ no_known_bits_arg $ sweep_arg $ semantic_cache_arg $ dump_cnf_arg
       $ trace_arg $ metrics_arg)
 
@@ -757,9 +714,10 @@ let fuzz_cmd =
                validation, known-bits containment of a random simulation, \
                µLint admission, elaboration determinism, Yosys-JSON round \
                trip, -j1 vs -j2 digest equality, cold vs warm verdict-cache \
-               bit-identity, static prune on/audit digest identity, sweep \
-               on/audit digest identity, and static leakage-grid \
-               containment of every dynamically tagged flow.";
+               bit-identity, digest identity with all four static \
+               pre-passes audited, sweep on/audit digest identity, and \
+               static leakage-grid containment of every dynamically tagged \
+               flow.";
            `P "On a failure the config is shrunk along its parameter \
                lattice (the shrunk config must reproduce the same oracle \
                failure class) and a one-line reproducer is printed: \

@@ -8,7 +8,7 @@ type oracle =
   | O_roundtrip
   | O_jobs
   | O_cache_warm
-  | O_prune_modes
+  | O_prune_audit
   | O_sweep
   | O_grid
 
@@ -36,7 +36,7 @@ let all_oracles =
     O_roundtrip;
     O_jobs;
     O_cache_warm;
-    O_prune_modes;
+    O_prune_audit;
     O_sweep;
     O_grid;
   ]
@@ -49,7 +49,7 @@ let oracle_name = function
   | O_roundtrip -> "roundtrip"
   | O_jobs -> "jobs"
   | O_cache_warm -> "cache-warm"
-  | O_prune_modes -> "prune-modes"
+  | O_prune_audit -> "prune-audit"
   | O_sweep -> "sweep"
   | O_grid -> "grid"
 
@@ -71,13 +71,11 @@ let config_of ~depth ~episodes =
 (* One Engine.run over the generated design.  Exceptions (including the
    audit tripwires' [failwith]) are turned into [Error msg] so the caller
    can attribute them to the oracle the run serves. *)
-let engine_run ~cache ~depth ~episodes ~jobs ~static_prune ~static_flow_prune
-    ~sweep cfg =
+let engine_run ~cache ~depth ~episodes ~jobs ~prune ~sweep cfg =
   let config = { (config_of ~depth ~episodes) with Mc.Checker.sweep } in
   try
     Ok
-      (Synthlc.Engine.run ~cache ~config ~synth_config:config ~static_prune
-         ~static_flow_prune
+      (Synthlc.Engine.run ~cache ~config ~synth_config:config ~prune
          ~stimulus:(fun ~pins ~rotate meta -> Designs.Stimulus.ibex ~pins ~rotate meta)
          ~design:(fun () -> Gen.build cfg)
          ~jobs
@@ -152,13 +150,10 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
       (Printf.sprintf "vcache_%d_%s" (Unix.getpid ()) (Gen.name cfg))
   in
   rm_rf cache_dir;
-  let check_engine ?(sweep = Mc.Checker.Sweep_off) ~jobs ~static_prune
-      ~static_flow_prune ~judge () =
+  let check_engine ?(sweep = Mc.Checker.Sweep_off) ?(prune = `On) ~jobs ~judge
+      () =
     let cache = Vcache.create ~dir:cache_dir () in
-    match
-      engine_run ~cache ~depth ~episodes ~jobs ~static_prune ~static_flow_prune
-        ~sweep cfg
-    with
+    match engine_run ~cache ~depth ~episodes ~jobs ~prune ~sweep cfg with
     | Error m -> Some m
     | Ok r -> judge cache r
   in
@@ -291,7 +286,7 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
                    Some "sidecar round trip changed iuv_pc"
                  else None))
   in
-  (* Baseline cold run: -j1, both prunes on.  Fills the verdict cache and
+  (* Baseline cold run: -j1, every prune on.  Fills the verdict cache and
      anchors every digest comparison; a failure here is attributed to the
      jobs oracle only after the -j2 run, so baseline errors surface as
      O_jobs harness messages. *)
@@ -299,8 +294,7 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
     continue
     && step O_jobs (fun () ->
            match
-             check_engine ~jobs:1 ~static_prune:true
-               ~static_flow_prune:Synthlc.Types.Prune_on
+             check_engine ~jobs:1
                ~judge:(fun _cache r ->
                  report := Some r;
                  base_digest := Synthlc.Engine.report_digest r;
@@ -309,8 +303,7 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
            with
            | Some m -> Some ("baseline run: " ^ m)
            | None ->
-             check_engine ~jobs:2 ~static_prune:true
-               ~static_flow_prune:Synthlc.Types.Prune_on
+             check_engine ~jobs:2
                ~judge:(fun cache r ->
                  match digest_equal "-j2" r with
                  | Some m -> Some m
@@ -337,10 +330,9 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
   in
   let continue =
     continue
-    && step O_prune_modes
-         (check_engine ~jobs:1 ~static_prune:false
-            ~static_flow_prune:Synthlc.Types.Prune_audit
-            ~judge:(fun _cache r -> digest_equal "audit (prunes off)" r))
+    && step O_prune_audit
+         (check_engine ~prune:`Audit ~jobs:1
+            ~judge:(fun _cache r -> digest_equal "prune audit" r))
   in
   (* Sweep tri-mode identity: the equivalence-swept engines (and the
      audit's swept-vs-unswept cross-check, whose divergence tripwire
@@ -351,14 +343,12 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
     && step O_sweep (fun () ->
            match
              check_engine ~sweep:Mc.Checker.Sweep_on ~jobs:1
-               ~static_prune:true ~static_flow_prune:Synthlc.Types.Prune_on
                ~judge:(fun _cache r -> digest_equal "--sweep on" r)
                ()
            with
            | Some m -> Some m
            | None ->
              check_engine ~sweep:Mc.Checker.Sweep_audit ~jobs:1
-               ~static_prune:true ~static_flow_prune:Synthlc.Types.Prune_on
                ~judge:(fun _cache r -> digest_equal "--sweep audit" r)
                ())
   in

@@ -19,9 +19,10 @@
     - [O_jobs]: [-j 2] reproduces the [-j 1] report digest bit-for-bit;
     - [O_cache_warm]: a warm verdict-cache run is all-hits/no-misses and
       digests identically to the cold run that filled the store;
-    - [O_prune_modes]: static FSM-reachability prune off (audit batch,
-      tripwires armed) + static taint-flow prune in audit mode reproduce
-      the pruned run's digest;
+    - [O_prune_audit]: auditing all four static pre-passes ({!Mupath.Prune}
+      [`Audit]: FSM reachability, taint cone, and the known-bits refinement
+      of each, every pruned cover re-checked with its tripwire armed)
+      reproduces the pruned run's digest;
     - [O_sweep]: equivalence-swept runs ([config.sweep] on, then audit —
       the audit re-running every SAT-resolved cover unswept with its
       divergence tripwire armed) reproduce the unswept digest;
@@ -42,7 +43,7 @@ type oracle =
   | O_roundtrip
   | O_jobs
   | O_cache_warm
-  | O_prune_modes
+  | O_prune_audit
   | O_sweep
   | O_grid
 

@@ -55,72 +55,51 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
   let nl = meta.Designs.Meta.nl in
   let chk = Harness.checker h in
   let labels = Harness.labels h in
-  (* Static FSM-abstraction reachability pre-pass: over-approximate each
+  (* Static reachability pre-passes (see {!Prune}): over-approximate each
      µFSM's reachable state set; a cover over a state outside the
-     over-approximation is provably unsatisfiable, so its checker call can
-     be discharged without the solver.  With [static_prune] off, the same
-     partition is kept but the statically-decided covers are dispatched as
-     a trailing audit batch instead — both modes issue the identical checker
-     sequence for every semantically-live cover, so their reports digest
-     identically, and the audit turns any abstraction unsoundness into a
-     hard failure. *)
-  let static_reach =
-    let go () =
-      List.filter_map
-        (fun (u : Designs.Meta.ufsm) ->
-          Option.map
-            (fun set -> (u.Designs.Meta.ufsm_name, set))
-            (Hdl.Analysis.fsm_reachable nl ~vars:u.Designs.Meta.vars))
-        meta.Designs.Meta.ufsms
-    in
-    if Obs.enabled () then Obs.with_span "synth.static_reach" go else go ()
+     over-approximation is provably unsatisfiable.  The known-bits pass
+     re-runs the analysis with the bit-level invariants of the monitored
+     netlist bounding what the plain value-set analysis widened to Top, and
+     also kills any cover whose occupancy monitor bit is proven stuck at 0;
+     it only counts covers the FSM abstraction did NOT already kill.  The
+     dead covers never reach the checkers mid-stream in either mode (see
+     the discharge after stage H). *)
+  let reach span ?known () =
+    Obs.with_span span (fun () ->
+        List.filter_map
+          (fun (u : Designs.Meta.ufsm) ->
+            Option.map
+              (fun set -> (u.Designs.Meta.ufsm_name, set))
+              (Hdl.Analysis.fsm_reachable ?known nl ~vars:u.Designs.Meta.vars))
+          meta.Designs.Meta.ufsms)
   in
-  let member_static_dead ((u : Designs.Meta.ufsm), v) =
-    match List.assoc_opt u.Designs.Meta.ufsm_name static_reach with
+  let static_reach = reach "synth.static_reach" () in
+  let kb = Obs.with_span "synth.absint" (fun () -> Hdl.Absint.known_bits nl) in
+  let absint_reach = reach "synth.absint_reach" ~known:kb () in
+  let member_dead reach ((u : Designs.Meta.ufsm), v) =
+    match List.assoc_opt u.Designs.Meta.ufsm_name reach with
     | None -> false (* abstraction bailed: nothing is pruned for this µFSM *)
     | Some set -> not (List.exists (Bitvec.equal v) set)
   in
   let group_members = Harness.pl_groups meta in
-  let label_static_dead lbl =
+  let label_dead reach lbl =
     match List.assoc_opt lbl group_members with
-    | Some members -> members <> [] && List.for_all member_static_dead members
+    | Some members -> members <> [] && List.for_all (member_dead reach) members
     | None -> false
   in
-  (* Known-bits pre-pass, layered on the FSM abstraction: compute bit-level
-     invariants of the monitored netlist, re-run the reachability analysis
-     with the invariant envelope bounding what the plain value-set analysis
-     widened to Top, and additionally discharge any cover whose occupancy
-     monitor bit is itself proven stuck at 0.  Only covers the FSM
-     abstraction did NOT already discharge count as known-bits prunes.
-     Computed in both [absint] modes so the live/dead partition — and with
-     it the mid-stream checker sequence and the report digest — is
-     mode-independent; the mode only decides whether the extra dead covers
-     are discharged ([`On]) or re-checked in a trailing audit batch
-     ([`Audit], which fails hard on a [Reachable] verdict). *)
-  let kb =
-    let go () = Hdl.Absint.known_bits nl in
-    if Obs.enabled () then Obs.with_span "synth.absint" go else go ()
+  let static_dead_labels = List.filter (label_dead static_reach) labels in
+  let absint_dead_labels =
+    List.filter
+      (fun lbl ->
+        (not (List.mem lbl static_dead_labels))
+        && (label_dead absint_reach lbl
+           || Hdl.Absint.known_zero kb (Harness.occ_any h lbl)))
+      labels
   in
-  let absint_reach =
-    let go () =
-      List.filter_map
-        (fun (u : Designs.Meta.ufsm) ->
-          Option.map
-            (fun set -> (u.Designs.Meta.ufsm_name, set))
-            (Hdl.Analysis.fsm_reachable ~known:kb nl ~vars:u.Designs.Meta.vars))
-        meta.Designs.Meta.ufsms
-    in
-    if Obs.enabled () then Obs.with_span "synth.absint_reach" go else go ()
-  in
-  let member_absint_dead ((u : Designs.Meta.ufsm), v) =
-    match List.assoc_opt u.Designs.Meta.ufsm_name absint_reach with
-    | None -> false
-    | Some set -> not (List.exists (Bitvec.equal v) set)
-  in
-  let label_absint_refined_dead lbl =
-    match List.assoc_opt lbl group_members with
-    | Some members -> members <> [] && List.for_all member_absint_dead members
-    | None -> false
+  let static_dead_state (_, _, m) = member_dead static_reach m in
+  let absint_dead_state ((_, occ, m) as info) =
+    (not (static_dead_state info))
+    && (member_dead absint_reach m || Hdl.Absint.known_zero kb occ)
   in
   (* Property sharding (off unless [shards > 1]): K checker instances over
      the same monitored netlist, each owning its own solver and unrolling.
@@ -350,50 +329,25 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
   (* Soundness tripwire: a statically-dead PL observed occupied during
      random simulation contradicts the over-approximation — fail loudly
      rather than prune a live cover. *)
-  let statically_dead_labels = List.filter label_static_dead labels in
   List.iter
-    (fun lbl ->
-      if List.exists (fun e -> SS.mem lbl e.occ_any_seen) episodes then
-        failwith
-          (Printf.sprintf
-             "Synth: static reachability abstraction unsound: PL %s observed \
-              in simulation"
-             lbl))
-    statically_dead_labels;
-
-  (* Known-bits extra dead set: dead under the refined reachability or with
-     a stuck-at-0 occupancy monitor, but NOT already discharged by the FSM
-     abstraction.  Same simulation tripwire as above. *)
-  let absint_dead_labels =
-    List.filter
-      (fun lbl ->
-        (not (List.mem lbl statically_dead_labels))
-        && (label_absint_refined_dead lbl
-           || Hdl.Absint.known_zero kb (Harness.occ_any h lbl)))
-      labels
-  in
-  List.iter
-    (fun lbl ->
-      if List.exists (fun e -> SS.mem lbl e.occ_any_seen) episodes then
-        failwith
-          (Printf.sprintf
-             "Synth: known-bits abstraction unsound: PL %s observed in \
-              simulation"
-             lbl))
-    absint_dead_labels;
+    (fun (abstraction, dead) ->
+      List.iter
+        (fun lbl ->
+          if List.exists (fun e -> SS.mem lbl e.occ_any_seen) episodes then
+            failwith
+              (Printf.sprintf
+                 "Synth: %s abstraction unsound: PL %s observed in simulation"
+                 abstraction lbl))
+        dead)
+    [ ("static reachability", static_dead_labels); ("known-bits", absint_dead_labels) ];
 
   (* ------------------------------------------------------------------ *)
   (* Stage A: PL reachability for the DUV (§V-B1).                        *)
   (* ------------------------------------------------------------------ *)
-  (* Statically-dead covers never reach the checkers here, in either mode:
-     removing them mid-stream only in prune mode would shift the shared
-     RNG/solver state of everything after them and change witnesses.  They
-     are either discharged by the abstraction (prune mode) or deferred to
-     the trailing audit batch (audit mode). *)
   let live_labels =
     List.filter
       (fun lbl ->
-        (not (List.mem lbl statically_dead_labels))
+        (not (List.mem lbl static_dead_labels))
         && not (List.mem lbl absint_dead_labels))
       labels
   in
@@ -415,15 +369,9 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
       labels
   in
   let unlabeled_info = Harness.unlabeled_state_info h in
-  let unlabeled_absint_dead (_, occ, m) =
-    (not (member_static_dead m))
-    && (member_absint_dead m || Hdl.Absint.known_zero kb occ)
-  in
+  let statically_dead info = static_dead_state info || absint_dead_state info in
   let undecided_unlabeled =
-    List.filter
-      (fun ((_, _, m) as info) ->
-        (not (member_static_dead m)) && not (unlabeled_absint_dead info))
-      unlabeled_info
+    List.filter (fun info -> not (statically_dead info)) unlabeled_info
   in
   let undecided_pruned =
     sharded "duv_pl" undecided_unlabeled ~f:(fun ~check ~hit:_ (name, occ, _) ->
@@ -433,32 +381,12 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
   in
   let pruned_duv_states =
     List.filter_map
-      (fun ((name, _, m) as info) ->
-        if member_static_dead m then Some name
-        else if unlabeled_absint_dead info then Some name
-        else if List.assoc_opt name undecided_pruned = Some true then Some name
+      (fun ((name, _, _) as info) ->
+        if statically_dead info || List.assoc_opt name undecided_pruned = Some true
+        then Some name
         else None)
       unlabeled_info
   in
-  let n_statically_decided =
-    List.length statically_dead_labels
-    + List.length (List.filter (fun (_, _, m) -> member_static_dead m) unlabeled_info)
-  in
-  let n_absint_decided =
-    List.length absint_dead_labels
-    + List.length (List.filter unlabeled_absint_dead unlabeled_info)
-  in
-  if static_prune then begin
-    (st "duv_pl").pruned_static <- n_statically_decided;
-    if Obs.enabled () then
-      Obs.Metrics.incr "synth.pruned_static" ~by:n_statically_decided
-  end;
-  (match absint with
-  | `On ->
-    (st "duv_pl").pruned_absint <- n_absint_decided;
-    if Obs.enabled () then
-      Obs.Metrics.incr "synth.pruned_absint" ~by:n_absint_decided
-  | `Audit -> ());
 
   (* ------------------------------------------------------------------ *)
   (* Stage B: PL reachability for the IUV (§V-B2).                        *)
@@ -757,66 +685,30 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
       revisit_count_labels
   in
 
-  (* Trailing audit (only with [static_prune] off): dispatch every
-     statically-decided cover to the model checker after the main stream,
-     so the main stream's RNG/solver trajectory is identical in both modes
-     while the abstraction's verdicts still get checked.  A [Reachable]
-     verdict here means the over-approximation was unsound — fail loudly
-     rather than let a pruning bug pass silently. *)
-  if not static_prune then begin
-    List.iter
-      (fun lbl ->
-        match check "duv_pl" [ (Harness.occ_any h lbl, true) ] with
-        | Checker.Reachable _ ->
-          failwith
-            (Printf.sprintf
-               "Synth: static reachability abstraction unsound: PL %s is \
-                reachable"
-               lbl)
-        | Checker.Unreachable _ | Checker.Undetermined -> ())
-      statically_dead_labels;
-    List.iter
-      (fun (name, occ, m) ->
-        if member_static_dead m then
-          match check "duv_pl" [ (occ, true) ] with
-          | Checker.Reachable _ ->
-            failwith
-              (Printf.sprintf
-                 "Synth: static reachability abstraction unsound: state %s \
-                  is reachable"
-                 name)
-          | Checker.Unreachable _ | Checker.Undetermined -> ())
-      unlabeled_info
+  (* Discharge the statically-dead covers after the main stream, FSM
+     abstraction first, each pre-pass's labeled PLs before its unlabeled
+     states (see {!Prune}). *)
+  let discharge mode abstraction dead_labels dead_state =
+    Prune.discharge mode ~check:(check "duv_pl")
+      (List.map
+         (fun lbl -> (abstraction, "PL " ^ lbl, [ (Harness.occ_any h lbl, true) ]))
+         dead_labels
+      @ List.filter_map
+          (fun ((name, occ, _) as info) ->
+            if dead_state info then Some (abstraction, "state " ^ name, [ (occ, true) ])
+            else None)
+          unlabeled_info)
+  in
+  let s = st "duv_pl" in
+  s.pruned_static <-
+    discharge
+      (if static_prune then `On else `Audit)
+      "static reachability" static_dead_labels static_dead_state;
+  s.pruned_absint <- discharge absint "known-bits" absint_dead_labels absint_dead_state;
+  if Obs.enabled () then begin
+    Obs.Metrics.incr "synth.pruned_static" ~by:s.pruned_static;
+    Obs.Metrics.incr "synth.pruned_absint" ~by:s.pruned_absint
   end;
-
-  (* Same discipline for the known-bits extra dead set: when auditing,
-     re-check each discharged cover after the main stream.  Synthesis has
-     no honest-feedback path for a late [Reachable] (the result is already
-     assembled from the live covers), so it is an unsoundness failure. *)
-  (match absint with
-  | `On -> ()
-  | `Audit ->
-    List.iter
-      (fun lbl ->
-        match check "duv_pl" [ (Harness.occ_any h lbl, true) ] with
-        | Checker.Reachable _ ->
-          failwith
-            (Printf.sprintf
-               "Synth: known-bits abstraction unsound: PL %s is reachable" lbl)
-        | Checker.Unreachable _ | Checker.Undetermined -> ())
-      absint_dead_labels;
-    List.iter
-      (fun ((name, occ, _) as info) ->
-        if unlabeled_absint_dead info then
-          match check "duv_pl" [ (occ, true) ] with
-          | Checker.Reachable _ ->
-            failwith
-              (Printf.sprintf
-                 "Synth: known-bits abstraction unsound: state %s is \
-                  reachable"
-                 name)
-          | Checker.Unreachable _ | Checker.Undetermined -> ())
-      unlabeled_info);
 
   (* Decisions (§IV-B): aggregate per source PL. *)
   let decisions =

@@ -74,7 +74,7 @@ val run :
   ?presim_episodes:int ->
   ?presim_cycles:int ->
   ?static_prune:bool ->
-  ?absint:[ `On | `Audit ] ->
+  ?absint:Prune.mode ->
   ?dump_cnf:string ->
   ?shards:int ->
   ?pool:Pool.t ->
@@ -86,29 +86,18 @@ val run :
 (** Note: [meta] is consumed — the harness extends its netlist with monitor
     state, so build a fresh design per call.
 
-    [static_prune] (default [true]) enables the static FSM-abstraction
-    reachability pre-pass: covers over state valuations outside a µFSM's
-    abstract reachable set (see {!Hdl.Analysis.fsm_reachable}) are decided
-    unreachable without dispatching a property.  This is sound — the
-    abstraction over-approximates, so exclusion proves unreachability.
-    With [static_prune = false] those covers are instead dispatched as a
-    trailing audit batch after the main property stream; a [Reachable]
-    audit verdict raises [Failure].  Both modes issue the identical checker
-    sequence for every semantically-live cover, so the {!Synthlc} report
-    digest is bit-identical across modes.
-
-    [absint] (default [`On]) layers the known-bits pre-pass on top: covers
-    the FSM abstraction left undecided but that die under the
-    known-bits-refined reachability — or whose occupancy monitor bit is
-    proven stuck at 0 ({!Hdl.Absint.known_bits} over the monitored
-    netlist) — are discharged without a property.  The dead/live partition
-    is computed in both modes, so the mid-stream checker sequence and the
-    report digest are bit-identical across [`On]/[`Audit]; with [`Audit]
-    the extra dead covers are re-dispatched as a second trailing batch
-    (after the [static_prune] audit batch), and a [Reachable] verdict
-    raises [Failure] — synthesis has no honest path to re-admit a cover
-    after the main stream has run, so there is no trust-the-checker
-    mode.
+    [static_prune] (default [true]) and [absint] (default [`On]) set the
+    {!Prune.mode} of the two static reachability pre-passes.  The first
+    over-approximates each µFSM's reachable states
+    ({!Hdl.Analysis.fsm_reachable}); a cover over a state outside that set
+    is unreachable.  The second, known bits, re-runs the analysis with the
+    invariants of {!Hdl.Absint.known_bits} over the monitored netlist and
+    also kills covers whose occupancy monitor bit is proven stuck at 0; it
+    counts only covers the first left alive.  [static_prune = false] means
+    [`Audit] for the first pre-pass.  Dead covers never enter the main
+    property stream, so the result digest is the same in every mode; when
+    auditing, they are re-checked after it (FSM abstraction first), and a
+    [Reachable] verdict raises [Failure].
 
     [cache] attaches a persistent verdict store (see {!Mc.Checker.create}):
     every checker property — including each shard's — is looked up before

@@ -23,7 +23,7 @@ type transponder_report = {
   flow_undetermined : int;
   flow_pruned_static : int;
       (* Covers discharged by the static taint pre-pass; differs across
-         prune modes (0 in off/audit) so excluded from report_digest. *)
+         prune modes (0 under audit) so excluded from report_digest. *)
   flow_pruned_absint : int;
       (* Covers discharged only by the known-bits-refined pre-pass; same
          digest-exclusion rule as flow_pruned_static. *)
@@ -121,8 +121,7 @@ let static_leakage_grid ~precise (design : unit -> Meta.t) =
     [ Types.Rs1; Types.Rs2 ]
 
 (* Standing soundness tripwire: every checker-tagged decision must lie
-   inside the static grid.  Skipped in [Prune_off], whose trailing batch
-   deliberately admits checker verdicts that contradict the abstraction. *)
+   inside the static grid. *)
 let assert_inside_grid ~grid (tagged : Types.tagged_decision list) =
   List.iter
     (fun (d : Types.tagged_decision) ->
@@ -144,18 +143,8 @@ let assert_inside_grid ~grid (tagged : Types.tagged_decision list) =
                 (List.concat_map snd grid |> List.sort_uniq compare))))
     tagged
 
-(* {!Mupath.Synth} cannot depend on this library's {!Types}, so its absint
-   mode is a structural variant.  Synthesis cannot re-admit a late
-   [Reachable] cover, so off re-checks exactly like audit. *)
-let synth_absint_mode = function
-  | Types.Prune_on -> `On
-  | Types.Prune_off | Types.Prune_audit -> `Audit
-
-let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
-    ?static_prune ?dump_cnf
-    ?(precise = true) ?(static_flow_prune = Types.Prune_on)
-    ?(absint = Types.Prune_on)
-    ?(stimulus : stimulus_builder option) ?(exclude_sources = [])
+let analyze_transponder ?cache ?config ?synth_config ?semantic_cache ?dump_cnf
+    ~precise ~prune ?(stimulus : stimulus_builder option) ~exclude_sources
     ~(design : unit -> Meta.t) ~(instr : Isa.t)
     ~(transmitters : Isa.opcode list) ~(kinds : Types.transmitter_kind list)
     ~(revisit_count_labels : string list) ~iuv_pc () =
@@ -169,9 +158,8 @@ let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
   in
   let synth =
     Mupath.Synth.run ?cache ?config:synth_config ?stimulus:stim
-      ?semantic_cache ?static_prune
-      ~absint:(synth_absint_mode absint) ?dump_cnf ~revisit_count_labels ~meta
-      ~iuv:instr ~iuv_pc ()
+      ?semantic_cache ~static_prune:(prune = `On) ~absint:prune ?dump_cnf
+      ~revisit_count_labels ~meta ~iuv:instr ~iuv_pc ()
   in
   (* Candidate transponders have µPATH variability (§V-C): more than one
      µPATH, or any decision source with several destinations. *)
@@ -251,7 +239,7 @@ let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
                   f sim c)
           in
           Flow.analyze ?cache ?config ?stimulus:stim' ?semantic_cache ~precise
-            ~static_flow_prune ~absint ~design:design' ~transponder:instr
+            ~prune ~design:design' ~transponder:instr
             ~decisions:multi_decisions ~transmitters ~kind ~operand ~iuv_pc ())
         pairs
     in
@@ -269,7 +257,7 @@ let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
       List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_pruned_absint) 0 all
     in
     let grid = static_leakage_grid ~precise design in
-    if static_flow_prune <> Types.Prune_off then assert_inside_grid ~grid tagged;
+    assert_inside_grid ~grid tagged;
     {
       instr;
       synth;
@@ -284,10 +272,8 @@ let analyze_transponder ?cache ?config ?synth_config ?semantic_cache
     }
   end
 
-let run ?cache ?config ?synth_config ?semantic_cache ?static_prune ?dump_cnf
-    ?(precise = true)
-    ?(static_flow_prune = Types.Prune_on) ?(absint = Types.Prune_on)
-    ?(stimulus : stimulus_builder option)
+let run ?cache ?config ?synth_config ?semantic_cache ?dump_cnf
+    ?(precise = true) ?(prune = `On) ?(stimulus : stimulus_builder option)
     ?(exclude_sources = []) ?(jobs = 1) ?pool ~(design : unit -> Meta.t)
     ~(instructions : Isa.t list) ~(transmitters : Isa.opcode list)
     ~(kinds : Types.transmitter_kind list) ~(revisit_count_labels : string list)
@@ -322,8 +308,7 @@ let run ?cache ?config ?synth_config ?semantic_cache ?static_prune ?dump_cnf
     in
     let go () =
       analyze_transponder ?cache:(cache_of index) ?config ?synth_config
-        ?semantic_cache ?static_prune ?dump_cnf ~precise ~static_flow_prune
-        ~absint ?stimulus
+        ?semantic_cache ?dump_cnf ~precise ~prune ?stimulus
         ~exclude_sources ~design ~instr ~transmitters ~kinds
         ~revisit_count_labels ~iuv_pc ()
     in
@@ -446,8 +431,8 @@ let equal_report a b =
    identically whether their verdicts came from the checker engines, from a
    warm cache, or (for statically-dead covers) from the reachability
    abstraction.  Stage/checker counters are deliberately excluded — they
-   differ between [static_prune] modes even though the synthesized facts do
-   not.  Marshaled without sharing so physically different but structurally
+   differ between prune modes even though the synthesized facts do not.
+   Marshaled without sharing so physically different but structurally
    equal reports serialize to the same bytes. *)
 let report_digest r =
   let transponder (t : transponder_report) =

@@ -21,8 +21,8 @@ type transponder_report = {
   flow_undetermined : int;
   flow_pruned_static : int;
       (** IFT covers discharged by the static taint pre-pass without checker
-          calls.  Differs across {!Types.prune_mode}s (0 in off/audit), so
-          excluded from {!report_digest}. *)
+          calls.  Differs across {!Mupath.Prune.mode}s (0 under [`Audit]),
+          so excluded from {!report_digest}. *)
   flow_pruned_absint : int;
       (** IFT covers discharged {e only} by the known-bits-refined pre-pass
           ({!Hdl.Absint}) — dead refined, live under the base pre-pass.
@@ -31,7 +31,7 @@ type transponder_report = {
       (** The static leakage grid: per operand register, the PL labels whose
           µFSMs the operand's taint may reach.  Recomputed independently of
           the Flow pre-pass; every tagged decision is asserted to lie inside
-          it (except in {!Types.Prune_off}).  Excluded from the digest. *)
+          it.  Excluded from the digest. *)
   flow_time : float;
 }
 
@@ -81,88 +81,14 @@ val static_leakage_grid :
     ARF/AMEM blocked.  Any decision destination outside the grid can never
     be tagged by a sound flow analysis. *)
 
-val synth_absint_mode : Types.prune_mode -> [ `On | `Audit ]
-(** The {!Mupath.Synth.run} [absint] mode for a prune mode:
-    {!Types.Prune_on} prunes, {!Types.Prune_off} and {!Types.Prune_audit}
-    both re-check the pruned covers and fail on a [Reachable] verdict —
-    synthesis cannot re-admit a cover after its main stream has run. *)
-
-val analyze_transponder :
-  ?cache:Vcache.t ->
-  ?config:Mc.Checker.config ->
-  ?synth_config:Mc.Checker.config ->
-  ?semantic_cache:bool ->
-  ?static_prune:bool ->
-  ?dump_cnf:string ->
-  ?precise:bool ->
-  ?static_flow_prune:Types.prune_mode ->
-  ?absint:Types.prune_mode ->
-  ?stimulus:stimulus_builder ->
-  ?exclude_sources:string list ->
-  design:(unit -> Designs.Meta.t) ->
-  instr:Isa.t ->
-  transmitters:Isa.opcode list ->
-  kinds:Types.transmitter_kind list ->
-  revisit_count_labels:string list ->
-  iuv_pc:int ->
-  unit ->
-  transponder_report
-
-(** [run]'s [exclude_sources] skips the listed decision-source PLs during
-    the IFT stage — a cost-control knob, not a semantic one.
-
-    [dump_cnf] writes the synthesis checker's BMC unrolling to the given
-    path as DIMACS CNF at the end of each task (per-instruction runs
-    suffix the path with the task index) — offline debugging only, no
-    semantic effect.
-
-    [jobs] fans {!analyze_transponder} out across that many domains (one
-    fresh design + checker per instruction); [pool] reuses an existing
-    {!Pool.t} instead (taking its job count).  Every task's checker seed is
-    derived deterministically from [(config.seed, task index)], so the
-    report is bit-identical for every [jobs] value, including 1.
-
-    [cache] attaches a persistent verdict store shared by every
-    per-instruction synthesis and IFT stage.  Each task works against its
-    own staged view (no lock contention inside worker domains); the stages
-    are merged into the root store in task order at the join.  A fully-warm
-    run replays every verdict — witnesses included — from the store and
-    produces a bit-identical report (same {!report_digest}) to the cold run
-    that filled it.
-
-    [static_prune] is forwarded to {!Mupath.Synth.run} (default [true]):
-    covers over statically-unreachable µFSM states are discharged by the
-    FSM-abstraction reachability pre-pass without dispatching properties.
-    {!report_digest} is bit-identical across [static_prune] modes.
-
-    [static_flow_prune] (default {!Types.Prune_on}) is forwarded to
-    {!Flow.analyze}: IFT covers whose destinations lie outside the operand's
-    static taint cone are discharged without checker calls (on), dispatched
-    as a trailing trusted batch (off), or dispatched with a [failwith]
-    tripwire on any reachable verdict (audit).  All modes issue the same
-    mid-stream checker sequence, so {!report_digest} is bit-identical across
-    them whenever the abstraction is sound.
-
-    [absint] (default {!Types.Prune_on}) governs the known-bits refinement
-    ({!Hdl.Absint}) independently: it is forwarded to {!Mupath.Synth.run}
-    (extra statically-dead µFSM states and known-zero occupancy monitors)
-    and to {!Flow.analyze} (covers dead only under the known-bits-refined
-    taint pre-pass), with the same digest-invariance guarantee.  Flow
-    honours all three modes; synthesis maps off to audit (see
-    {!synth_absint_mode}).  [precise] (default [true])
-    selects the IFT cell-rule precision, is threaded identically into the
-    instrumentation and the static pre-pass, and namespaces the verdict
-    cache when imprecise. *)
 val run :
   ?cache:Vcache.t ->
   ?config:Mc.Checker.config ->
   ?synth_config:Mc.Checker.config ->
   ?semantic_cache:bool ->
-  ?static_prune:bool ->
   ?dump_cnf:string ->
   ?precise:bool ->
-  ?static_flow_prune:Types.prune_mode ->
-  ?absint:Types.prune_mode ->
+  ?prune:Mupath.Prune.mode ->
   ?stimulus:stimulus_builder ->
   ?exclude_sources:string list ->
   ?jobs:int ->
@@ -175,6 +101,42 @@ val run :
   iuv_pc:int ->
   unit ->
   report
+(** SynthLC over [instructions]: µPATH synthesis per instruction, then the
+    IFT stage for every candidate transponder.
+
+    [exclude_sources] skips the listed decision-source PLs during the IFT
+    stage — a cost-control knob, not a semantic one.
+
+    [dump_cnf] writes the synthesis checker's BMC unrolling to the given
+    path as DIMACS CNF at the end of each task (per-instruction runs
+    suffix the path with the task index) — offline debugging only, no
+    semantic effect.
+
+    [jobs] fans the instructions out across that many domains (one fresh
+    design + checker per instruction); [pool] reuses an existing
+    {!Pool.t} instead (taking its job count).  Every task's checker seed is
+    derived deterministically from [(config.seed, task index)], so the
+    report is bit-identical for every [jobs] value, including 1.
+
+    [cache] attaches a persistent verdict store shared by every
+    per-instruction synthesis and IFT stage.  Each task works against its
+    own staged view (no lock contention inside worker domains); the stages
+    are merged into the root store in task order at the join.  A fully-warm
+    run replays every verdict — witnesses included — from the store and
+    produces a bit-identical report (same {!report_digest}) to the cold run
+    that filled it.
+
+    [prune] (default [`On]) is the {!Mupath.Prune.mode} of all four static
+    pre-passes: µFSM reachability and its known-bits refinement in
+    {!Mupath.Synth.run}, the taint cone and its known-bits refinement in
+    {!Flow.analyze}.  [`Audit] re-checks every statically-dead cover after
+    the main stream and fails on a [Reachable] verdict; {!report_digest}
+    is bit-identical across modes whenever the abstractions are sound.
+    Every tagged decision is also asserted to lie inside
+    {!static_leakage_grid}.  [precise] (default [true]) selects the IFT
+    cell-rule precision, is threaded identically into the instrumentation
+    and the static pre-pass, and namespaces the verdict cache when
+    imprecise. *)
 
 val equal_report : report -> report -> bool
 (** Semantic equality — every synthesized fact (µPATH sets, decisions,
@@ -188,8 +150,7 @@ val report_digest : report -> string
     property/outcome counters.  [equal_report a b] implies
     [report_digest a = report_digest b]; a warm-cache run digests
     identically to the cold run that filled its store, and the digest is
-    bit-identical across [static_prune] modes (whose stage counters
-    differ). *)
+    bit-identical across prune modes (whose stage counters differ). *)
 
 val all_signatures : report -> Types.signature list
 val all_transmitter_opcodes : report -> Isa.opcode list

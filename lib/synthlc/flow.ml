@@ -14,21 +14,13 @@ module Meta = Designs.Meta
 module Checker = Mc.Checker
 
 type query_stats = {
-  mutable q_props : int;
-  mutable q_tagged : int;
-  mutable q_undetermined : int;
-  mutable q_pruned_static : int;
-  mutable q_pruned_absint : int;
-  mutable q_audit_props : int;
-  mutable q_audit_undetermined : int;
-  mutable q_time : float;
+  q_props : int;
+  q_undetermined : int;
+  q_pruned_static : int;
+  q_pruned_absint : int;
 }
 
-type analysis = {
-  tagged : Types.tagged_decision list;
-  static_live : string list;
-  stats : query_stats;
-}
+type analysis = { tagged : Types.tagged_decision list; stats : query_stats }
 
 (* Transmitter PC slots relative to the IUV (§V-C1, Fig. 7). *)
 let transmitter_pc ~iuv_pc = function
@@ -38,14 +30,12 @@ let transmitter_pc ~iuv_pc = function
   | Types.Static -> iuv_pc - 2
 
 let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
-    ?(precise = true)
-    ?(static_flow_prune = Types.Prune_on) ?(absint = Types.Prune_on)
+    ?(precise = true) ?(prune = `On)
     ~(design : unit -> Meta.t)
     ~(transponder : Isa.t)
     ~(decisions : (string * string list list) list)
     ~(transmitters : Isa.opcode list) ~(kind : Types.transmitter_kind)
     ~(operand : Types.operand) ~iuv_pc () =
-  let t_start = Obs.now_ns () in
   let meta = design () in
   let nl = meta.Meta.nl in
   let module D = Hdl.Dsl.Make (struct
@@ -117,89 +107,45 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
        DUV): nothing can be tainted, nothing is tagged. *)
     {
       tagged = [];
-      static_live = [];
       stats =
-        {
-          q_props = 0;
-          q_tagged = 0;
-          q_undetermined = 0;
-          q_pruned_static = 0;
-          q_pruned_absint = 0;
-          q_audit_props = 0;
-          q_audit_undetermined = 0;
-          q_time = 0.;
-        };
+        { q_props = 0; q_undetermined = 0; q_pruned_static = 0; q_pruned_absint = 0 };
     }
   | Some op_reg ->
   let blocked = meta.Meta.arf @ meta.Meta.amem in
 
-  (* --- static taint-flow pre-pass -------------------------------------- *)
+  (* --- static taint-flow pre-passes ------------------------------------- *)
   (* Over-approximate, on the un-instrumented netlist, which PL groups the
      operand's taint may ever reach.  A cover whose destination set lies
      entirely outside this cone (or is empty — [or_all [] = gnd]) asks the
      checker to reach a constant-false taint conjunct and is statically
-     unreachable.  All three prune modes keep such covers out of the
-     mid-stream checker sequence so the report digest is mode-invariant;
-     see {!Types.prune_mode}. *)
-  let static_masks =
-    let go () = Hdl.Analysis.taint_reach ~precise ~blocked ~sources:[ op_reg ] nl in
-    if Obs.enabled () then Obs.with_span "flow.static_taint" go else go ()
-  in
-  let label_live =
-    List.map
-      (fun (label, members) ->
-        let m_live ((u : Meta.ufsm), _) =
-          List.exists
-            (fun v -> Hdl.Analysis.taint_reaches static_masks v)
-            (u.Meta.pcr :: u.Meta.vars)
-        in
-        (label, List.exists m_live members))
-      groups
-  in
-  (* Unknown labels are treated as live: never prune on missing data. *)
-  let dst_live ds =
-    List.exists
-      (fun lbl ->
-        match List.assoc_opt lbl label_live with Some b -> b | None -> true)
-      ds
+     unreachable.  The known-bits refinement re-runs the pre-pass with the
+     invariants from {!Hdl.Absint}: proven-constant selector and operand
+     bits let the precise cell rules drop propagation edges the plain
+     pre-pass keeps, so it proves more covers dead; it only counts covers
+     the plain cone left alive.  [dst_live span masks_of] computes a cone
+     under the span the layer timings read; unknown labels are live, so
+     nothing is pruned on missing data. *)
+  let dst_live span masks_of =
+    let masks = Obs.with_span span masks_of in
+    let label_live =
+      List.map
+        (fun (label, members) ->
+          let m_live ((u : Meta.ufsm), _) =
+            List.exists (Hdl.Analysis.taint_reaches masks) (u.Meta.pcr :: u.Meta.vars)
+          in
+          (label, List.exists m_live members))
+        groups
+    in
+    List.exists (fun lbl -> Option.value (List.assoc_opt lbl label_live) ~default:true)
   in
   let static_live =
-    List.filter_map (fun (l, live) -> if live then Some l else None) label_live
+    dst_live "flow.static_taint" (fun () ->
+        Hdl.Analysis.taint_reach ~precise ~blocked ~sources:[ op_reg ] nl)
   in
-  (* --- known-bits refinement of the taint pre-pass ---------------------- *)
-  (* Re-run the same pre-pass with the known-bits invariants from
-     {!Hdl.Absint}: proven-constant selector and operand bits let the
-     precise cell rules drop propagation edges the plain pre-pass keeps,
-     so strictly more covers are proven dead.  The refinement only prunes
-     {e extra} covers (dead refined, live under the base pre-pass); those
-     are tracked separately under [absint] with the same tri-mode contract
-     as [static_flow_prune], so each abstraction is auditable on its own. *)
-  let refined_masks =
-    let go () =
-      let kb = Hdl.Absint.known_bits nl in
-      Hdl.Analysis.taint_reach ~precise ~known:kb ~blocked
-        ~sources:[ op_reg ] nl
-    in
-    if Obs.enabled () then Obs.with_span "flow.absint_taint" go else go ()
-  in
-  let label_live_refined =
-    List.map
-      (fun (label, members) ->
-        let m_live ((u : Meta.ufsm), _) =
-          List.exists
-            (fun v -> Hdl.Analysis.taint_reaches refined_masks v)
-            (u.Meta.pcr :: u.Meta.vars)
-        in
-        (label, List.exists m_live members))
-      groups
-  in
-  let dst_live_refined ds =
-    List.exists
-      (fun lbl ->
-        match List.assoc_opt lbl label_live_refined with
-        | Some b -> b
-        | None -> true)
-      ds
+  let refined_live =
+    dst_live "flow.absint_taint" (fun () ->
+        let kb = Hdl.Absint.known_bits nl in
+        Hdl.Analysis.taint_reach ~precise ~known:kb ~blocked ~sources:[ op_reg ] nl)
   in
   (* Persistent state for the sticky-taint flush of Assumption 3: every
      symbolically-initialized register that is not architectural (cache tag
@@ -256,18 +202,6 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
   let chk = Mupath.Harness.checker h in
 
   (* --- queries ---------------------------------------------------------- *)
-  let stats =
-    {
-      q_props = 0;
-      q_tagged = 0;
-      q_undetermined = 0;
-      q_pruned_static = 0;
-      q_pruned_absint = 0;
-      q_audit_props = 0;
-      q_audit_undetermined = 0;
-      q_time = 0.;
-    }
-  in
   let iuv_labels = Mupath.Harness.labels h in
   let kind_lits =
     match kind with
@@ -276,148 +210,97 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
       [ (prev_inflight_t, true) ]
     | Types.Static -> [ (prev_gone_t, true) ]
   in
-  let tagged = ref [] in
-  let deferred = ref [] in
-  let deferred_absint = ref [] in
-  List.iter
-    (fun tx ->
-      (* Intrinsic transmitters can only be the transponder itself. *)
-      if kind <> Types.Intrinsic || tx = transponder.Isa.op then
-        let op_lit =
-          if kind = Types.Intrinsic then []
-          else [ (List.assoc tx t_op_is, true) ]
-        in
-        List.iter
-          (fun (src, dsts) ->
-            List.iter
-              (fun dst ->
-                let pattern =
-                  List.map
-                    (fun lbl -> (Mupath.Harness.occ_iuv h lbl, List.mem lbl dst))
-                    iuv_labels
-                in
-                let lits =
-                  ((Mupath.Harness.prev_occ_iuv h src, true) :: pattern)
-                  @ [ (List.assoc dst dst_taints, true) ]
-                  @ op_lit @ kind_lits
-                in
-                stats.q_props <- stats.q_props + 1;
-                if not (dst_live dst) then begin
-                  (* Statically dead: no destination µFSM lies inside the
-                     operand's taint cone (an empty destination set is dead
-                     by vacuity — its taint conjunct is a constant false). *)
-                  match static_flow_prune with
-                  | Types.Prune_on ->
-                    stats.q_pruned_static <- stats.q_pruned_static + 1;
-                    if Obs.enabled () then Obs.Metrics.incr "flow.pruned_static"
-                  | Types.Prune_off | Types.Prune_audit ->
-                    deferred := (tx, src, dst, lits) :: !deferred
-                end
-                else if not (dst_live_refined dst) then begin
-                  (* Dead only under the known-bits-refined pre-pass: the
-                     extra prune attributable to {!Hdl.Absint}.  Kept out of
-                     the mid-stream sequence in every [absint] mode so the
-                     report digest is mode-invariant. *)
-                  match absint with
-                  | Types.Prune_on ->
-                    stats.q_pruned_absint <- stats.q_pruned_absint + 1;
-                    if Obs.enabled () then Obs.Metrics.incr "flow.pruned_absint"
-                  | Types.Prune_off | Types.Prune_audit ->
-                    deferred_absint := (tx, src, dst, lits) :: !deferred_absint
-                end
-                else
-                  match Checker.check_cover ~name:"ift" chk lits with
-                  | Checker.Reachable _ ->
-                    stats.q_tagged <- stats.q_tagged + 1;
-                    tagged :=
-                      {
-                        Types.src;
-                        dst;
-                        input =
-                          { Types.transmitter = tx; unsafe_operand = operand; kind };
-                      }
-                      :: !tagged
-                  | Checker.Undetermined ->
-                    stats.q_undetermined <- stats.q_undetermined + 1
-                  | Checker.Unreachable _ -> ())
-              dsts)
-          decisions)
-    transmitters;
-  (* Trailing batch: in off/audit mode the statically-dead covers are still
-     dispatched, but only after the live mid-stream sequence above so every
-     mode issues the same mid-stream checker calls (same RNG draws, same
-     learned clauses — see {!Types.prune_mode}). *)
-  List.iter
-    (fun (tx, src, dst, lits) ->
-      stats.q_audit_props <- stats.q_audit_props + 1;
-      match Checker.check_cover ~name:"ift" chk lits with
-      | Checker.Reachable _ ->
-        if static_flow_prune = Types.Prune_audit then
-          failwith
-            (Printf.sprintf
-               "Flow: static taint abstraction unsound: cover %s -> {%s} \
-                (%s, %s.%s) is reachable but its destinations lie outside \
-                the static taint cone"
-               src
-               (String.concat ", " dst)
-               (Types.kind_name kind) (Isa.mnemonic tx)
-               (Types.operand_name operand))
-        else begin
-          stats.q_tagged <- stats.q_tagged + 1;
-          tagged :=
+  let covers =
+    List.concat_map
+      (fun tx ->
+        (* Intrinsic transmitters can only be the transponder itself. *)
+        if kind <> Types.Intrinsic || tx = transponder.Isa.op then
+          let op_lit =
+            if kind = Types.Intrinsic then []
+            else [ (List.assoc tx t_op_is, true) ]
+          in
+          List.concat_map
+            (fun (src, dsts) ->
+              List.map
+                (fun dst ->
+                  let pattern =
+                    List.map
+                      (fun lbl -> (Mupath.Harness.occ_iuv h lbl, List.mem lbl dst))
+                      iuv_labels
+                  in
+                  ( tx,
+                    src,
+                    dst,
+                    ((Mupath.Harness.prev_occ_iuv h src, true) :: pattern)
+                    @ [ (List.assoc dst dst_taints, true) ]
+                    @ op_lit @ kind_lits ))
+                dsts)
+            decisions
+        else [])
+      transmitters
+  in
+  (* Statically-dead covers never enter the main stream, in either mode
+     (see {!Mupath.Prune}). *)
+  let static_dead, rest =
+    List.partition (fun (_, _, dst, _) -> not (static_live dst)) covers
+  in
+  let absint_dead, live =
+    List.partition (fun (_, _, dst, _) -> not (refined_live dst)) rest
+  in
+  let check = Checker.check_cover ~name:"ift" chk in
+  let undetermined = ref 0 in
+  let tagged =
+    List.filter_map
+      (fun (tx, src, dst, lits) ->
+        match check lits with
+        | Checker.Reachable _ ->
+          Some
             {
               Types.src;
               dst;
               input = { Types.transmitter = tx; unsafe_operand = operand; kind };
             }
-            :: !tagged
-        end
-      | Checker.Undetermined ->
-        stats.q_audit_undetermined <- stats.q_audit_undetermined + 1
-      | Checker.Unreachable _ -> ())
-    (List.rev !deferred);
-  (* Second trailing batch: the known-bits-only prunes, audited under the
-     [absint] mode with the same off/audit semantics. *)
-  List.iter
-    (fun (tx, src, dst, lits) ->
-      stats.q_audit_props <- stats.q_audit_props + 1;
-      match Checker.check_cover ~name:"ift" chk lits with
-      | Checker.Reachable _ ->
-        if absint = Types.Prune_audit then
-          failwith
-            (Printf.sprintf
-               "Flow: known-bits abstraction unsound: cover %s -> {%s} \
-                (%s, %s.%s) is reachable but the refined taint pre-pass \
-                proved its destinations unreachable"
-               src
-               (String.concat ", " dst)
-               (Types.kind_name kind) (Isa.mnemonic tx)
-               (Types.operand_name operand))
-        else begin
-          stats.q_tagged <- stats.q_tagged + 1;
-          tagged :=
-            {
-              Types.src;
-              dst;
-              input = { Types.transmitter = tx; unsafe_operand = operand; kind };
-            }
-            :: !tagged
-        end
-      | Checker.Undetermined ->
-        stats.q_audit_undetermined <- stats.q_audit_undetermined + 1
-      | Checker.Unreachable _ -> ())
-    (List.rev !deferred_absint);
-  stats.q_time <- Obs.seconds_since t_start;
-  { tagged = List.rev !tagged; static_live; stats }
+        | Checker.Undetermined ->
+          incr undetermined;
+          None
+        | Checker.Unreachable _ -> None)
+      live
+  in
+  let discharge abstraction dead =
+    Mupath.Prune.discharge prune ~check
+      (List.map
+         (fun (tx, src, dst, lits) ->
+           ( abstraction,
+             Printf.sprintf "cover %s -> {%s} (%s, %s.%s)" src
+               (String.concat ", " dst) (Types.kind_name kind) (Isa.mnemonic tx)
+               (Types.operand_name operand),
+             lits ))
+         dead)
+  in
+  let q_pruned_static = discharge "static taint" static_dead in
+  let q_pruned_absint = discharge "known-bits taint" absint_dead in
+  if Obs.enabled () then begin
+    Obs.Metrics.incr "flow.pruned_static" ~by:q_pruned_static;
+    Obs.Metrics.incr "flow.pruned_absint" ~by:q_pruned_absint
+  end;
+  {
+    tagged;
+    stats =
+      {
+        q_props = List.length covers;
+        q_undetermined = !undetermined;
+        q_pruned_static;
+        q_pruned_absint;
+      };
+  }
 
 let analyze ?cache ?cache_salt ?config ?stimulus ?semantic_cache ?precise
-    ?static_flow_prune
-    ?absint ~design ~transponder ~decisions ~transmitters ~kind ~operand
+    ?prune ~design ~transponder ~decisions ~transmitters ~kind ~operand
     ~iuv_pc () =
   let go () =
     analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache ?precise
-      ?static_flow_prune ?absint ~design ~transponder ~decisions ~transmitters
-      ~kind ~operand ~iuv_pc ()
+      ?prune ~design ~transponder ~decisions ~transmitters ~kind ~operand
+      ~iuv_pc ()
   in
   if Obs.enabled () then
     Obs.with_span "flow.analyze"

@@ -11,36 +11,20 @@
     decision is tagged operand-dependent on that typed transmitter. *)
 
 type query_stats = {
-  mutable q_props : int;
+  q_props : int;
       (** Covers considered, including statically-discharged ones — identical
           across prune modes and part of the report digest. *)
-  mutable q_tagged : int;
-  mutable q_undetermined : int;
-  mutable q_pruned_static : int;
+  q_undetermined : int;
+  q_pruned_static : int;
       (** Covers discharged by the static taint pre-pass without a checker
-          call.  Only incremented in {!Types.Prune_on}; excluded from the
-          report digest. *)
-  mutable q_pruned_absint : int;
+          call.  Zero under [`Audit]; excluded from the report digest. *)
+  q_pruned_absint : int;
       (** Covers discharged {e only} by the known-bits-refined pre-pass
-          (dead refined, live under the base pre-pass).  Only incremented
-          when the [absint] mode is {!Types.Prune_on}; excluded from the
-          report digest. *)
-  mutable q_audit_props : int;
-      (** Statically-dead covers dispatched in the trailing batch of
-          {!Types.Prune_off}/{!Types.Prune_audit}.  Excluded from the
-          digest. *)
-  mutable q_audit_undetermined : int;
-  mutable q_time : float;
+          (dead refined, live under the base pre-pass).  Zero under
+          [`Audit]; excluded from the report digest. *)
 }
 
-type analysis = {
-  tagged : Types.tagged_decision list;
-  static_live : string list;
-      (** PL labels inside the operand's static taint cone — the leakage-grid
-          over-approximation.  Every tagged decision's destination set must
-          intersect it (asserted by {!Engine}). *)
-  stats : query_stats;
-}
+type analysis = { tagged : Types.tagged_decision list; stats : query_stats }
 
 val transmitter_pc : iuv_pc:int -> Types.transmitter_kind -> int
 (** PC slot the transmitter instance occupies relative to the IUV:
@@ -54,8 +38,7 @@ val analyze :
   ?stimulus:(Sim.t -> int -> unit) ->
   ?semantic_cache:bool ->
   ?precise:bool ->
-  ?static_flow_prune:Types.prune_mode ->
-  ?absint:Types.prune_mode ->
+  ?prune:Mupath.Prune.mode ->
   design:(unit -> Designs.Meta.t) ->
   transponder:Isa.t ->
   decisions:(string * string list list) list ->
@@ -71,13 +54,11 @@ val analyze :
     itself); [precise] selects the IFT cell-rule precision (§VII-B1
     ablation) — it is threaded identically into the static taint pre-pass
     and folded into the verdict-cache namespace when imprecise.
-    [static_flow_prune] (default {!Types.Prune_on}) selects what happens to
-    covers the pre-pass proves unreachable; all three modes issue the same
-    mid-stream checker sequence (see {!Types.prune_mode}).  [absint]
-    (default {!Types.Prune_on}) independently governs the covers discharged
-    only by the known-bits-refined pre-pass ({!Hdl.Absint}): they are kept
-    out of the mid-stream sequence in every mode, discharged silently under
-    [Prune_on], re-dispatched in a second trailing batch under
-    [Prune_off]/[Prune_audit], and [Prune_audit] fails hard if any such
-    cover is in fact reachable.  [design] must build a fresh metadata
+    [prune] (default [`On]) is the {!Mupath.Prune.mode} of two pre-passes
+    over the IFT covers: the operand's static taint cone
+    ({!Hdl.Analysis.taint_reach}) and its known-bits refinement
+    ({!Hdl.Absint}), which counts only covers the plain cone left alive.
+    Their dead covers never enter the main checker stream; under [`Audit]
+    they are re-checked after it (taint cone first) and a [Reachable]
+    verdict raises [Failure].  [design] must build a fresh metadata
     instance per call. *)

@@ -22,24 +22,6 @@ type operand = Rs1 | Rs2
 
 let operand_name = function Rs1 -> "rs1" | Rs2 -> "rs2"
 
-(* Operating mode of the static taint-flow pre-pass over IFT covers.  All
-   three modes keep statically-dead covers out of the mid-stream checker
-   sequence (the checker's shared RNG stream and learned-clause state mean
-   dispatching them inline could flip later verdicts), so the report digest
-   is bit-identical across modes whenever the static analysis is sound:
-   - [Prune_on]    discharges them as unreachable without checker calls;
-   - [Prune_off]   dispatches them as a trailing batch and trusts the
-                   checker's verdicts (a reachable one is tagged honestly —
-                   and makes the digest diverge, by design);
-   - [Prune_audit] dispatches the same trailing batch but fails hard on any
-                   reachable verdict (the unsoundness tripwire). *)
-type prune_mode = Prune_on | Prune_off | Prune_audit
-
-let prune_mode_name = function
-  | Prune_on -> "on"
-  | Prune_off -> "off"
-  | Prune_audit -> "audit"
-
 (* A typed explicit input to a leakage function: transmitter opcode, its
    unsafe operand, and its runtime type. *)
 type explicit_input = {

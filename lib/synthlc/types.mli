@@ -15,20 +15,6 @@ type operand = Rs1 | Rs2
 
 val operand_name : operand -> string
 
-type prune_mode = Prune_on | Prune_off | Prune_audit
-(** Operating mode of the static taint-flow pre-pass over IFT covers
-    ({!Flow.analyze}).  All three modes keep statically-dead covers out of
-    the mid-stream checker sequence (dispatching them inline would perturb
-    the checker's RNG stream and learned-clause state and could flip later
-    verdicts), so {!Engine.report_digest} is bit-identical across modes
-    whenever the analysis is sound.  [Prune_on] discharges them without
-    checker calls; [Prune_off] dispatches them as a trailing batch and
-    trusts the checker (a reachable one is tagged honestly, diverging the
-    digest — by design); [Prune_audit] dispatches the same batch but fails
-    hard on any reachable verdict. *)
-
-val prune_mode_name : prune_mode -> string
-
 type explicit_input = {
   transmitter : Isa.opcode;
   unsafe_operand : operand;

@@ -276,7 +276,7 @@ let test_taint_reach_refined () =
   Alcotest.(check int) "refined confines taint to high nibble" 0xF0
     (Bitvec.to_int refined)
 
-(* --- end-to-end: absint prune tri-mode digest identity ----------------- *)
+(* --- end-to-end: absint prune on/audit digest identity ------------------ *)
 
 (* The gated demo DUV (see Designs.Gated): its "gate" µFSM reaches all four
    states under the plain FSM abstraction but only two once known-bits
@@ -290,9 +290,9 @@ let gated_config =
     sim_cycles = 16;
   }
 
-let run_gated absint =
+let run_gated prune =
   let design () = Designs.Gated.build () in
-  Synthlc.Engine.run ~config:gated_config ~synth_config:gated_config ~absint
+  Synthlc.Engine.run ~config:gated_config ~synth_config:gated_config ~prune
     ~design ~jobs:1
     ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD ]
     ~transmitters:[ Isa.ADD ]
@@ -305,28 +305,27 @@ let synth_of r =
   | _ -> Alcotest.fail "expected one transponder"
 
 let test_absint_prune_digest_identical () =
-  let on = run_gated Synthlc.Types.Prune_on in
-  let off = run_gated Synthlc.Types.Prune_off in
-  let audit = run_gated Synthlc.Types.Prune_audit in
+  let on = run_gated `On in
+  let audit = run_gated `Audit in
   let d = Synthlc.Engine.report_digest in
-  Alcotest.(check string) "digest on = off" (d off) (d on);
   Alcotest.(check string) "digest on = audit" (d audit) (d on);
   let duv_stats r = List.assoc "duv_pl" (synth_of r).Mupath.Synth.stage_stats in
   Alcotest.(check int) "on mode discharges two absint covers" 2
     (duv_stats on).Mupath.Synth.pruned_absint;
-  Alcotest.(check int) "off mode discharges nothing" 0
-    (duv_stats off).Mupath.Synth.pruned_absint;
   Alcotest.(check int) "audit mode discharges nothing" 0
     (duv_stats audit).Mupath.Synth.pruned_absint;
+  (* Every discharged cover reappears as an audit property. *)
+  Alcotest.(check int) "audit props = pruned covers"
+    ((duv_stats on).Mupath.Synth.props + (duv_stats on).Mupath.Synth.pruned_static
+   + (duv_stats on).Mupath.Synth.pruned_absint)
+    (duv_stats audit).Mupath.Synth.props;
   (* The base prune is orthogonal and still fires (state st=3). *)
   Alcotest.(check int) "base static prune unaffected" 1
     (duv_stats on).Mupath.Synth.pruned_static;
-  (* The dead states land in pruned_duv_states in every mode — they are
+  (* The dead states land in pruned_duv_states in both modes — they are
      part of the report digest, so mode-independence is load-bearing. *)
   let pruned r = (synth_of r).Mupath.Synth.pruned_duv_states in
   Alcotest.(check (list string)) "pruned states mode-independent"
-    (pruned on) (pruned off);
-  Alcotest.(check (list string)) "pruned states mode-independent (audit)"
     (pruned on) (pruned audit);
   Alcotest.(check bool) "gate µFSM states are among the pruned" true
     (List.exists (fun s -> String.length s >= 4 && String.sub s 0 4 = "gate")
@@ -349,27 +348,25 @@ let test_known_bits_encoding_digest_identical () =
     (Synthlc.Engine.report_digest without_kb)
     (Synthlc.Engine.report_digest with_kb)
 
-(* Tri-mode identity on a built-in core (mirroring test_taint's flow-prune
+(* On/audit identity on a built-in core (mirroring test_taint's flow-prune
    test): ibex_lite has no register-level known bits, so the refinement
    must discharge nothing — and, exactly because the dead/live partition
-   is computed identically in every mode, the digest must still match. *)
+   is computed identically in both modes, the digest must still match. *)
 let test_absint_noop_on_ibex () =
-  let run absint =
+  let run prune =
     let design () = Designs.Ibex.build () in
     let stimulus ~pins ~rotate meta = Designs.Stimulus.ibex ~pins ~rotate meta in
     Synthlc.Engine.run ~config:Test_parallel.light_config
-      ~synth_config:Test_parallel.light_config ~absint ~stimulus ~design
+      ~synth_config:Test_parallel.light_config ~prune ~stimulus ~design
       ~jobs:1
       ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
       ~transmitters:[ Isa.DIV ]
       ~kinds:[ Synthlc.Types.Intrinsic ]
       ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
   in
-  let on = run Synthlc.Types.Prune_on in
-  let off = run Synthlc.Types.Prune_off in
-  let audit = run Synthlc.Types.Prune_audit in
+  let on = run `On in
+  let audit = run `Audit in
   let d = Synthlc.Engine.report_digest in
-  Alcotest.(check string) "digest on = off" (d off) (d on);
   Alcotest.(check string) "digest on = audit" (d audit) (d on);
   let absint_pruned (r : Synthlc.Engine.report) =
     List.fold_left

@@ -162,7 +162,7 @@ let test_campaign_defect_path () =
 
 (* One engine-level battery: the minimal config through every oracle
    (validate/absint/lint/determinism/roundtrip/jobs/cache-warm/
-   prune-modes/sweep/grid), every verdict Pass. *)
+   prune-audit/sweep/grid), every verdict Pass. *)
 let test_minimal_battery_green () =
   let outcome = O.run ~depth:5 ~episodes:2 G.minimal in
   List.iter

@@ -242,13 +242,52 @@ let test_cva6_static_dead () =
          List.exists (fun (u, _) -> u = Printf.sprintf "scb%d" i) dead)
        [ 0; 1; 2; 3 ])
 
+(* [Prune.discharge] with a stub checker: [`On] trusts the pre-pass and
+   never calls it; [`Audit] re-checks every entry in order and fails on the
+   first reachable one, naming the abstraction and the cover. *)
+let test_prune_discharge () =
+  let dead =
+    [ ("fsm", "PL a", 1); ("fsm", "PL b", 2); ("kb", "state c", 3); ("kb", "PL d", 4) ]
+  in
+  let calls = ref [] in
+  let check verdicts lits =
+    calls := lits :: !calls;
+    List.assoc lits verdicts
+  in
+  let unreachable = Mc.Checker.Unreachable (Mc.Checker.Bounded 1) in
+  (* A real witness for the stub's [Reachable] verdict: cover an input. *)
+  let cex =
+    let nl = Hdl.Netlist.create "one_input" in
+    let module D = Hdl.Dsl.Make (struct
+      let nl = nl
+    end) in
+    let go = D.input "go" 1 in
+    Mc.Checker.check_cover (Mc.Checker.create ~assumes:[] nl) [ (go, true) ]
+  in
+  Alcotest.(check int) "`On counts every dead cover" 4
+    (Mupath.Prune.discharge `On ~check:(fun _ -> Alcotest.fail "`On called check") dead);
+  let passing =
+    [ (1, unreachable); (2, Mc.Checker.Undetermined); (3, unreachable); (4, unreachable) ]
+  in
+  Alcotest.(check int) "`Audit discharges nothing" 0
+    (Mupath.Prune.discharge `Audit ~check:(check passing) dead);
+  Alcotest.(check (list int)) "`Audit checks each cover once, in order" [ 1; 2; 3; 4 ]
+    (List.rev !calls);
+  calls := [];
+  let reachable_c = [ (1, unreachable); (2, unreachable); (3, cex); (4, cex) ] in
+  Alcotest.check_raises "first reachable cover fails the audit"
+    (Failure "Prune: kb abstraction unsound: state c is reachable") (fun () ->
+      ignore (Mupath.Prune.discharge `Audit ~check:(check reachable_c) dead));
+  Alcotest.(check (list int)) "audit stops at the first reachable cover" [ 1; 2; 3 ]
+    (List.rev !calls)
+
 (* Synthesis end-to-end: static pruning must not change the report digest,
    and the pruned covers must vanish from the duv_pl property count. *)
-let run_ibex_engine ~static_prune () =
+let run_ibex_engine ~prune () =
   let design () = Designs.Ibex.build () in
   let stimulus ~pins ~rotate meta = Designs.Stimulus.ibex ~pins ~rotate meta in
   Synthlc.Engine.run ~config:Test_parallel.light_config
-    ~synth_config:Test_parallel.light_config ~static_prune ~stimulus ~design
+    ~synth_config:Test_parallel.light_config ~prune ~stimulus ~design
     ~jobs:1
     ~instructions:
       [ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD; Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
@@ -263,28 +302,27 @@ let duv_stage (r : Synthlc.Engine.report) =
     r.Synthlc.Engine.transponders
 
 let test_static_prune_digest_identical () =
-  let on = run_ibex_engine ~static_prune:true () in
-  let off = run_ibex_engine ~static_prune:false () in
+  let on = run_ibex_engine ~prune:`On () in
+  let audit = run_ibex_engine ~prune:`Audit () in
   Alcotest.(check string) "digest identical across prune modes"
-    (Synthlc.Engine.report_digest off)
+    (Synthlc.Engine.report_digest audit)
     (Synthlc.Engine.report_digest on);
-  let pruned =
+  let pruned r =
     List.fold_left
-      (fun a (s : Mupath.Synth.stage_stats) -> a + s.Mupath.Synth.pruned_static)
-      0 (duv_stage on)
+      (fun a (s : Mupath.Synth.stage_stats) ->
+        a + s.Mupath.Synth.pruned_static + s.Mupath.Synth.pruned_absint)
+      0 (duv_stage r)
   in
-  Alcotest.(check bool) "pre-pass prunes covers" true (pruned > 0);
-  Alcotest.(check int) "audit mode reports no static prunes" 0
-    (List.fold_left
-       (fun a (s : Mupath.Synth.stage_stats) -> a + s.Mupath.Synth.pruned_static)
-       0 (duv_stage off));
+  Alcotest.(check bool) "pre-pass prunes covers" true (pruned on > 0);
+  Alcotest.(check int) "audit mode reports no prunes" 0 (pruned audit);
   (* Every statically-discharged cover reappears as an audit property. *)
   List.iter2
-    (fun (son : Mupath.Synth.stage_stats) (soff : Mupath.Synth.stage_stats) ->
+    (fun (son : Mupath.Synth.stage_stats) (saudit : Mupath.Synth.stage_stats) ->
       Alcotest.(check int) "audit props = pruned covers"
-        (son.Mupath.Synth.props + son.Mupath.Synth.pruned_static)
-        soff.Mupath.Synth.props)
-    (duv_stage on) (duv_stage off)
+        (son.Mupath.Synth.props + son.Mupath.Synth.pruned_static
+       + son.Mupath.Synth.pruned_absint)
+        saudit.Mupath.Synth.props)
+    (duv_stage on) (duv_stage audit)
 
 let suite =
   ( "lint",
@@ -299,6 +337,7 @@ let suite =
         test_taintflow_defects;
       Alcotest.test_case "cva6 statically-dead states" `Quick
         test_cva6_static_dead;
+      Alcotest.test_case "prune discharge on/audit" `Quick test_prune_discharge;
       Alcotest.test_case "static prune digest-identical" `Quick
         test_static_prune_digest_identical;
     ] )

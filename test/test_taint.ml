@@ -228,13 +228,13 @@ let test_ibex_grid () =
 
 (* The ibex DIV workload has decision sources with empty destination sets
    (complete/squash), whose covers are statically dead; digest identity
-   across the three prune modes plus q_pruned_static > 0 in the default
-   mode is the acceptance contract. *)
-let run_ibex ?(precise = true) mode =
+   across prune on and audit plus q_pruned_static > 0 in the default mode
+   is the acceptance contract. *)
+let run_ibex ?(precise = true) prune =
   let design () = Designs.Ibex.build () in
   let stimulus ~pins ~rotate meta = Designs.Stimulus.ibex ~pins ~rotate meta in
   Synthlc.Engine.run ~config:Test_parallel.light_config
-    ~synth_config:Test_parallel.light_config ~precise ~static_flow_prune:mode
+    ~synth_config:Test_parallel.light_config ~precise ~prune
     ~stimulus ~design ~jobs:1
     ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
     ~transmitters:[ Isa.DIV ]
@@ -242,23 +242,19 @@ let run_ibex ?(precise = true) mode =
     ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
 
 let test_flow_prune_digest_identical () =
-  let on = run_ibex Synthlc.Types.Prune_on in
-  let off = run_ibex Synthlc.Types.Prune_off in
-  let audit = run_ibex Synthlc.Types.Prune_audit in
+  let on = run_ibex `On in
+  let audit = run_ibex `Audit in
   let d = Synthlc.Engine.report_digest in
-  Alcotest.(check string) "digest on = off" (d off) (d on);
   Alcotest.(check string) "digest on = audit" (d audit) (d on);
   Alcotest.(check bool) "default mode prunes covers" true
     (on.Synthlc.Engine.total_flow_pruned_static > 0);
-  Alcotest.(check int) "off mode discharges nothing statically" 0
-    off.Synthlc.Engine.total_flow_pruned_static;
   Alcotest.(check int) "audit mode discharges nothing statically" 0
     audit.Synthlc.Engine.total_flow_pruned_static;
   (* q_props counts every considered cover in every mode. *)
   Alcotest.(check int) "flow props identical across modes"
-    on.Synthlc.Engine.total_flow_props off.Synthlc.Engine.total_flow_props;
+    on.Synthlc.Engine.total_flow_props audit.Synthlc.Engine.total_flow_props;
   (* The precision knob is part of the report identity. *)
-  let imprecise = run_ibex ~precise:false Synthlc.Types.Prune_on in
+  let imprecise = run_ibex ~precise:false `On in
   Alcotest.(check bool) "imprecise digest differs" true
     (d imprecise <> d on)
 
