@@ -196,36 +196,19 @@ let e4 () =
 (* ------------------------------------------------------------------ *)
 let flow_on_core ?(precise = true) ~transponder ~decisions ~transmitters ~kind
     ~operand () =
-  let cell = ref None in
-  let design () =
-    let m = Designs.Core.build Designs.Core.baseline in
-    cell := Some m;
-    m
-  in
+  let design () = Designs.Core.build Designs.Core.baseline in
   let pc_t = Synthlc.Flow.transmitter_pc ~iuv_pc:Designs.Core.iuv_pc kind in
   let tx_candidates =
     List.concat_map
       (fun o -> [ Isa.make ~rd:1 ~rs1:2 ~rs2:3 o; Isa.make ~rd:3 ~rs1:1 ~rs2:2 ~imm:4 o ])
       transmitters
   in
-  let bound = ref None in
-  let stim sim c =
-    let f =
-      match !bound with
-      | Some f -> f
-      | None ->
-        let f =
-          Designs.Stimulus.core
-            ~pins:[ (Designs.Core.iuv_pc, transponder) ]
-            ~rotate:[ (pc_t, tx_candidates) ]
-            (Option.get !cell)
-        in
-        bound := Some f;
-        f
-    in
-    f sim c
+  let stimulus =
+    Designs.Stimulus.core
+      ~pins:[ (Designs.Core.iuv_pc, transponder) ]
+      ~rotate:[ (pc_t, tx_candidates) ]
   in
-  Synthlc.Flow.analyze ~config ~stimulus:stim ~precise ~design ~transponder
+  Synthlc.Flow.analyze ~config ~stimulus ~precise ~design ~transponder
     ~decisions ~transmitters ~kind ~operand ~iuv_pc:Designs.Core.iuv_pc ()
 
 let e5 () =

@@ -56,7 +56,7 @@ let e13 () =
     match Experiments.profile with `Quick -> [ "IF"; "scbCmt" ] | `Full -> []
   in
   let report =
-    Synthlc.Engine.run ~config ~synth_config:config ~stimulus ~design
+    Synthlc.Engine.run ~config ~stimulus ~design
       ~exclude_sources ~instructions:transponders ~transmitters ~kinds
       ~revisit_count_labels:[ "divU"; "ID"; "scbFin" ]
       ~iuv_pc:Designs.Core.iuv_pc ()
@@ -260,7 +260,7 @@ type speedup_record = {
 
 let speedup : speedup_record option ref = ref None
 
-(* Shared P1/P2 workload.  Quick profile: the smaller Ibex core at reduced
+(* Shared P1-P5 workload.  Quick profile: the smaller Ibex core at reduced
    budgets; full profile: the CVA6-lite baseline over the artifact ISA (2x
    the E13 workload). *)
 let engine_workload () =
@@ -289,6 +289,22 @@ let engine_workload () =
       [ Isa.DIV; Isa.LW; Isa.SW; Isa.BEQ ],
       config )
 
+(* One timed run of the shared engine workload: wall-clock seconds and the
+   report.  P1-P5 differ only in the cache, the prune mode and the job
+   count. *)
+let run_engine_workload ?cache ?prune ~jobs () =
+  let design, stimulus, instructions, transmitters, light_config =
+    engine_workload ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Synthlc.Engine.run ?cache ~config:light_config ?prune ~stimulus ~design
+      ~jobs ~exclude_sources:[ "IF"; "scbCmt" ] ~instructions ~transmitters
+      ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
+      ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
+  in
+  (Unix.gettimeofday () -. t0, r)
+
 let parallel_speedup () =
   let jobs =
     max 2 (if !requested_jobs >= 1 then !requested_jobs else Pool.default_jobs ())
@@ -296,23 +312,8 @@ let parallel_speedup () =
   section "P1"
     (Printf.sprintf
        "Domain-parallel SynthLC - sequential vs -j %d fan-out (SS VII-B3)" jobs);
-  let design, stimulus, instructions, transmitters, light_config =
-    engine_workload ()
-  in
-  let run_with jobs =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Synthlc.Engine.run ~config:light_config ~synth_config:light_config
-        ~stimulus ~design ~jobs
-        ~exclude_sources:[ "IF"; "scbCmt" ]
-        ~instructions ~transmitters
-        ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
-        ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
-    in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let t_seq, r_seq = run_with 1 in
-  let t_par, r_par = run_with jobs in
+  let t_seq, r_seq = run_engine_workload ~jobs:1 () in
+  let t_par, r_par = run_engine_workload ~jobs () in
   let equal = Synthlc.Engine.equal_report r_seq r_par in
   let sp = if t_par > 0. then t_seq /. t_par else 1. in
   let cores = Domain.recommended_domain_count () in
@@ -361,26 +362,13 @@ let cache_result : cache_record option ref = ref None
 
 let cache_warmup () =
   section "P2" "Persistent verdict cache - cold vs warm SynthLC wall-clock";
-  let design, stimulus, instructions, transmitters, light_config =
-    engine_workload ()
-  in
   let dir = "_vcache_bench" in
   ignore (Vcache.clear_dir ~dir);
-  let run_with cache =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Synthlc.Engine.run ~cache ~config:light_config ~synth_config:light_config
-        ~stimulus ~design ~jobs:1
-        ~exclude_sources:[ "IF"; "scbCmt" ]
-        ~instructions ~transmitters
-        ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
-        ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
-    in
-    (Unix.gettimeofday () -. t0, r)
+  let t_cold, r_cold =
+    run_engine_workload ~cache:(Vcache.create ~dir ()) ~jobs:1 ()
   in
-  let t_cold, r_cold = run_with (Vcache.create ~dir ()) in
   let warm = Vcache.create ~dir () in
-  let t_warm, r_warm = run_with warm in
+  let t_warm, r_warm = run_engine_workload ~cache:warm ~jobs:1 () in
   let hits, misses, _ = Vcache.counters warm in
   let calls = hits + misses in
   let rate = if calls = 0 then 0. else float_of_int hits /. float_of_int calls in
@@ -433,23 +421,8 @@ let static_prune_result : static_prune_record option ref = ref None
 let static_prune_bench () =
   section "P3"
     "Static reachability pre-pass - covers pruned vs dispatched, cold wall-clock";
-  let design, stimulus, instructions, transmitters, light_config =
-    engine_workload ()
-  in
-  let run_with prune =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Synthlc.Engine.run ~config:light_config ~synth_config:light_config
-        ~prune ~stimulus ~design ~jobs:1
-        ~exclude_sources:[ "IF"; "scbCmt" ]
-        ~instructions ~transmitters
-        ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
-        ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
-    in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let t_on, r_on = run_with `On in
-  let t_off, r_off = run_with `Audit in
+  let t_on, r_on = run_engine_workload ~prune:`On ~jobs:1 () in
+  let t_off, r_off = run_engine_workload ~prune:`Audit ~jobs:1 () in
   let duv_stage (r : Synthlc.Engine.report) =
     List.map
       (fun (t : Synthlc.Engine.transponder_report) ->
@@ -561,24 +534,9 @@ let obs_overhead () =
     overhead_pct;
   check "disabled-path overhead below 5%" (overhead_pct < 5.);
   (* Macro: untraced vs traced engine run. *)
-  let design, stimulus, instructions, transmitters, light_config =
-    engine_workload ()
-  in
-  let run_engine () =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Synthlc.Engine.run ~config:light_config ~synth_config:light_config
-        ~stimulus ~design ~jobs:1
-        ~exclude_sources:[ "IF"; "scbCmt" ]
-        ~instructions ~transmitters
-        ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
-        ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
-    in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let t_off, r_off = run_engine () in
+  let t_off, r_off = run_engine_workload ~jobs:1 () in
   Obs.enable ();
-  let t_on, r_on = run_engine () in
+  let t_on, r_on = run_engine_workload ~jobs:1 () in
   let events = List.length (Obs.events ()) in
   let metrics = Obs.Metrics.snapshot () in
   Obs.disable ();
@@ -657,23 +615,8 @@ let static_flow_result : static_flow_record option ref = ref None
 let static_flow_bench () =
   section "P5"
     "Static taint-flow pre-pass - IFT covers pruned vs dispatched, cold wall-clock";
-  let design, stimulus, instructions, transmitters, light_config =
-    engine_workload ()
-  in
-  let run_with prune =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Synthlc.Engine.run ~config:light_config ~synth_config:light_config
-        ~prune ~stimulus ~design ~jobs:1
-        ~exclude_sources:[ "IF"; "scbCmt" ]
-        ~instructions ~transmitters
-        ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
-        ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
-    in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let t_on, r_on = run_with `On in
-  let t_off, r_off = run_with `Audit in
+  let t_on, r_on = run_engine_workload ~prune:`On ~jobs:1 () in
+  let t_off, r_off = run_engine_workload ~prune:`Audit ~jobs:1 () in
   let pruned = r_on.Synthlc.Engine.total_flow_pruned_static in
   let dg_on = Synthlc.Engine.report_digest r_on in
   let dg_off = Synthlc.Engine.report_digest r_off in

@@ -128,8 +128,7 @@ let absint_bench () =
   let run_gated prune =
     let t0 = Unix.gettimeofday () in
     let r =
-      Synthlc.Engine.run ~config:gated_config ~synth_config:gated_config
-        ~prune
+      Synthlc.Engine.run ~config:gated_config ~prune
         ~design:(fun () -> Designs.Gated.build ())
         ~jobs:1
         ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD ]

@@ -91,6 +91,19 @@ let builder_of ~cmd = function
              Frontend.Admission.load ~lint:false ~json_path ~meta_path ()))
           .Frontend.Admission.meta)
 
+(* An unknown --counts label is a harness error too: exit 2 with the
+   design's PL-group labels, instead of a harness exception mid-run. *)
+let check_counts ~cmd meta counts =
+  let labels = List.map fst (Mupath.Harness.pl_groups meta) in
+  match List.filter (fun l -> not (List.mem l labels)) counts with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "%s: unknown PL label(s) %s (design %s has: %s)\n" cmd
+      (String.concat ", " unknown)
+      meta.Designs.Meta.design_name
+      (String.concat ", " labels);
+    exit 2
+
 let stim_kind_of = function
   | Builtin d ->
     if d = "gated" then `None
@@ -235,6 +248,17 @@ let instr_conv =
   let print fmt i = Format.pp_print_string fmt (Isa.to_string i) in
   Arg.conv (parse, print)
 
+(* An unknown transmitter mnemonic is a usage error naming it, not a
+   silently dropped opcode. *)
+let opcode_conv =
+  let parse s =
+    match Isa.opcode_of_mnemonic s with
+    | Some op -> Ok op
+    | None -> Error (`Msg (Printf.sprintf "unknown opcode mnemonic %S" s))
+  in
+  let print fmt op = Format.pp_print_string fmt (Isa.mnemonic op) in
+  Arg.conv (parse, print)
+
 let instrs_conv =
   let parse s =
     match Isa.parse_list s with
@@ -285,37 +309,27 @@ let with_obs ~trace ~metrics f =
       f
   end
 
-let dump_cnf_arg =
-  let doc =
-    "Write the BMC unrolling as DIMACS CNF to $(docv) at the end of the run \
-     for offline debugging (multi-instruction synthlc runs append the task \
-     index to the path)."
+(* The checker configuration [mupath] and [synthlc] share: --depth,
+   --episodes, --no-known-bits and --sweep over fixed budgets. *)
+let config_term =
+  let config_of depth episodes no_known_bits sweep =
+    {
+      Mc.Checker.default_config with
+      Mc.Checker.bmc_depth = depth;
+      bmc_conflicts = 60_000;
+      induction_max_k = 2;
+      sim_episodes = episodes;
+      sim_cycles = 44;
+      known_bits = not no_known_bits;
+      sweep;
+    }
   in
-  Arg.(value & opt (some string) None & info [ "dump-cnf" ] ~docv:"FILE" ~doc)
-
-let config_of depth episodes ~no_known_bits ~sweep =
-  {
-    Mc.Checker.default_config with
-    Mc.Checker.bmc_depth = depth;
-    bmc_conflicts = 60_000;
-    induction_max_k = 2;
-    sim_episodes = episodes;
-    sim_cycles = 44;
-    known_bits = not no_known_bits;
-    sweep;
-  }
+  Term.(const config_of $ depth_arg $ episodes_arg $ no_known_bits_arg $ sweep_arg)
 
 (* `None (e.g. the gated demo) means no program-shaped input protocol: the
    design accepts whatever the random pokes feed it, so it runs without a
    stimulus. *)
-let stimulus_of src ~pins meta =
-  match stim_kind_of src with
-  | `None -> None
-  | `Cache -> Some (Designs.Stimulus.cache ~pins meta)
-  | `Ibex -> Some (Designs.Stimulus.ibex ~pins meta)
-  | `Core -> Some (Designs.Stimulus.core ~pins meta)
-
-let rotating_stimulus_of src =
+let stimulus_of src =
   match stim_kind_of src with
   | `None -> None
   | (`Cache | `Ibex | `Core) as k ->
@@ -396,18 +410,19 @@ let sim_cmd =
 (* --- mupath ----------------------------------------------------------- *)
 
 let mupath_cmd =
-  let run dname meta_path iuv depth episodes dot counts shards cache_dir prune
-      no_known_bits sweep semantic_cache dump_cnf trace metrics =
+  let run dname meta_path iuv config dot counts shards cache_dir prune
+      semantic_cache trace metrics =
     let src = resolve_design ~cmd:"mupath" ?meta:meta_path dname in
     with_obs ~trace ~metrics (fun () ->
         let meta = builder_of ~cmd:"mupath" src () in
+        check_counts ~cmd:"mupath" meta counts;
         let iuv_pc = iuv_pc_of src in
-        let stim = stimulus_of src ~pins:[ (iuv_pc, iuv) ] meta in
-        let config = config_of depth episodes ~no_known_bits ~sweep in
+        let pins = [ (iuv_pc, iuv) ] in
+        let stim = Option.map (fun f -> f ~pins ~rotate:[] meta) (stimulus_of src) in
         let cache = cache_of cache_dir in
         let r =
           Mupath.Synth.run ?cache ~config ?stimulus:stim ~semantic_cache
-            ~static_prune:(prune = `On) ~absint:prune ?dump_cnf
+            ~static_prune:(prune = `On) ~absint:prune
             ~revisit_count_labels:counts ~shards ~meta ~iuv ~iuv_pc ()
         in
         Format.printf "%a@." Mupath.Synth.pp_result r;
@@ -426,26 +441,20 @@ let mupath_cmd =
   Cmd.v
     (Cmd.info "mupath" ~doc:"RTL2MuPATH: synthesize the uPATH set for one instruction")
     Term.(
-      const run $ design_arg $ meta_arg $ instr_arg $ depth_arg $ episodes_arg
-      $ dot $ counts $ shards_arg $ cache_dir_arg $ prune_arg
-      $ no_known_bits_arg $ sweep_arg $ semantic_cache_arg
-      $ dump_cnf_arg $ trace_arg $ metrics_arg)
+      const run $ design_arg $ meta_arg $ instr_arg $ config_term $ dot
+      $ counts $ shards_arg $ cache_dir_arg $ prune_arg $ semantic_cache_arg
+      $ trace_arg $ metrics_arg)
 
 (* --- synthlc ---------------------------------------------------------- *)
 
 let synthlc_cmd =
-  let run dname meta_path instructions txs depth episodes static jobs cache_dir
-      prune imprecise no_known_bits sweep semantic_cache
-      dump_cnf trace metrics =
+  let run dname meta_path instructions transmitters config static jobs
+      cache_dir prune imprecise semantic_cache trace metrics =
     let src = resolve_design ~cmd:"synthlc" ?meta:meta_path dname in
     with_obs ~trace ~metrics @@ fun () ->
-    let transmitters =
-      List.filter_map Isa.opcode_of_mnemonic txs
-    in
     let design = builder_of ~cmd:"synthlc" src in
     let iuv_pc = iuv_pc_of src in
-    let stimulus = rotating_stimulus_of src in
-    let config = config_of depth episodes ~no_known_bits ~sweep in
+    let stimulus = stimulus_of src in
     let kinds =
       [ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older; Synthlc.Types.Dynamic_younger ]
       @ (if static then [ Synthlc.Types.Static ] else [])
@@ -459,9 +468,9 @@ let synthlc_cmd =
     in
     let cache = cache_of cache_dir in
     let report =
-      Synthlc.Engine.run ?cache ~config ~synth_config:config ~semantic_cache
-        ?dump_cnf ~precise:(not imprecise) ~prune ?stimulus ~design ~jobs
-        ~instructions ~transmitters ~kinds ~revisit_count_labels ~iuv_pc ()
+      Synthlc.Engine.run ?cache ~config ~semantic_cache
+        ~precise:(not imprecise) ~prune ?stimulus ~design ~jobs ~instructions
+        ~transmitters ~kinds ~revisit_count_labels ~iuv_pc ()
     in
     Format.printf "%a@." Synthlc.Engine.pp_report report;
     Printf.printf "report digest: %s\n" (Synthlc.Engine.report_digest report);
@@ -485,17 +494,15 @@ let synthlc_cmd =
     Arg.(value & opt instrs_conv [ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ] & info [ "i"; "instrs" ] ~docv:"ASM;..." ~doc:"Transponder instructions, separated by $(b,;) or $(b,,) (a segment starting with a mnemonic begins a new instruction).")
   in
   let txs =
-    Arg.(value & opt (list string) [ "div"; "lw"; "sw"; "beq"; "add" ] & info [ "t"; "transmitters" ] ~docv:"OPS" ~doc:"Candidate transmitter opcodes.")
+    Arg.(value & opt (list opcode_conv) Isa.[ DIV; LW; SW; BEQ; ADD ] & info [ "t"; "transmitters" ] ~docv:"OPS" ~doc:"Candidate transmitter opcodes, by mnemonic.")
   in
   let static = Arg.(value & flag & info [ "static" ] ~doc:"Also analyze static transmitters (Assumption 3).") in
   Cmd.v
     (Cmd.info "synthlc" ~doc:"SynthLC: synthesize leakage signatures and contracts")
     Term.(
-      const run $ design_arg $ meta_arg $ instrs $ txs $ depth_arg
-      $ episodes_arg $ static $ jobs_arg $ cache_dir_arg $ prune_arg
-      $ imprecise_ift_arg
-      $ no_known_bits_arg $ sweep_arg $ semantic_cache_arg $ dump_cnf_arg
-      $ trace_arg $ metrics_arg)
+      const run $ design_arg $ meta_arg $ instrs $ txs $ config_term $ static
+      $ jobs_arg $ cache_dir_arg $ prune_arg $ imprecise_ift_arg
+      $ semantic_cache_arg $ trace_arg $ metrics_arg)
 
 (* --- scsafe ----------------------------------------------------------- *)
 

@@ -75,7 +75,7 @@ let engine_run ~cache ~depth ~episodes ~jobs ~prune ~sweep cfg =
   let config = { (config_of ~depth ~episodes) with Mc.Checker.sweep } in
   try
     Ok
-      (Synthlc.Engine.run ~cache ~config ~synth_config:config ~prune
+      (Synthlc.Engine.run ~cache ~config ~prune
          ~stimulus:(fun ~pins ~rotate meta -> Designs.Stimulus.ibex ~pins ~rotate meta)
          ~design:(fun () -> Gen.build cfg)
          ~jobs

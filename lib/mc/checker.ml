@@ -182,10 +182,6 @@ type engine = {
       (* Known-bits invariants shared by the BMC unrolling and every
          induction side solver (strengthening); None when the config
          flag is off. *)
-  mutable ind_vars : int;
-      (* Variables allocated across the short-lived induction solvers,
-         cumulative — the encoder-size counter the BMC-side
-         [Solver.nvars] cannot see. *)
 }
 
 type t = {
@@ -196,7 +192,6 @@ type t = {
   stimulus : (Sim.t -> int -> unit) option;
   eng : engine;  (* swept when config.sweep is on/audit *)
   shadow : engine option;  (* unswept cross-check engine (audit mode) *)
-  sweep_stats : Hdl.Equiv.stats option;
   stats : Stats.t;
   named : (string * Netlist.signal) list;
   rng : Random.State.t;
@@ -215,18 +210,30 @@ type t = {
 (* The cache key covers everything a verdict depends on: the elaborated
    netlist structure, the assumption signals, every budget/seed field of
    the config, and a caller salt (for inputs the checker cannot see, e.g.
-   the stimulus closure's identity).  The per-property key then appends
+   Flow's imprecise IFT cell rules).  The per-property key then appends
    the cover literals — see [cover_key]. *)
 (* [encode_cse] and [known_bits] are part of the key: they change the
    solver trajectory and hence which engine decides a verdict.  [sweep]
    participates as its effective boolean — audit mode computes
    bit-identically to on (the unswept shadow run is a tripwire, not an
-   input). *)
-let config_key (config : config) =
-  Printf.sprintf "c:%d.%d.%d.%d.%d.%d.%d|e:%b.%b|w:%b" config.bmc_depth
-    config.bmc_conflicts config.induction_max_k config.induction_conflicts
-    config.sim_episodes config.sim_cycles config.seed config.encode_cse
-    config.known_bits (config.sweep <> Sweep_off)
+   input).  The pattern binds every field with no [; _], so a field added
+   to [config] without a place in the key is a build error (warning 9). *)
+let config_key
+    {
+      bmc_depth;
+      bmc_conflicts;
+      induction_max_k;
+      induction_conflicts;
+      sim_episodes;
+      sim_cycles;
+      seed;
+      encode_cse;
+      known_bits;
+      sweep;
+    } =
+  Printf.sprintf "c:%d.%d.%d.%d.%d.%d.%d|e:%b.%b|w:%b" bmc_depth bmc_conflicts
+    induction_max_k induction_conflicts sim_episodes sim_cycles seed encode_cse
+    known_bits (sweep <> Sweep_off)
 
 let make_key_prefix ~salt ~assumes ~assume_initial ~(config : config) nl =
   Printf.sprintf "%s|a:%s|i:%s|%s|s:%s" (Netlist.digest nl)
@@ -253,7 +260,7 @@ let identity_map nl = Array.init (Netlist.num_nodes nl) Fun.id
 
 let make_engine ~(config : config) ~assumes ~assume_initial ~sweep_barriers
     ~swept nl =
-  let enc_nl, map, sweep_stats =
+  let enc_nl, map =
     if swept then begin
       let red, image, st = Hdl.Equiv.reduce ~barriers:sweep_barriers nl in
       if Obs.enabled () then begin
@@ -264,9 +271,9 @@ let make_engine ~(config : config) ~assumes ~assume_initial ~sweep_barriers
         Obs.Metrics.incr "equiv.sat_queries" ~by:st.Hdl.Equiv.sat_queries;
         Obs.Metrics.incr "equiv.patterns" ~by:st.Hdl.Equiv.patterns
       end;
-      (red, image, Some st)
+      (red, image)
     end
-    else (nl, identity_map nl, None)
+    else (nl, identity_map nl)
   in
   let tr l = List.map (fun s -> map.(s)) l in
   let known =
@@ -276,7 +283,7 @@ let make_engine ~(config : config) ~assumes ~assume_initial ~sweep_barriers
     Blast.create ~assume_initial:(tr assume_initial) ?known
       ~cse:config.encode_cse ~initial:`Reset ~assumes:(tr assumes) enc_nl
   in
-  ({ enc_nl; map; bmc; known; ind_vars = 0 }, sweep_stats)
+  { enc_nl; map; bmc; known }
 
 let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
     ?(assume_initial = []) ?(sweep_barriers = []) ?(semantic_cache = false)
@@ -290,15 +297,14 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
     |> List.rev
   in
   let swept = config.sweep <> Sweep_off in
-  let eng, sweep_stats =
+  let eng =
     make_engine ~config ~assumes ~assume_initial ~sweep_barriers ~swept nl
   in
   let shadow =
     if config.sweep = Sweep_audit then
       Some
-        (fst
-           (make_engine ~config ~assumes ~assume_initial ~sweep_barriers
-              ~swept:false nl))
+        (make_engine ~config ~assumes ~assume_initial ~sweep_barriers
+           ~swept:false nl)
     else None
   in
   let sigs =
@@ -313,7 +319,6 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
     stimulus;
     eng;
     shadow;
-    sweep_stats;
     stats = Stats.create ();
     named;
     rng = Random.State.make [| config.seed |];
@@ -331,7 +336,6 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
 
 let stats t = t.stats
 let netlist t = t.nl
-let sweep_stats t = t.sweep_stats
 
 let cex_of_model t eng ~upto =
   let values =
@@ -451,9 +455,8 @@ let try_induction t eng cover =
       end
     in
     let r = go 0 in
-    let nv = Solver.nvars (Blast.solver ind) in
-    eng.ind_vars <- eng.ind_vars + nv;
-    if Obs.enabled () then Obs.Metrics.incr "sat.ind_vars" ~by:nv;
+    if Obs.enabled () then
+      Obs.Metrics.incr "sat.ind_vars" ~by:(Solver.nvars (Blast.solver ind));
     r
   end
 
@@ -794,36 +797,3 @@ let check_cover ?name t cover =
       ~args:(match name with Some n -> [ ("prop", n) ] | None -> [])
       dispatch
   else dispatch ()
-
-(* --- solver introspection ------------------------------------------------ *)
-
-let dump_cnf t = Sat.Dimacs.of_solver (Blast.solver t.eng.bmc)
-
-type sat_stats = {
-  ss_conflicts : int;
-  ss_propagations : int;
-  ss_learnts : int;
-  ss_learnt_peak : int;
-  ss_reduces : int;
-  ss_cse_hits : int;
-  ss_cse_lookups : int;
-  ss_vars : int;
-  ss_ind_vars : int;
-}
-
-let sat_stats t =
-  let s = Blast.solver t.eng.bmc in
-  let hits, lookups = Blast.cse_stats t.eng.bmc in
-  {
-    ss_conflicts = Solver.num_conflicts s;
-    ss_propagations = Solver.num_propagations s;
-    ss_learnts = Solver.num_learnts s;
-    ss_learnt_peak = Solver.learnt_peak s;
-    ss_reduces = Solver.num_reduces s;
-    ss_cse_hits = hits;
-    ss_cse_lookups = lookups;
-    ss_vars = Solver.nvars s;
-    ss_ind_vars =
-      (t.eng.ind_vars
-      + match t.shadow with None -> 0 | Some e -> e.ind_vars);
-  }

@@ -130,12 +130,12 @@ type config = {
           the induction side it is the standard invariant strengthening:
           the known-bits fixpoint is an inductive invariant, so the
           free-initial unrollings substitute its constant bits, shrinking
-          variables and clauses (see [ss_ind_vars]) and letting induction
-          discharge covers plain induction cannot.  Part of the cache
-          key: the strengthening can change verdicts (Undetermined
-          becoming Unreachable) and solver trajectories.  When sweeping,
-          known bits are computed on the netlist each engine actually
-          encodes. *)
+          variables and clauses (the [sat.ind_vars] counter of a traced
+          run) and letting induction discharge covers plain induction
+          cannot.  Part of the cache key: the strengthening can change
+          verdicts (Undetermined becoming Unreachable) and solver
+          trajectories.  When sweeping, known bits are computed on the
+          netlist each engine actually encodes. *)
   sweep : sweep_mode;
       (** Equivalence-sweep the netlist the SAT engines encode (default
           {!Sweep_off}).  Verdicts, witnesses and hence report digests
@@ -147,6 +147,9 @@ type config = {
 }
 
 val default_config : config
+(** Every field reaches the verdict-cache key ([sweep] as its effective
+    boolean): the key function destructures the whole record, so a field
+    added without a place in the key fails the build. *)
 
 type t
 
@@ -174,7 +177,9 @@ val create :
     accounting, and the RNG draws the sim pre-pass consumed — so a run
     whose properties all hit is bit-identical to the run that filled the
     store.  [cache_salt] must identify any verdict-relevant input the
-    checker cannot see, in practice the [stimulus] closure's identity.
+    checker cannot see.  Only {!Synthlc.Flow} sets one, for imprecise
+    IFT; every caller derives [stimulus] from the design and from the
+    instructions its monitored netlist already encodes.
 
     [sweep_barriers] are extra signals the equivalence sweep must never
     merge away (named signals, registers and inputs are always barriers);
@@ -202,36 +207,3 @@ val check_cover : ?name:string -> t -> (Hdl.Netlist.signal * bool) list -> outco
 
 val stats : t -> Stats.t
 val netlist : t -> Hdl.Netlist.t
-
-val sweep_stats : t -> Hdl.Equiv.stats option
-(** Reduction statistics of the equivalence sweep the engines run on;
-    [None] when [config.sweep] is {!Sweep_off}. *)
-
-val dump_cnf : t -> string
-(** The shared BMC unrolling's current clause set as DIMACS CNF text
-    (via {!Sat.Dimacs.of_solver}) — for offline debugging with external
-    solvers.  Cheap relative to solving, but the text can be large. *)
-
-type sat_stats = {
-  ss_conflicts : int;
-  ss_propagations : int;
-  ss_learnts : int;  (** Learnt clauses currently in the BMC solver's DB. *)
-  ss_learnt_peak : int;
-  ss_reduces : int;  (** reduce_db events on the BMC solver. *)
-  ss_cse_hits : int;
-  ss_cse_lookups : int;
-  ss_vars : int;  (** Variables allocated in the BMC engine's solver. *)
-  ss_ind_vars : int;
-      (** Variables allocated across the short-lived k-induction side
-          solvers, cumulative over every induction attempt (both engines
-          in audit mode).  This is the counter the known-bits
-          substitution ([config.known_bits]) shrinks: the [`Free]-initial
-          unrolling stops allocating variables for proven register bits.
-          (On the [`Reset]-initial BMC side the substitution is subsumed
-          by per-step constant folding, so [ss_vars] is unaffected by the
-          flag.) *)
-}
-
-val sat_stats : t -> sat_stats
-(** Cumulative solver/encoding statistics: the shared BMC unrolling,
-    plus the induction side solvers' variable total. *)

@@ -43,13 +43,23 @@ type episode = {
   decision_obs : (string * SS.t) list;
 }
 
-let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
-    ?(revisit_count_labels = [])
-    ?(max_candidate_sets = 4096) ?(max_revisit_count = 12) ?(presim_episodes = 64)
-    ?(presim_cycles = 48) ?(static_prune = true) ?(absint = `On) ?dump_cnf ~shards
-    ~(pool : Pool.t option) ~meta ~iuv ~iuv_pc () =
+(* Search bounds: candidate PL sets enumerated (§V-B3), the longest
+   consecutive run a revisit count is checked for (§V-B6), and the cycles
+   one simulation pre-pass episode may take before it is dropped. *)
+let max_candidate_sets = 4096
+let max_revisit_count = 12
+let presim_cycles = 48
+
+let run ?cache ?config ?stimulus ?(semantic_cache = false)
+    ?(revisit_count_labels = []) ?(presim_episodes = 64) ?(static_prune = true)
+    ?(absint = `On) ?(shards = 1) ~meta ~iuv ~iuv_pc () =
+  let shards = max 1 shards in
+  Obs.with_span "synth.run" ~args:[ ("instr", Isa.to_string iuv) ] @@ fun () ->
+  (* Sharded cover batches run on a pool of [shards] domains of its own
+     (unsharded, the pool spawns no domain and is never used). *)
+  Pool.with_pool ~jobs:shards @@ fun pool ->
   let h =
-    Harness.create ?cache ?cache_salt ?config ?stimulus ~semantic_cache
+    Harness.create ?cache ?config ?stimulus ~semantic_cache
       ~revisit_count_labels ~meta ~iuv ~iuv_pc ()
   in
   let nl = meta.Designs.Meta.nl in
@@ -129,7 +139,7 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
             let cfg =
               { base with Checker.seed = Pool.derive_seed ~base:base.Checker.seed ~index:k }
             in
-            Checker.create ?cache:shard_caches.(k) ?cache_salt ?stimulus
+            Checker.create ?cache:shard_caches.(k) ?stimulus
               ~config:cfg ~sweep_barriers:(Designs.Meta.signals meta)
               ~semantic_cache ~assumes:(Harness.assumes h) nl)
   in
@@ -180,21 +190,21 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
       'r list =
    fun stage_name items ~f ->
     let go () =
-      match (shard_checkers, pool) with
-      | [| _ |], _ | _, None ->
+      match shard_checkers with
+      | [| _ |] ->
         List.map
           (f
              ~check:(fun lits -> check stage_name lits)
              ~hit:(fun () -> hit stage_name))
           items
-      | cks, Some p ->
+      | cks ->
         let k = Array.length cks in
         let n = List.length items in
         let chunks = Array.make k [] in
         List.iteri (fun i x -> chunks.(i mod k) <- (i, x) :: chunks.(i mod k)) items;
         let results = Array.make n None in
         let locals =
-          Pool.run p
+          Pool.run pool
             (List.init k (fun ci () ->
                  let ck = cks.(ci) in
                  let props = ref 0 and undet = ref 0 and hits = ref 0 in
@@ -728,16 +738,6 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
       labels
   in
 
-  (* Export the harness checker's BMC unrolling for offline debugging.
-     Written at the end of the run so the CNF reflects every cover the
-     synthesis dispatched on the shared solver. *)
-  (match dump_cnf with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Checker.dump_cnf chk);
-    close_out oc);
-
   {
     instr = iuv;
     duv_pls;
@@ -762,28 +762,6 @@ let run_inner ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
           (fun acc c -> Checker.Stats.merge acc (Checker.stats c))
           (Checker.Stats.create ()) cks);
   }
-
-let run ?cache ?cache_salt ?config ?stimulus ?semantic_cache
-    ?revisit_count_labels
-    ?max_candidate_sets ?max_revisit_count ?presim_episodes ?presim_cycles
-    ?static_prune ?absint ?dump_cnf ?(shards = 1) ?pool ~meta ~iuv ~iuv_pc () =
-  let shards = max 1 shards in
-  let inner pool =
-    run_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
-      ?revisit_count_labels
-      ?max_candidate_sets ?max_revisit_count ?presim_episodes ?presim_cycles
-      ?static_prune ?absint ?dump_cnf ~shards ~pool ~meta ~iuv ~iuv_pc ()
-  in
-  let dispatch () =
-    match pool with
-    | Some p -> inner (Some p)
-    | None ->
-      if shards = 1 then inner None
-      else Pool.with_pool ~jobs:shards (fun p -> inner (Some p))
-  in
-  if Obs.enabled () then
-    Obs.with_span "synth.run" ~args:[ ("instr", Isa.to_string iuv) ] dispatch
-  else dispatch ()
 
 let pl_of_label instr lbl =
   ignore instr;

@@ -64,20 +64,14 @@ type result = {
 
 val run :
   ?cache:Vcache.t ->
-  ?cache_salt:string ->
   ?config:Mc.Checker.config ->
   ?stimulus:(Sim.t -> int -> unit) ->
   ?semantic_cache:bool ->
   ?revisit_count_labels:string list ->
-  ?max_candidate_sets:int ->
-  ?max_revisit_count:int ->
   ?presim_episodes:int ->
-  ?presim_cycles:int ->
   ?static_prune:bool ->
   ?absint:Prune.mode ->
-  ?dump_cnf:string ->
   ?shards:int ->
-  ?pool:Pool.t ->
   meta:Designs.Meta.t ->
   iuv:Isa.t ->
   iuv_pc:int ->
@@ -111,15 +105,18 @@ val run :
     non-zero shard stages its writes and the joins merge them in shard
     order.
 
+    [presim_episodes] (default 64) is the number of random simulation
+    episodes the pre-pass harvests; [revisit_count_labels] names the PLs
+    whose consecutive-run lengths are derived (§V-B6).
+
     [shards] (default 1) turns on property sharding: K checker instances
     over the same monitored netlist, with the independent PL / PL-set cover
     batches of a stage split round-robin across them and evaluated in
-    parallel (on [pool] if given, else a transient pool of K domains).
-    Sharding trades the learned-clause sharing of one incremental solver
-    for cores, so per-property engine verdicts (e.g. sim-discharged vs
-    BMC) can differ from the unsharded run — the µPATH set itself is
-    engine-independent.  For a fixed [shards] value results are
-    deterministic regardless of the pool's job count. *)
+    parallel on a pool of K domains created for the run.  Sharding trades
+    the learned-clause sharing of one incremental solver for cores, so
+    per-property engine verdicts (e.g. sim-discharged vs BMC) can differ
+    from the unsharded run — the µPATH set itself is engine-independent.
+    For a fixed [shards] value results are deterministic. *)
 
 val to_uhb_paths : result -> Uhb.Path.t list
 val to_uhb_decisions : result -> Uhb.Decision.t list

@@ -3,8 +3,8 @@
     The model-checking workloads RTL2MµPATH and SynthLC generate are
     embarrassingly parallel at two granularities — one task per instruction
     under verification ({!Synthlc.Engine.run}) and one checker shard per
-    cover batch ({!Mupath.Synth.run}) — so a single shared pool covers
-    both.  Guarantees:
+    cover batch ({!Mupath.Synth.run}).  Each entry point creates a pool of
+    its own for the run.  Guarantees:
 
     - {b order preservation}: {!map} and friends return results in input
       order, independent of completion order;
@@ -29,8 +29,6 @@ val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs = 1] spawns
     none and makes every submission run inline).  Default: {!default_jobs}.
     Raises [Invalid_argument] if [jobs < 1]. *)
-
-val jobs : t -> int
 
 val default_jobs : unit -> int
 (** [SYNTHLC_JOBS] if set to a positive integer, otherwise

@@ -143,150 +143,21 @@ let assert_inside_grid ~grid (tagged : Types.tagged_decision list) =
                 (List.concat_map snd grid |> List.sort_uniq compare))))
     tagged
 
-let analyze_transponder ?cache ?config ?synth_config ?semantic_cache ?dump_cnf
-    ~precise ~prune ?(stimulus : stimulus_builder option) ~exclude_sources
-    ~(design : unit -> Meta.t) ~(instr : Isa.t)
+let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
+    ?semantic_cache ?(precise = true) ?(prune = `On)
+    ?(stimulus : stimulus_builder option) ?(exclude_sources = []) ?(jobs = 1)
+    ~(design : unit -> Meta.t) ~(instructions : Isa.t list)
     ~(transmitters : Isa.opcode list) ~(kinds : Types.transmitter_kind list)
     ~(revisit_count_labels : string list) ~iuv_pc () =
   let t0 = Obs.now_ns () in
-  (* Stage 1: µPATH synthesis on a fresh design instance. *)
-  let meta = design () in
-  let stim =
-    match stimulus with
-    | Some f -> Some (f ~pins:[ (iuv_pc, instr) ] ~rotate:[] meta)
-    | None -> None
-  in
-  let synth =
-    Mupath.Synth.run ?cache ?config:synth_config ?stimulus:stim
-      ?semantic_cache ~static_prune:(prune = `On) ~absint:prune ?dump_cnf
-      ~revisit_count_labels ~meta ~iuv:instr ~iuv_pc ()
-  in
-  (* Candidate transponders have µPATH variability (§V-C): more than one
-     µPATH, or any decision source with several destinations. *)
-  let variable =
-    List.length synth.Mupath.Synth.paths > 1
-    || List.exists (fun (_, ds) -> List.length ds > 1) synth.Mupath.Synth.decisions
-  in
-  let multi_decisions =
-    List.filter
-      (fun (src, ds) ->
-        List.length ds > 1 && not (List.mem src exclude_sources))
-      synth.Mupath.Synth.decisions
-  in
-  if not variable || multi_decisions = [] then
-    {
-      instr;
-      synth;
-      tagged = [];
-      signatures = [];
-      flow_props = 0;
-      flow_undetermined = 0;
-      flow_pruned_static = 0;
-      flow_pruned_absint = 0;
-      static_flow_live = [];
-      flow_time = Obs.seconds_since t0;
-    }
-  else begin
-    (* Stage 2: symbolic IFT per (kind, operand). *)
-    let pairs =
-      List.concat_map
-        (fun kind -> List.map (fun op -> (kind, op)) [ Types.Rs1; Types.Rs2 ])
-        kinds
-    in
-    (* Transmitter candidates rotated through the transmitter slot by the
-       simulation pre-pass: two register-field shapes per opcode. *)
-    let tx_candidates =
-      List.concat_map
-        (fun o ->
-          [ Isa.make ~rd:1 ~rs1:2 ~rs2:3 o; Isa.make ~rd:3 ~rs1:1 ~rs2:2 ~imm:4 o ])
-        transmitters
-    in
-    let all =
-      List.map
-        (fun (kind, operand) ->
-          (* Flow builds a fresh design; the stimulus factory is rebound to
-             that fresh metadata lazily through a reference cell. *)
-          let pc_t = Flow.transmitter_pc ~iuv_pc kind in
-          let cell = ref None in
-          let design' () =
-            let m = design () in
-            cell := Some m;
-            m
-          in
-          let stim' =
-            match stimulus with
-            | None -> None
-            | Some mk ->
-              let bound = ref None in
-              Some
-                (fun sim c ->
-                  let f =
-                    match !bound with
-                    | Some f -> f
-                    | None ->
-                      let f =
-                        match !cell with
-                        | Some m ->
-                          mk
-                            ~pins:[ (iuv_pc, instr) ]
-                            ~rotate:[ (pc_t, tx_candidates) ]
-                            m
-                        | None -> fun _ _ -> ()
-                      in
-                      bound := Some f;
-                      f
-                  in
-                  f sim c)
-          in
-          Flow.analyze ?cache ?config ?stimulus:stim' ?semantic_cache ~precise
-            ~prune ~design:design' ~transponder:instr
-            ~decisions:multi_decisions ~transmitters ~kind ~operand ~iuv_pc ())
-        pairs
-    in
-    let tagged = List.concat_map (fun a -> a.Flow.tagged) all in
-    let flow_props =
-      List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_props) 0 all
-    in
-    let flow_undet =
-      List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_undetermined) 0 all
-    in
-    let flow_pruned =
-      List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_pruned_static) 0 all
-    in
-    let flow_pruned_ai =
-      List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_pruned_absint) 0 all
-    in
-    let grid = static_leakage_grid ~precise design in
-    assert_inside_grid ~grid tagged;
-    {
-      instr;
-      synth;
-      tagged;
-      signatures = signatures_of_tagged instr synth.Mupath.Synth.decisions tagged;
-      flow_props;
-      flow_undetermined = flow_undet;
-      flow_pruned_static = flow_pruned;
-      flow_pruned_absint = flow_pruned_ai;
-      static_flow_live = grid;
-      flow_time = Obs.seconds_since t0;
-    }
-  end
-
-let run ?cache ?config ?synth_config ?semantic_cache ?dump_cnf
-    ?(precise = true) ?(prune = `On) ?(stimulus : stimulus_builder option)
-    ?(exclude_sources = []) ?(jobs = 1) ?pool ~(design : unit -> Meta.t)
-    ~(instructions : Isa.t list) ~(transmitters : Isa.opcode list)
-    ~(kinds : Types.transmitter_kind list) ~(revisit_count_labels : string list)
-    ~iuv_pc () =
-  let t0 = Obs.now_ns () in
   let design_name = (design ()).Meta.design_name in
+  let synth_config = Option.value synth_config ~default:config in
   (* Per-task configs carry a seed derived from (base seed, task index) —
      a pure function of the input position, so any jobs count (including 1)
      produces bit-identical reports.  Each task builds its own design and
      checker; nothing is shared across domains. *)
-  let reseed index c =
-    let c = Option.value c ~default:Mc.Checker.default_config in
-    Some { c with Mc.Checker.seed = Pool.derive_seed ~base:c.Mc.Checker.seed ~index }
+  let reseed index (c : Mc.Checker.config) =
+    { c with Mc.Checker.seed = Pool.derive_seed ~base:c.Mc.Checker.seed ~index }
   in
   (* Each task writes verdicts into its own staged view of the shared
      store, created up front in the calling domain; the join merges them
@@ -294,43 +165,116 @@ let run ?cache ?config ?synth_config ?semantic_cache ?dump_cnf
   let task_caches =
     List.map (fun _ -> Option.map Vcache.stage cache) instructions
   in
-  let cache_of index = List.nth task_caches index in
-  let n_instrs = List.length instructions in
+  let pairs =
+    List.concat_map
+      (fun kind -> List.map (fun op -> (kind, op)) [ Types.Rs1; Types.Rs2 ])
+      kinds
+  in
+  (* Transmitter candidates rotated through the transmitter slot by the
+     simulation pre-pass: two register-field shapes per opcode. *)
+  let tx_candidates =
+    List.concat_map
+      (fun o ->
+        [ Isa.make ~rd:1 ~rs1:2 ~rs2:3 o; Isa.make ~rd:3 ~rs1:1 ~rs2:2 ~imm:4 o ])
+      transmitters
+  in
   let analyze index instr =
+    let cache = List.nth task_caches index in
     let config = reseed index config in
-    let synth_config = reseed index synth_config in
-    (* With several instructions, suffix the dump path per task so the
-       files don't clobber each other. *)
-    let dump_cnf =
-      match dump_cnf with
-      | Some path when n_instrs > 1 -> Some (path ^ "." ^ string_of_int index)
-      | d -> d
-    in
+    let pins = [ (iuv_pc, instr) ] in
     let go () =
-      analyze_transponder ?cache:(cache_of index) ?config ?synth_config
-        ?semantic_cache ?dump_cnf ~precise ~prune ?stimulus
-        ~exclude_sources ~design ~instr ~transmitters ~kinds
-        ~revisit_count_labels ~iuv_pc ()
+      let t0 = Obs.now_ns () in
+      (* Stage 1: µPATH synthesis on a fresh design instance. *)
+      let meta = design () in
+      let synth =
+        Mupath.Synth.run ?cache ~config:(reseed index synth_config)
+          ?stimulus:(Option.map (fun f -> f ~pins ~rotate:[] meta) stimulus)
+          ?semantic_cache ~static_prune:(prune = `On) ~absint:prune
+          ~revisit_count_labels ~meta ~iuv:instr ~iuv_pc ()
+      in
+      (* Candidate transponders have µPATH variability (§V-C): more than one
+         µPATH, or any decision source with several destinations. *)
+      let variable =
+        List.length synth.Mupath.Synth.paths > 1
+        || List.exists (fun (_, ds) -> List.length ds > 1) synth.Mupath.Synth.decisions
+      in
+      let multi_decisions =
+        List.filter
+          (fun (src, ds) ->
+            List.length ds > 1 && not (List.mem src exclude_sources))
+          synth.Mupath.Synth.decisions
+      in
+      if not variable || multi_decisions = [] then
+        {
+          instr;
+          synth;
+          tagged = [];
+          signatures = [];
+          flow_props = 0;
+          flow_undetermined = 0;
+          flow_pruned_static = 0;
+          flow_pruned_absint = 0;
+          static_flow_live = [];
+          flow_time = Obs.seconds_since t0;
+        }
+      else begin
+        (* Stage 2: symbolic IFT per (kind, operand); Flow binds the
+           stimulus to the fresh design instance it builds. *)
+        let all =
+          List.map
+            (fun (kind, operand) ->
+              let rotate =
+                [ (Flow.transmitter_pc ~iuv_pc kind, tx_candidates) ]
+              in
+              Flow.analyze ?cache ~config
+                ?stimulus:(Option.map (fun f -> f ~pins ~rotate) stimulus)
+                ?semantic_cache ~precise ~prune ~design ~transponder:instr
+                ~decisions:multi_decisions ~transmitters ~kind ~operand
+                ~iuv_pc ())
+            pairs
+        in
+        let tagged = List.concat_map (fun a -> a.Flow.tagged) all in
+        let flow_props =
+          List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_props) 0 all
+        in
+        let flow_undet =
+          List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_undetermined) 0 all
+        in
+        let flow_pruned =
+          List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_pruned_static) 0 all
+        in
+        let flow_pruned_ai =
+          List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_pruned_absint) 0 all
+        in
+        let grid = static_leakage_grid ~precise design in
+        assert_inside_grid ~grid tagged;
+        {
+          instr;
+          synth;
+          tagged;
+          signatures = signatures_of_tagged instr synth.Mupath.Synth.decisions tagged;
+          flow_props;
+          flow_undetermined = flow_undet;
+          flow_pruned_static = flow_pruned;
+          flow_pruned_absint = flow_pruned_ai;
+          static_flow_live = grid;
+          flow_time = Obs.seconds_since t0;
+        }
+      end
     in
     if Obs.enabled () then
       (* Ambient task/seed attribution: every span recorded inside this
          task (checker, cache, synth stages) carries them. *)
-      let seed =
-        match config with Some c -> c.Mc.Checker.seed | None -> 0
-      in
       Obs.with_ctx
-        [ ("task", string_of_int index); ("seed", string_of_int seed) ]
+        [ ("task", string_of_int index); ("seed", string_of_int config.Mc.Checker.seed) ]
         (fun () ->
           Obs.with_span "engine.task" ~args:[ ("instr", Isa.to_string instr) ] go)
     else go ()
   in
-  let jobs = match pool with Some p -> Pool.jobs p | None -> max 1 jobs in
+  let jobs = max 1 jobs in
   let dispatch () =
-    match pool with
-    | Some p -> Pool.mapi p ~f:analyze instructions
-    | None ->
-      if jobs = 1 then List.mapi analyze instructions
-      else Pool.with_pool ~jobs (fun p -> Pool.mapi p ~f:analyze instructions)
+    if jobs = 1 then List.mapi analyze instructions
+    else Pool.with_pool ~jobs (fun p -> Pool.mapi p ~f:analyze instructions)
   in
   let transponders =
     if Obs.enabled () then

@@ -86,13 +86,11 @@ val run :
   ?config:Mc.Checker.config ->
   ?synth_config:Mc.Checker.config ->
   ?semantic_cache:bool ->
-  ?dump_cnf:string ->
   ?precise:bool ->
   ?prune:Mupath.Prune.mode ->
   ?stimulus:stimulus_builder ->
   ?exclude_sources:string list ->
   ?jobs:int ->
-  ?pool:Pool.t ->
   design:(unit -> Designs.Meta.t) ->
   instructions:Isa.t list ->
   transmitters:Isa.opcode list ->
@@ -104,19 +102,24 @@ val run :
 (** SynthLC over [instructions]: µPATH synthesis per instruction, then the
     IFT stage for every candidate transponder.
 
+    [config] (default {!Mc.Checker.default_config}) configures the IFT
+    stage's checkers, [synth_config] (default [config]) the µPATH
+    synthesis stage's.
+
+    [stimulus] drives each stage's simulation pre-pass.  The synthesis
+    stage pins the IUV slot and applies it to its own design instance;
+    each IFT query also rotates the transmitter candidates through its
+    transmitter slot, and {!Flow.analyze} applies it to the design
+    instance it builds.
+
     [exclude_sources] skips the listed decision-source PLs during the IFT
     stage — a cost-control knob, not a semantic one.
 
-    [dump_cnf] writes the synthesis checker's BMC unrolling to the given
-    path as DIMACS CNF at the end of each task (per-instruction runs
-    suffix the path with the task index) — offline debugging only, no
-    semantic effect.
-
     [jobs] fans the instructions out across that many domains (one fresh
-    design + checker per instruction); [pool] reuses an existing
-    {!Pool.t} instead (taking its job count).  Every task's checker seed is
-    derived deterministically from [(config.seed, task index)], so the
-    report is bit-identical for every [jobs] value, including 1.
+    design + checker per instruction) on a pool created for the run.
+    Every task's checker seed is derived deterministically from
+    [(config.seed, task index)], so the report is bit-identical for every
+    [jobs] value, including 1.
 
     [cache] attaches a persistent verdict store shared by every
     per-instruction synthesis and IFT stage.  Each task works against its

@@ -29,13 +29,14 @@ let transmitter_pc ~iuv_pc = function
   | Types.Dynamic_younger -> iuv_pc + 1
   | Types.Static -> iuv_pc - 2
 
-let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
-    ?(precise = true) ?(prune = `On)
-    ~(design : unit -> Meta.t)
-    ~(transponder : Isa.t)
+let analyze ?cache ?config ?stimulus ?semantic_cache ?(precise = true)
+    ?(prune = `On) ~(design : unit -> Meta.t) ~(transponder : Isa.t)
     ~(decisions : (string * string list list) list)
     ~(transmitters : Isa.opcode list) ~(kind : Types.transmitter_kind)
     ~(operand : Types.operand) ~iuv_pc () =
+  Obs.with_span "flow.analyze"
+    ~args:[ ("transponder", Isa.to_string transponder) ]
+  @@ fun () ->
   let meta = design () in
   let nl = meta.Meta.nl in
   let module D = Hdl.Dsl.Make (struct
@@ -191,13 +192,11 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
   (* Imprecise IFT changes what every cover means even if the instrumented
      netlist digest were to collide, so fold the mode into the verdict-cache
      namespace explicitly. *)
-  let cache_salt =
-    if precise then cache_salt
-    else Some (Option.value cache_salt ~default:"" ^ "|ift:imprecise")
-  in
+  let cache_salt = if precise then None else Some "|ift:imprecise" in
   let h =
-    Mupath.Harness.create ?cache ?cache_salt ?config ?stimulus ?semantic_cache
-      ~meta ~iuv:transponder ~iuv_pc ()
+    Mupath.Harness.create ?cache ?cache_salt ?config
+      ?stimulus:(Option.map (fun f -> f meta) stimulus)
+      ?semantic_cache ~meta ~iuv:transponder ~iuv_pc ()
   in
   let chk = Mupath.Harness.checker h in
 
@@ -293,17 +292,3 @@ let analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache
         q_pruned_absint;
       };
   }
-
-let analyze ?cache ?cache_salt ?config ?stimulus ?semantic_cache ?precise
-    ?prune ~design ~transponder ~decisions ~transmitters ~kind ~operand
-    ~iuv_pc () =
-  let go () =
-    analyze_inner ?cache ?cache_salt ?config ?stimulus ?semantic_cache ?precise
-      ?prune ~design ~transponder ~decisions ~transmitters ~kind ~operand
-      ~iuv_pc ()
-  in
-  if Obs.enabled () then
-    Obs.with_span "flow.analyze"
-      ~args:[ ("transponder", Isa.to_string transponder) ]
-      go
-  else go ()

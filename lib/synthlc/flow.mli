@@ -33,9 +33,8 @@ val transmitter_pc : iuv_pc:int -> Types.transmitter_kind -> int
 
 val analyze :
   ?cache:Vcache.t ->
-  ?cache_salt:string ->
   ?config:Mc.Checker.config ->
-  ?stimulus:(Sim.t -> int -> unit) ->
+  ?stimulus:(Designs.Meta.t -> Sim.t -> int -> unit) ->
   ?semantic_cache:bool ->
   ?precise:bool ->
   ?prune:Mupath.Prune.mode ->
@@ -61,4 +60,7 @@ val analyze :
     Their dead covers never enter the main checker stream; under [`Audit]
     they are re-checked after it (taint cone first) and a [Reachable]
     verdict raises [Failure].  [design] must build a fresh metadata
-    instance per call. *)
+    instance per call; [stimulus] is applied to that instance once it is
+    instrumented, so it may look its signals up by name.  Imprecise runs
+    pass the salt ["|ift:imprecise"] to {!Mupath.Harness.create}, so the
+    two precisions never share cached verdicts. *)

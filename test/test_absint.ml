@@ -292,8 +292,7 @@ let gated_config =
 
 let run_gated prune =
   let design () = Designs.Gated.build () in
-  Synthlc.Engine.run ~config:gated_config ~synth_config:gated_config ~prune
-    ~design ~jobs:1
+  Synthlc.Engine.run ~config:gated_config ~prune ~design ~jobs:1
     ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD ]
     ~transmitters:[ Isa.ADD ]
     ~kinds:[ Synthlc.Types.Intrinsic ]
@@ -337,7 +336,7 @@ let test_known_bits_encoding_digest_identical () =
   let run kb =
     let design () = Designs.Gated.build () in
     let config = { gated_config with Mc.Checker.known_bits = kb } in
-    Synthlc.Engine.run ~config ~synth_config:config ~design ~jobs:1
+    Synthlc.Engine.run ~config ~design ~jobs:1
       ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD ]
       ~transmitters:[ Isa.ADD ]
       ~kinds:[ Synthlc.Types.Intrinsic ]
@@ -356,9 +355,8 @@ let test_absint_noop_on_ibex () =
   let run prune =
     let design () = Designs.Ibex.build () in
     let stimulus ~pins ~rotate meta = Designs.Stimulus.ibex ~pins ~rotate meta in
-    Synthlc.Engine.run ~config:Test_parallel.light_config
-      ~synth_config:Test_parallel.light_config ~prune ~stimulus ~design
-      ~jobs:1
+    Synthlc.Engine.run ~config:Test_parallel.light_config ~prune ~stimulus
+      ~design ~jobs:1
       ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
       ~transmitters:[ Isa.DIV ]
       ~kinds:[ Synthlc.Types.Intrinsic ]

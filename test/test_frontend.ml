@@ -59,12 +59,18 @@ let test_golden_example () =
     (List.length builtin.Designs.Meta.arf)
     (List.length meta.Designs.Meta.arf)
 
-(* The CLI's [report digest:] line for [args]. *)
-let cli_report_digest args =
+(* The CLI's exit code and combined output for [args]. *)
+let run_cli args =
   let out = Filename.temp_file "synthlc_cli" ".txt" in
   let code = Sys.command (Printf.sprintf "%s %s > %s 2>&1" cli args out) in
-  let lines = In_channel.with_open_text out In_channel.input_lines in
+  let text = In_channel.with_open_text out In_channel.input_all in
   Sys.remove out;
+  (code, text)
+
+(* The CLI's [report digest:] line for [args]. *)
+let cli_report_digest args =
+  let code, text = run_cli args in
+  let lines = String.split_on_char '\n' text in
   Alcotest.(check int) (args ^ " exits 0") 0 code;
   let prefix = "report digest: " in
   let n = String.length prefix in
@@ -272,6 +278,24 @@ let test_cli_unknown_design_agreement () =
       "lint no_such_design";
     ]
 
+(* A misspelt transmitter mnemonic or revisit-count label fails before
+   any synthesis runs and names the offender, instead of reading as "no
+   leakage" or surfacing as an uncaught harness exception. *)
+let test_cli_unknown_names () =
+  let code, text =
+    run_cli "synthlc -d ibex_lite -i 'div r1, r2, r3' -t dvi,add"
+  in
+  Alcotest.(check int) "synthlc -t with an unknown mnemonic exits 124" 124 code;
+  Alcotest.(check bool) "the usage error names the mnemonic" true
+    (Test_formats.contains text "\"dvi\"");
+  let code, text =
+    run_cli "mupath -d gated -i 'add r1, r2, r3' --counts bogus"
+  in
+  Alcotest.(check int) "mupath --counts with an unknown label exits 2" 2 code;
+  Alcotest.(check bool) "the error names the label and the design's labels"
+    true
+    (Test_formats.contains text "bogus" && Test_formats.contains text "A, B, G1")
+
 let test_cli_import_contract () =
   Alcotest.(check int) "import of the committed example exits 0" 0
     (exit_of (Printf.sprintf "%s import %s --meta %s" cli example_json example_meta));
@@ -311,4 +335,6 @@ let suite =
         test_cli_unknown_design_agreement;
       Alcotest.test_case "import CLI exit contract" `Quick
         test_cli_import_contract;
+      Alcotest.test_case "unknown -t mnemonic and --counts label rejected"
+        `Quick test_cli_unknown_names;
     ] )

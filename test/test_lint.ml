@@ -286,9 +286,8 @@ let test_prune_discharge () =
 let run_ibex_engine ~prune () =
   let design () = Designs.Ibex.build () in
   let stimulus ~pins ~rotate meta = Designs.Stimulus.ibex ~pins ~rotate meta in
-  Synthlc.Engine.run ~config:Test_parallel.light_config
-    ~synth_config:Test_parallel.light_config ~prune ~stimulus ~design
-    ~jobs:1
+  Synthlc.Engine.run ~config:Test_parallel.light_config ~prune ~stimulus
+    ~design ~jobs:1
     ~instructions:
       [ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD; Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
     ~transmitters:[ Isa.DIV; Isa.ADD ]

@@ -233,8 +233,7 @@ let test_ibex_grid () =
 let run_ibex ?(precise = true) prune =
   let design () = Designs.Ibex.build () in
   let stimulus ~pins ~rotate meta = Designs.Stimulus.ibex ~pins ~rotate meta in
-  Synthlc.Engine.run ~config:Test_parallel.light_config
-    ~synth_config:Test_parallel.light_config ~precise ~prune
+  Synthlc.Engine.run ~config:Test_parallel.light_config ~precise ~prune
     ~stimulus ~design ~jobs:1
     ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
     ~transmitters:[ Isa.DIV ]

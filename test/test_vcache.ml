@@ -231,8 +231,8 @@ let test_stats_merge_edges () =
 let run_engine ?cache () =
   let design () = Designs.Ibex.build () in
   let stimulus ~pins ~rotate meta = Designs.Stimulus.ibex ~pins ~rotate meta in
-  Synthlc.Engine.run ?cache ~config:Test_parallel.light_config
-    ~synth_config:Test_parallel.light_config ~stimulus ~design ~jobs:1
+  Synthlc.Engine.run ?cache ~config:Test_parallel.light_config ~stimulus
+    ~design ~jobs:1
     ~instructions:
       [ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD; Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
     ~transmitters:[ Isa.DIV; Isa.ADD ]
