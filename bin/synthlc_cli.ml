@@ -344,15 +344,22 @@ let stimulus_of src =
 
 let sim_cmd =
   let run dname program_file cycles =
-    let meta = build_design dname in
-    if is_cache dname then failwith "sim drives processor cores; use the cache tests for the cache DUV";
-    if dname = "gated" then failwith "sim drives processor cores; the gated demo DUV has no program input";
-    let src =
+    let fail msg =
+      Printf.eprintf "sim: %s\n" msg;
+      exit 2
+    in
+    let src = resolve_design ~cmd:"sim" dname in
+    (match stim_kind_of src with
+    | `Cache -> fail "sim drives processor cores; use the cache tests for the cache DUV"
+    | `None -> fail "sim drives processor cores; the gated demo DUV has no program input"
+    | `Core | `Ibex -> ());
+    let meta = builder_of ~cmd:"sim" src () in
+    let asm =
       if program_file = "-" then In_channel.input_all In_channel.stdin
       else In_channel.with_open_text program_file In_channel.input_all
     in
     let program =
-      match Isa.assemble src with Ok p -> Array.of_list p | Error e -> failwith e
+      match Isa.assemble asm with Ok p -> Array.of_list p | Error e -> fail e
     in
     let nl = meta.Designs.Meta.nl in
     let sget n = Option.get (Hdl.Netlist.find_named nl n) in

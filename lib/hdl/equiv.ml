@@ -21,52 +21,13 @@ type stats = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Concrete evaluation.  [eval_step] evaluates combinational logic in
-   topological order; inputs and registers must be pre-populated in
-   [values] by the caller (free sources for sweeping, sequential state
-   for the canonical stimulus). *)
-
-let eval_step nl order values =
-  let open Netlist in
-  Array.iter
-    (fun id ->
-      match (node nl id).kind with
-      | Input | Reg _ -> ()
-      | Const v -> values.(id) <- v
-      | Wire { driver = Some d } -> values.(id) <- values.(d)
-      | Wire { driver = None } -> assert false
-      | Not a -> values.(id) <- Bitvec.lognot values.(a)
-      | Op2 (op, a, b) ->
-        let va = values.(a) and vb = values.(b) in
-        values.(id) <-
-          (match op with
-          | And -> Bitvec.logand va vb
-          | Or -> Bitvec.logor va vb
-          | Xor -> Bitvec.logxor va vb
-          | Add -> Bitvec.add va vb
-          | Sub -> Bitvec.sub va vb
-          | Mul -> Bitvec.mul va vb
-          | Eq -> Bitvec.of_bool (Bitvec.equal va vb)
-          | Ult -> Bitvec.of_bool (Bitvec.ult va vb)
-          | Slt -> Bitvec.of_bool (Bitvec.slt va vb))
-      | Mux { sel; on_true; on_false } ->
-        values.(id) <-
-          (if Bitvec.is_zero values.(sel) then values.(on_false)
-           else values.(on_true))
-      | Extract { hi; lo; arg } -> values.(id) <- Bitvec.extract values.(arg) ~hi ~lo
-      | Concat parts ->
-        let v =
-          List.fold_left
-            (fun acc p ->
-              match acc with
-              | None -> Some values.(p)
-              | Some hi -> Some (Bitvec.concat hi values.(p)))
-            None parts
-        in
-        values.(id) <- Option.get v
-      | ReduceOr a -> values.(id) <- Bitvec.of_bool (not (Bitvec.is_zero values.(a)))
-      | ReduceAnd a -> values.(id) <- Bitvec.of_bool (Bitvec.is_ones values.(a)))
-    order
+(* Concrete evaluation: settle the combinational logic in topological
+   order with the shared node semantics; inputs and registers must be
+   pre-populated in [values] by the caller (free sources for sweeping,
+   sequential state for the canonical stimulus). *)
+let settle nl order values =
+  let value s = values.(s) in
+  Array.iter (fun id -> values.(id) <- Netlist.eval_node nl value id) order
 
 (* ------------------------------------------------------------------ *)
 (* Depth-0 CNF encoding of the combinational logic, directly on the SAT
@@ -345,7 +306,7 @@ let analyze_internal ?(patterns = 64) ?(max_conflicts = 10_000) ?(barriers = [])
   let values = Array.make n (Bitvec.zero 1) in
   let run_pattern fill =
     List.iter (fun s -> values.(s) <- fill s) sources;
-    eval_step nl order values;
+    settle nl order values;
     for id = 0 to n - 1 do
       Buffer.add_string bufs.(id) (Bitvec.to_hex_string values.(id));
       Buffer.add_char bufs.(id) ';';
@@ -802,7 +763,7 @@ let signatures ?(episodes = 4) ?(cycles = 24) nl =
       List.iter
         (fun (i, st) -> values.(i) <- Bitvec.random st (Netlist.width nl i))
         rngs;
-      eval_step nl order values;
+      settle nl order values;
       for id = 0 to n - 1 do
         Buffer.add_string bufs.(id) (Bitvec.to_hex_string values.(id));
         Buffer.add_char bufs.(id) ';'

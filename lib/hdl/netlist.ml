@@ -250,6 +250,38 @@ let comb_fanin t s =
   | Extract { arg; _ } -> [ arg ]
   | Concat parts -> parts
 
+(* The word-level meaning of one node, given its operands' values; a source
+   (input or register) reads its own value.  This is the one reference
+   semantics: the simulator's wide path, Equiv's pattern simulation and the
+   simulator's differential test all evaluate through it. *)
+let eval_node t value s =
+  match (node t s).kind with
+  | Input | Reg _ -> value s
+  | Wire { driver = None } -> invalid_arg "Netlist.eval_node: unconnected wire"
+  | Const v -> v
+  | Wire { driver = Some d } -> value d
+  | Not a -> Bitvec.lognot (value a)
+  | Op2 (op, a, b) -> (
+    let va = value a and vb = value b in
+    match op with
+    | And -> Bitvec.logand va vb
+    | Or -> Bitvec.logor va vb
+    | Xor -> Bitvec.logxor va vb
+    | Add -> Bitvec.add va vb
+    | Sub -> Bitvec.sub va vb
+    | Mul -> Bitvec.mul va vb
+    | Eq -> Bitvec.of_bool (Bitvec.equal va vb)
+    | Ult -> Bitvec.of_bool (Bitvec.ult va vb)
+    | Slt -> Bitvec.of_bool (Bitvec.slt va vb))
+  | Mux { sel; on_true; on_false } ->
+    if Bitvec.is_zero (value sel) then value on_false else value on_true
+  | Extract { hi; lo; arg } -> Bitvec.extract (value arg) ~hi ~lo
+  | Concat [] -> invalid_arg "Netlist.eval_node: empty concat"
+  | Concat (p :: rest) ->
+    List.fold_left (fun hi q -> Bitvec.concat hi (value q)) (value p) rest
+  | ReduceOr a -> Bitvec.of_bool (not (Bitvec.is_zero (value a)))
+  | ReduceAnd a -> Bitvec.of_bool (Bitvec.is_ones (value a))
+
 (* Nontrivial strongly connected components of the combinational dependency
    graph (node -> comb_fanin): every combinational cycle lies inside one, and
    a component is nontrivial when it has more than one node or a self-edge.

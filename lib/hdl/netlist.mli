@@ -112,6 +112,14 @@ val comb_fanin : t -> signal -> signal list
 (** Direct combinational inputs of a node (registers and inputs have none —
     they are sequential/primary sources). *)
 
+val eval_node : t -> (signal -> Bitvec.t) -> signal -> Bitvec.t
+(** [eval_node t value s] is the value of node [s] in a cycle where each
+    operand [o] has value [value o]: the word-level semantics of every
+    [kind], and the reference the simulator is tested against.  A source
+    ([Input] or [Reg]) has no operands and reads [value s], the value its
+    environment gave it.  Raises [Invalid_argument] on an unconnected
+    [Wire]. *)
+
 val comb_cone : t -> signal list -> (signal, unit) Hashtbl.t
 (** Transitive combinational fan-in of the given signals, stopping at
     registers and inputs (which are included in the cone as sources).

@@ -190,6 +190,10 @@ type t = {
   assumes : Netlist.signal list;
   assume_initial : Netlist.signal list;
   stimulus : (Sim.t -> int -> unit) option;
+  sim : Sim.t Lazy.t;
+      (* The pre-pass's one simulator, reset per episode; compiled on the
+         first episode, so a run whose covers all hit the cache never
+         compiles it. *)
   eng : engine;  (* swept when config.sweep is on/audit *)
   shadow : engine option;  (* unswept cross-check engine (audit mode) *)
   stats : Stats.t;
@@ -317,6 +321,7 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
     assumes;
     assume_initial;
     stimulus;
+    sim = lazy (Sim.create nl);
     eng;
     shadow;
     stats = Stats.create ();
@@ -362,7 +367,8 @@ let cover_holds sim cover =
    traces can witness.  Always runs on the original netlist — the pre-pass
    is identical whatever the sweep mode. *)
 let sim_episode t cover seed =
-  let sim = Sim.create ~seed t.nl in
+  let sim = Lazy.force t.sim in
+  Sim.reset ~seed sim;
   let rows = ref [] in
   let ok = ref true in
   let hit = ref None in

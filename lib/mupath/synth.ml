@@ -247,8 +247,8 @@ let run ?cache ?config ?stimulus ?(semantic_cache = false)
   (* Simulation pre-pass: harvest completed executions.                   *)
   (* ------------------------------------------------------------------ *)
   let episode_assumes = Harness.assumes h in
-  let run_episode seed =
-    let sim = Sim.create ~seed nl in
+  let run_episode sim seed =
+    Sim.reset ~seed sim;
     let gone_cycle = ref None in
     let occ_any_seen = ref SS.empty in
     let occ_iuv_seen = ref SS.empty in
@@ -326,7 +326,8 @@ let run ?cache ?config ?stimulus ?(semantic_cache = false)
   in
   let episodes =
     let go () =
-      List.filter_map (fun i -> run_episode (0x9e3779b lxor (i * 2654435761))) (List.init presim_episodes (fun i -> i))
+      let sim = Sim.create nl in
+      List.filter_map (fun i -> run_episode sim (0x9e3779b lxor (i * 2654435761))) (List.init presim_episodes (fun i -> i))
     in
     if Obs.enabled () then
       Obs.with_span "synth.presim"

@@ -1,124 +1,259 @@
 module Netlist = Hdl.Netlist
 
+(* Values at most this wide live unboxed in an [int array]; wider ones keep
+   their [Bitvec.t]. *)
+let narrow_bits = 62
+
+(* One instruction per non-input node, in [Netlist.comb_order].  Operands
+   [x], [y], [z] are node ids or constants, as noted per opcode; results
+   that can leave the node's width are masked with [z]. *)
+type opcode =
+  | Const  (* [x] is the value *)
+  | Reg  (* the register's state *)
+  | Copy  (* [x] *)
+  | Not  (* [lnot x], masked *)
+  | And
+  | Or
+  | Xor  (* [x], [y] *)
+  | Add
+  | Sub
+  | Mul  (* [x], [y], masked *)
+  | Eq
+  | Ult  (* [x], [y] *)
+  | Slt  (* [x], [y], each sign-extended by shifting [z] places *)
+  | Mux  (* [x] selects [y] (non-zero) or [z] *)
+  | Extract  (* [x lsr y], masked *)
+  | Concat  (* [cat.(x) .. cat.(y - 1)]: (signal, width) pairs, MSB first *)
+  | Reduce_or  (* [x] *)
+  | Reduce_and  (* [x] equals [z], its all-ones value *)
+  | Wide_reg  (* the state of a register wider than [narrow_bits] *)
+  | Wide
+      (* a wide node, or one reading a wide operand: [Netlist.eval_node]
+          on [Bitvec.t] values *)
+
 type t = {
   nl : Netlist.t;
-  order : Netlist.signal array;
-  values : Bitvec.t array; (* current combinational values by node id *)
-  reg_state : Bitvec.t array; (* register values by node id (others unused) *)
-  rng : Random.State.t;
+  width : int array;
+  op : opcode array;
+  dst : int array;
+  x : int array;
+  y : int array;
+  z : int array;
+  cat : int array;
+  regs : int array;  (* clocked registers, with their next and enable (-1: none) *)
+  reg_next : int array;
+  reg_en : int array;
+  sym_regs : int array;  (* symbolic-init registers, in id order *)
+  inputs : int array;  (* in [Netlist.inputs] order *)
+  reg_init : int array;  (* narrow register init values by id (0 elsewhere) *)
+  wide_zero : Bitvec.t array;  (* zero of each node's width; [||] if none is wide *)
+  wide_init : Bitvec.t array;  (* [wide_zero] with wide register init values *)
+  v : int array;  (* narrow node values by id *)
+  r : int array;  (* narrow register state by id *)
+  wv : Bitvec.t array;  (* wide node values by id; [||] if none is wide *)
+  wr : Bitvec.t array;  (* wide register state by id *)
+  mutable rng : Random.State.t;
   mutable cycle_count : int;
 }
 
 let netlist s = s.nl
+let is_wide s sig_ = s.width.(sig_) > narrow_bits
+let mask w = (1 lsl w) - 1
 
-let reg_init s id =
-  match (Netlist.node s.nl id).Netlist.kind with
-  | Netlist.Reg { init = Netlist.Init_value v; _ } -> v
-  | Netlist.Reg { init = Netlist.Init_symbolic; _ } ->
-    Bitvec.random s.rng (Netlist.width s.nl id)
-  | _ -> assert false
-
-let reset s =
-  s.cycle_count <- 0;
-  Netlist.iter_nodes s.nl (fun n ->
-      match n.Netlist.kind with
-      | Netlist.Reg _ -> s.reg_state.(n.Netlist.id) <- reg_init s n.Netlist.id
-      | Netlist.Input -> s.values.(n.Netlist.id) <- Bitvec.zero n.Netlist.width
+let compile nl =
+  let n = Netlist.num_nodes nl in
+  let width = Array.init n (Netlist.width nl) in
+  let wide s = width.(s) > narrow_bits in
+  let order = Netlist.comb_order nl in
+  let len = Array.length order in
+  let op = Array.make len Const and dst = Array.make len 0 in
+  let x = Array.make len 0 and y = Array.make len 0 and z = Array.make len 0 in
+  let count = ref 0 in
+  let emit o d a b c =
+    let i = !count in
+    op.(i) <- o;
+    dst.(i) <- d;
+    x.(i) <- a;
+    y.(i) <- b;
+    z.(i) <- c;
+    count := i + 1
+  in
+  let cat = ref [] and ncat = ref 0 in
+  Array.iter
+    (fun id ->
+      let w = width.(id) in
+      match (Netlist.node nl id).Netlist.kind with
+      | Netlist.Input -> ()
+      | Netlist.Reg _ -> emit (if wide id then Wide_reg else Reg) id 0 0 0
+      | _ when wide id || List.exists wide (Netlist.comb_fanin nl id) ->
+        emit Wide id 0 0 0
+      | Netlist.Const c -> emit Const id (Bitvec.to_int c) 0 0
+      | Netlist.Wire { driver = Some d } -> emit Copy id d 0 0
+      | Netlist.Wire { driver = None } -> assert false (* validated *)
+      | Netlist.Not a -> emit Not id a 0 (mask w)
+      | Netlist.Op2 (o, a, b) -> (
+        match o with
+        | Netlist.And -> emit And id a b 0
+        | Netlist.Or -> emit Or id a b 0
+        | Netlist.Xor -> emit Xor id a b 0
+        | Netlist.Add -> emit Add id a b (mask w)
+        | Netlist.Sub -> emit Sub id a b (mask w)
+        | Netlist.Mul -> emit Mul id a b (mask w)
+        | Netlist.Eq -> emit Eq id a b 0
+        | Netlist.Ult -> emit Ult id a b 0
+        | Netlist.Slt -> emit Slt id a b (Sys.int_size - width.(a)))
+      | Netlist.Mux { sel; on_true; on_false } -> emit Mux id sel on_true on_false
+      | Netlist.Extract { hi; lo; arg } -> emit Extract id arg lo (mask (hi - lo + 1))
+      | Netlist.Concat parts ->
+        let start = !ncat in
+        List.iter
+          (fun p ->
+            cat := width.(p) :: p :: !cat;
+            ncat := !ncat + 2)
+          parts;
+        emit Concat id start !ncat 0
+      | Netlist.ReduceOr a -> emit Reduce_or id a 0 0
+      | Netlist.ReduceAnd a -> emit Reduce_and id a 0 (mask width.(a)))
+    order;
+  let prog a = Array.sub a 0 !count in
+  let regs = ref [] and sym_regs = ref [] in
+  let reg_init = Array.make n 0 in
+  let wide_zero =
+    if Array.exists (fun w -> w > narrow_bits) width then
+      let zero1 = Bitvec.zero 1 in
+      Array.map (fun w -> if w > narrow_bits then Bitvec.zero w else zero1) width
+    else [||]
+  in
+  let wide_init = Array.copy wide_zero in
+  List.iter
+    (fun r ->
+      match (Netlist.node nl r).Netlist.kind with
+      | Netlist.Reg { init; next; enable } ->
+        Option.iter
+          (fun nx -> regs := (r, nx, Option.value enable ~default:(-1)) :: !regs)
+          next;
+        (match init with
+        | Netlist.Init_value c ->
+          if wide r then wide_init.(r) <- c else reg_init.(r) <- Bitvec.to_int c
+        | Netlist.Init_symbolic -> sym_regs := r :: !sym_regs)
       | _ -> ())
+    (Netlist.registers nl);
+  let regs = Array.of_list (List.rev !regs) in
+  {
+    nl;
+    width;
+    op = prog op;
+    dst = prog dst;
+    x = prog x;
+    y = prog y;
+    z = prog z;
+    cat = Array.of_list (List.rev !cat);
+    regs = Array.map (fun (r, _, _) -> r) regs;
+    reg_next = Array.map (fun (_, nx, _) -> nx) regs;
+    reg_en = Array.map (fun (_, _, en) -> en) regs;
+    sym_regs = Array.of_list (List.rev !sym_regs);
+    inputs = Array.of_list (Netlist.inputs nl);
+    reg_init;
+    wide_zero;
+    wide_init;
+    v = Array.make n 0;
+    r = Array.make n 0;
+    wv = Array.copy wide_zero;
+    wr = Array.copy wide_zero;
+    rng = Random.State.make [| 0; 0x5eed |];
+    cycle_count = 0;
+  }
+
+(* Store a drawn or poked value in the narrow or wide array. *)
+let set s values wide_values sig_ bv =
+  if is_wide s sig_ then wide_values.(sig_) <- bv else values.(sig_) <- Bitvec.to_int bv
+
+let reset ?seed s =
+  Option.iter (fun seed -> s.rng <- Random.State.make [| seed; 0x5eed |]) seed;
+  s.cycle_count <- 0;
+  Array.fill s.v 0 (Array.length s.v) 0;
+  Array.blit s.reg_init 0 s.r 0 (Array.length s.r);
+  Array.blit s.wide_zero 0 s.wv 0 (Array.length s.wv);
+  Array.blit s.wide_init 0 s.wr 0 (Array.length s.wr);
+  Array.iter
+    (fun r -> set s s.r s.wr r (Bitvec.random s.rng s.width.(r)))
+    s.sym_regs
 
 let create ?(seed = 0) nl =
   Netlist.validate nl;
-  let n = Netlist.num_nodes nl in
-  let s =
-    {
-      nl;
-      order = Netlist.comb_order nl;
-      values = Array.init n (fun i -> Bitvec.zero (Netlist.width nl i));
-      reg_state = Array.init n (fun i -> Bitvec.zero (Netlist.width nl i));
-      rng = Random.State.make [| seed; 0x5eed |];
-      cycle_count = 0;
-    }
-  in
-  reset s;
+  let s = compile nl in
+  reset ~seed s;
   s
 
 let poke s sig_ v =
   (match (Netlist.node s.nl sig_).Netlist.kind with
   | Netlist.Input -> ()
   | _ -> invalid_arg "Sim.poke: not an input");
-  if Bitvec.width v <> Netlist.width s.nl sig_ then
-    invalid_arg "Sim.poke: width mismatch";
-  s.values.(sig_) <- v
+  if Bitvec.width v <> s.width.(sig_) then invalid_arg "Sim.poke: width mismatch";
+  set s s.v s.wv sig_ v
 
 let poke_reg s sig_ v =
   (match (Netlist.node s.nl sig_).Netlist.kind with
   | Netlist.Reg _ -> ()
   | _ -> invalid_arg "Sim.poke_reg: not a register");
-  if Bitvec.width v <> Netlist.width s.nl sig_ then
-    invalid_arg "Sim.poke_reg: width mismatch";
-  s.reg_state.(sig_) <- v
+  if Bitvec.width v <> s.width.(sig_) then invalid_arg "Sim.poke_reg: width mismatch";
+  set s s.r s.wr sig_ v
 
 let poke_random_inputs s =
-  List.iter
-    (fun i -> s.values.(i) <- Bitvec.random s.rng (Netlist.width s.nl i))
-    (Netlist.inputs s.nl)
+  Array.iter
+    (fun i -> set s s.v s.wv i (Bitvec.random s.rng s.width.(i)))
+    s.inputs
 
-let eval_node s id =
-  let open Netlist in
-  match (node s.nl id).kind with
-  | Input -> () (* keeps poked value *)
-  | Const v -> s.values.(id) <- v
-  | Reg _ -> s.values.(id) <- s.reg_state.(id)
-  | Wire { driver = Some d } -> s.values.(id) <- s.values.(d)
-  | Wire { driver = None } -> assert false
-  | Not a -> s.values.(id) <- Bitvec.lognot s.values.(a)
-  | Op2 (op, a, b) ->
-    let va = s.values.(a) and vb = s.values.(b) in
-    s.values.(id) <-
-      (match op with
-      | And -> Bitvec.logand va vb
-      | Or -> Bitvec.logor va vb
-      | Xor -> Bitvec.logxor va vb
-      | Add -> Bitvec.add va vb
-      | Sub -> Bitvec.sub va vb
-      | Mul -> Bitvec.mul va vb
-      | Eq -> Bitvec.of_bool (Bitvec.equal va vb)
-      | Ult -> Bitvec.of_bool (Bitvec.ult va vb)
-      | Slt -> Bitvec.of_bool (Bitvec.slt va vb))
-  | Mux { sel; on_true; on_false } ->
-    s.values.(id) <-
-      (if Bitvec.is_zero s.values.(sel) then s.values.(on_false)
-       else s.values.(on_true))
-  | Extract { hi; lo; arg } -> s.values.(id) <- Bitvec.extract s.values.(arg) ~hi ~lo
-  | Concat parts ->
-    let v =
-      List.fold_left
-        (fun acc p ->
-          match acc with
-          | None -> Some s.values.(p)
-          | Some hi -> Some (Bitvec.concat hi s.values.(p)))
-        None parts
-    in
-    s.values.(id) <- Option.get v
-  | ReduceOr a -> s.values.(id) <- Bitvec.of_bool (not (Bitvec.is_zero s.values.(a)))
-  | ReduceAnd a -> s.values.(id) <- Bitvec.of_bool (Bitvec.is_ones s.values.(a))
+let peek s sig_ =
+  if is_wide s sig_ then s.wv.(sig_) else Bitvec.of_int ~width:s.width.(sig_) s.v.(sig_)
 
-let eval s = Array.iter (eval_node s) s.order
+let peek_bool s sig_ =
+  if is_wide s sig_ then not (Bitvec.is_zero s.wv.(sig_)) else s.v.(sig_) <> 0
 
-let peek s sig_ = s.values.(sig_)
-let peek_bool s sig_ = not (Bitvec.is_zero s.values.(sig_))
+let eval s =
+  let v = s.v and x = s.x and y = s.y and z = s.z in
+  for i = 0 to Array.length s.op - 1 do
+    let d = s.dst.(i) in
+    match s.op.(i) with
+    | Const -> v.(d) <- x.(i)
+    | Reg -> v.(d) <- s.r.(d)
+    | Copy -> v.(d) <- v.(x.(i))
+    | Not -> v.(d) <- lnot v.(x.(i)) land z.(i)
+    | And -> v.(d) <- v.(x.(i)) land v.(y.(i))
+    | Or -> v.(d) <- v.(x.(i)) lor v.(y.(i))
+    | Xor -> v.(d) <- v.(x.(i)) lxor v.(y.(i))
+    | Add -> v.(d) <- (v.(x.(i)) + v.(y.(i))) land z.(i)
+    | Sub -> v.(d) <- (v.(x.(i)) - v.(y.(i))) land z.(i)
+    | Mul -> v.(d) <- (v.(x.(i)) * v.(y.(i))) land z.(i)
+    | Eq -> v.(d) <- Bool.to_int (v.(x.(i)) = v.(y.(i)))
+    | Ult -> v.(d) <- Bool.to_int (v.(x.(i)) < v.(y.(i)))
+    | Slt ->
+      let sh = z.(i) in
+      v.(d) <- Bool.to_int ((v.(x.(i)) lsl sh) asr sh < (v.(y.(i)) lsl sh) asr sh)
+    | Mux -> v.(d) <- (if v.(x.(i)) <> 0 then v.(y.(i)) else v.(z.(i)))
+    | Extract -> v.(d) <- (v.(x.(i)) lsr y.(i)) land z.(i)
+    | Concat ->
+      let acc = ref 0 in
+      let j = ref x.(i) in
+      while !j < y.(i) do
+        acc := (!acc lsl s.cat.(!j + 1)) lor v.(s.cat.(!j));
+        j := !j + 2
+      done;
+      v.(d) <- !acc
+    | Reduce_or -> v.(d) <- Bool.to_int (v.(x.(i)) <> 0)
+    | Reduce_and -> v.(d) <- Bool.to_int (v.(x.(i)) = z.(i))
+    | Wide_reg -> s.wv.(d) <- s.wr.(d)
+    | Wide -> set s v s.wv d (Netlist.eval_node s.nl (peek s) d)
+  done
 
 let step s =
-  Netlist.iter_nodes s.nl (fun n ->
-      match n.Netlist.kind with
-      | Netlist.Reg { next = Some nxt; enable; _ } ->
-        let update =
-          match enable with
-          | None -> true
-          | Some en -> not (Bitvec.is_zero s.values.(en))
-        in
-        if update then s.reg_state.(n.Netlist.id) <- s.values.(nxt)
-      | _ -> ());
+  for i = 0 to Array.length s.regs - 1 do
+    let en = s.reg_en.(i) in
+    if en < 0 || peek_bool s en then begin
+      let r = s.regs.(i) and nx = s.reg_next.(i) in
+      if is_wide s r then s.wr.(r) <- s.wv.(nx) else s.r.(r) <- s.v.(nx)
+    end
+  done;
   s.cycle_count <- s.cycle_count + 1
 
 let cycle s = s.cycle_count

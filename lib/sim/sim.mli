@@ -1,4 +1,4 @@
-(** Cycle-accurate netlist interpreter.
+(** Cycle-accurate netlist simulator.
 
     Drives a validated {!Hdl.Netlist.t}: per cycle, inputs are poked,
     combinational logic is evaluated in topological order, outputs observed,
@@ -6,20 +6,36 @@
     random reset values drawn from the simulator's PRNG — the concrete
     counterpart of the model checker's symbolic initial state.
 
+    {!create} compiles the netlist once into a levelized program: flat
+    arrays of opcode, operands and width mask in [Netlist.comb_order], and a
+    register table for {!step}.  Values at most 62 bits wide live unboxed in
+    an [int array]; a wider node keeps a [Bitvec.t] value, and it and every
+    node reading it are evaluated with {!Hdl.Netlist.eval_node}, node by
+    node in the same pass.  Both kinds follow the same [Bitvec] semantics,
+    and {!peek} returns a [Bitvec.t] either way.
+
+    An instance is meant to be reused: {!reset} with a seed starts a fresh
+    episode without recompiling or reallocating the value arrays.
+
     The simulator doubles as the cheap pre-pass the model checker uses to
     discharge cover properties (a random trace that hits a cover proves
-    reachability without a SAT call). *)
+    reachability without a SAT call), and as the decision harvest of µPATH
+    synthesis. *)
 
 type t
 
 val create : ?seed:int -> Hdl.Netlist.t -> t
-(** Validates the netlist; raises if it is malformed. *)
+(** Validates and compiles the netlist; raises if it is malformed.  Every
+    node reads as zero until it is poked or evaluated. *)
 
 val netlist : t -> Hdl.Netlist.t
 
-val reset : t -> unit
-(** Return to cycle 0: re-apply register init values (drawing fresh random
-    values for symbolic-init registers) and clear inputs to zero. *)
+val reset : ?seed:int -> t -> unit
+(** Return to cycle 0: zero every node value and input, and re-apply
+    register init values, drawing symbolic-init registers from the PRNG in
+    node-id order.  With [~seed], the PRNG first restarts from [seed], which
+    leaves the instance indistinguishable from [create ~seed] on the same
+    netlist; without it, the draws continue the current stream. *)
 
 val poke : t -> Hdl.Netlist.signal -> Bitvec.t -> unit
 (** Set an input's value for the current cycle.  Raises if the signal is not

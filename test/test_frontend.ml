@@ -2,8 +2,9 @@
    committed example (digest-identical to the built-in elaboration),
    per-class rejection of unsupported constructs with messages naming the
    cell type and instance, sidecar resolution errors, qcheck round-trip
-   over fuzz-generated pipelines, and the CLI exit-2 agreement between
-   mupath/synthlc/lint on unknown design names. *)
+   over fuzz-generated pipelines, the CLI exit-2 agreement between
+   mupath/synthlc/lint/sim on unknown design names, and [sim]'s exit
+   contract and pinned output. *)
 
 module J = Frontend.Json
 module Y = Frontend.Yosys
@@ -276,7 +277,54 @@ let test_cli_unknown_design_agreement () =
       "mupath -d no_such_design -i 'add r1, r2, r3'";
       "synthlc -d no_such_design";
       "lint no_such_design";
+      "sim -d no_such_design";
     ]
+
+let with_program text f =
+  let path = Filename.temp_file "synthlc_prog" ".s" in
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* [sim] refuses what it cannot drive with exit 2 and a message, never an
+   uncaught exception: a design with no program input, the cache DUV, and
+   a program that does not assemble (the message names the mnemonic). *)
+let test_cli_sim_exit_contract () =
+  with_program "add r1, r2, r3\n" (fun prog ->
+      List.iter
+        (fun (d, needle) ->
+          let code, text = run_cli (Printf.sprintf "sim -d %s -p %s" d prog) in
+          Alcotest.(check int) ("sim -d " ^ d ^ " exits 2") 2 code;
+          Alcotest.(check bool) ("sim -d " ^ d ^ " says why") true
+            (Test_formats.contains text needle))
+        [ ("gated", "no program input"); ("cva6_cache", "cache DUV") ]);
+  with_program "add r1, r2, r3\nbogus r1\n" (fun prog ->
+      let code, text = run_cli (Printf.sprintf "sim -d ibex_lite -p %s" prog) in
+      Alcotest.(check int) "sim with bad assembly exits 2" 2 code;
+      Alcotest.(check bool) "the error names the mnemonic" true
+        (Test_formats.contains text "\"bogus\""))
+
+(* The simulator end to end: [sim]'s stdout lists PL occupancy per cycle
+   and the final ARF, which the golden-model tests do not check.  The
+   imported example prints byte-identical output to its built-in. *)
+let test_cli_sim_pins () =
+  with_program
+    "add r1, r2, r3\ndiv r3, r1, r2\nlw r2, 4(r1)\nsw r3, 0(r2)\n\
+     mul r1, r3, r2\nbeq r1, r2, 8\nadd r2, r2, r1\n"
+    (fun prog ->
+      let out d =
+        let code, text =
+          run_cli (Printf.sprintf "sim -d %s -p %s --cycles 48" d prog)
+        in
+        Alcotest.(check int) ("sim -d " ^ d ^ " exits 0") 0 code;
+        text
+      in
+      let md5 d = Digest.to_hex (Digest.string (out d)) in
+      Alcotest.(check string) "ibex_lite output" "8c3cd232ad249eca042583e1b1b87e1f"
+        (md5 "ibex_lite");
+      Alcotest.(check string) "cva6_lite output" "ef16c8dea7b6424e3a9ee1c9bebc5fd1"
+        (md5 "cva6_lite");
+      Alcotest.(check string) "imported example prints the built-in's output"
+        (out "ibex_lite") (out example_json))
 
 (* A misspelt transmitter mnemonic or revisit-count label fails before
    any synthesis runs and names the offender, instead of reading as "no
@@ -337,4 +385,6 @@ let suite =
         test_cli_import_contract;
       Alcotest.test_case "unknown -t mnemonic and --counts label rejected"
         `Quick test_cli_unknown_names;
+      Alcotest.test_case "sim exit contract" `Quick test_cli_sim_exit_contract;
+      Alcotest.test_case "sim output pinned" `Quick test_cli_sim_pins;
     ] )

@@ -1,5 +1,7 @@
 (* Simulator tests: register/enable semantics, symbolic-init randomization,
-   reset, trace recording and VCD rendering. *)
+   reset, trace recording and VCD rendering, and the compiled evaluator
+   against the reference node semantics ([Netlist.eval_node]) on random
+   netlists that mix narrow and wide values. *)
 
 module N = Hdl.Netlist
 
@@ -96,6 +98,187 @@ let test_trace_and_vcd () =
       Alcotest.(check bool) ("vcd contains " ^ needle) true (contains vcd needle))
     [ "$timescale"; "$var wire 8"; "count"; "$enddefinitions"; "#3" ]
 
+(* --- compiled evaluator vs the reference semantics ------------------------ *)
+
+(* A random netlist over every node kind.  Widths come from 1-130 with extra
+   weight on 1 and on 61-65, around the 62-bit boundary between unboxed and
+   [Bitvec.t] values, so narrow and wide nodes mix in Concat, Extract, the
+   comparisons and Mux.  Registers get a symbolic or concrete init and, half
+   the time, an enable; wires are declared early and driven at the end by
+   any node outside their own cone. *)
+let random_netlist seed =
+  let rng = Random.State.make [| seed |] in
+  let nl = N.create "diff" in
+  let int n = Random.State.int rng n in
+  let pick_width () =
+    match int 4 with
+    | 0 -> 1
+    | 1 -> 61 + int 5
+    | 2 -> 1 + int 130
+    | _ -> 1 + int 16
+  in
+  let pool = ref [] in
+  let add s =
+    pool := s :: !pool;
+    s
+  in
+  let one_of l = List.nth l (int (List.length l)) in
+  let new_source w =
+    if Random.State.bool rng then N.input nl (Printf.sprintf "i%d" (N.num_nodes nl)) w
+    else N.const nl (Bitvec.random rng w)
+  in
+  let source w = add (new_source w) in
+  let of_width w =
+    match List.filter (fun s -> N.width nl s = w) !pool with
+    | [] -> source w
+    | l -> if int 4 = 0 then source w else one_of l
+  in
+  let narrowish () =
+    match List.filter (fun s -> N.width nl s <= 70) !pool with
+    | [] -> source (pick_width ())
+    | l -> one_of l
+  in
+  for _ = 1 to 4 do
+    ignore (source (pick_width ()))
+  done;
+  let regs =
+    List.init 4 (fun k ->
+        let w = pick_width () in
+        let init =
+          if Random.State.bool rng then N.Init_symbolic
+          else N.Init_value (Bitvec.random rng w)
+        in
+        add (N.reg nl ~name:(Printf.sprintf "r%d" k) ~init ~width:w ()))
+  in
+  let wires = List.init 2 (fun _ -> add (N.wire nl (pick_width ()))) in
+  let ops = N.[| And; Or; Xor; Add; Sub; Mul; Eq; Ult; Slt |] in
+  for _ = 1 to 40 do
+    let a = one_of !pool in
+    let w = N.width nl a in
+    ignore
+      (add
+         (match int 8 with
+         | 0 -> N.not_ nl a
+         | 1 | 2 -> N.op2 nl ops.(int (Array.length ops)) a (of_width w)
+         | 3 -> N.mux nl ~sel:(of_width 1) ~on_true:a ~on_false:(of_width w)
+         | 4 ->
+           let lo = int w in
+           N.extract nl ~hi:(lo + int (w - lo)) ~lo a
+         | 5 -> N.concat nl (List.init (2 + int 3) (fun _ -> narrowish ()))
+         | 6 -> if Random.State.bool rng then N.reduce_or nl a else N.reduce_and nl a
+         | _ -> new_source (pick_width ())))
+  done;
+  List.iter
+    (fun wire ->
+      let w = N.width nl wire in
+      let outside s = s <> wire && not (Hashtbl.mem (N.comb_cone nl [ s ]) wire) in
+      let driver =
+        match List.filter (fun s -> N.width nl s = w && outside s) !pool with
+        | [] -> N.const nl (Bitvec.random rng w)
+        | l -> one_of l
+      in
+      N.connect_wire nl wire driver)
+    wires;
+  List.iter
+    (fun r ->
+      N.connect_reg nl r (of_width (N.width nl r));
+      if Random.State.bool rng then N.connect_enable nl r (of_width 1))
+    regs;
+  nl
+
+let diff_cycles = 24
+
+(* The documented simulator, written out over [Netlist.eval_node]: one PRNG
+   [[| seed; 0x5eed |]] draws the symbolic-init registers in node-id order,
+   then every cycle's inputs in [Netlist.inputs] order.  Returns every
+   node's value on every cycle. *)
+let reference nl ~seed =
+  let rng = Random.State.make [| seed; 0x5eed |] in
+  let n = N.num_nodes nl in
+  let kind s = (N.node nl s).N.kind in
+  let state = Array.make n (Bitvec.zero 1) in
+  for s = 0 to n - 1 do
+    match kind s with
+    | N.Reg { init = N.Init_value v; _ } -> state.(s) <- v
+    | N.Reg { init = N.Init_symbolic; _ } -> state.(s) <- Bitvec.random rng (N.width nl s)
+    | _ -> ()
+  done;
+  let values = Array.make n (Bitvec.zero 1) in
+  let order = N.comb_order nl in
+  let rows = Array.make diff_cycles [||] in
+  for c = 0 to diff_cycles - 1 do
+    List.iter (fun i -> values.(i) <- Bitvec.random rng (N.width nl i)) (N.inputs nl);
+    Array.iter
+      (fun s ->
+        match kind s with
+        | N.Reg _ -> values.(s) <- state.(s)
+        | _ -> values.(s) <- N.eval_node nl (Array.get values) s)
+      order;
+    rows.(c) <- Array.copy values;
+    N.iter_nodes nl (fun nd ->
+        match nd.N.kind with
+        | N.Reg { next = Some nx; enable; _ } ->
+          let on =
+            match enable with None -> true | Some en -> not (Bitvec.is_zero values.(en))
+          in
+          if on then state.(nd.N.id) <- values.(nx)
+        | _ -> ())
+  done;
+  rows
+
+let simulate sim =
+  let n = N.num_nodes (Sim.netlist sim) in
+  let rows = Array.make diff_cycles [||] in
+  for c = 0 to diff_cycles - 1 do
+    Sim.poke_random_inputs sim;
+    Sim.eval sim;
+    rows.(c) <- Array.init n (Sim.peek sim);
+    Sim.step sim
+  done;
+  rows
+
+let same_rows nl ~what expected got =
+  Array.iteri
+    (fun c row ->
+      Array.iteri
+        (fun s v ->
+          if not (Bitvec.equal v got.(c).(s)) then
+            QCheck.Test.fail_reportf "%s: node %d (%d bits), cycle %d: expected %a, got %a"
+              what s (N.width nl s) c Bitvec.pp v Bitvec.pp got.(c).(s))
+        row)
+    expected;
+  true
+
+let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000)
+
+let qcheck_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:150
+       ~name:"compiled evaluator matches the reference semantics" arb_seed
+       (fun seed ->
+         let nl = random_netlist seed in
+         same_rows nl ~what:"create" (reference nl ~seed)
+           (simulate (Sim.create ~seed nl))))
+
+(* [reset ~seed] on a used instance is indistinguishable from a fresh
+   [create ~seed]: every value reads zero before the first eval, and the
+   episode replays exactly. *)
+let qcheck_reset_reuse =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40 ~name:"reset ~seed reproduces create ~seed" arb_seed
+       (fun seed ->
+         let nl = random_netlist seed in
+         let sim = Sim.create ~seed:(seed + 1) nl in
+         ignore (simulate sim);
+         let r = List.hd (N.registers nl) in
+         Sim.poke_reg sim r (Bitvec.ones (N.width nl r));
+         Sim.reset ~seed sim;
+         let fresh = Sim.create ~seed nl in
+         let peeks s = Array.init (N.num_nodes nl) (Sim.peek s) in
+         ignore (same_rows nl ~what:"before eval" [| peeks fresh |] [| peeks sim |]);
+         Sim.cycle sim = 0
+         && same_rows nl ~what:"reset" (simulate fresh) (simulate sim)))
+
 let suite =
   ( "sim",
     [
@@ -103,4 +286,6 @@ let suite =
       Alcotest.test_case "symbolic init randomization" `Quick test_symbolic_init;
       Alcotest.test_case "poke_reg" `Quick test_poke_reg;
       Alcotest.test_case "trace and vcd" `Quick test_trace_and_vcd;
+      qcheck_differential;
+      qcheck_reset_reuse;
     ] )
