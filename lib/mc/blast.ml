@@ -345,7 +345,7 @@ let model_value t sig_ ~time =
     l;
   !v
 
-let add_state_distinct t i j =
+let add_state_distinct ~gate t i j =
   let si = step_at t i and sj = step_at t j in
   let diffs = ref [] in
   Netlist.iter_nodes t.nl (fun n ->
@@ -354,4 +354,4 @@ let add_state_distinct t i j =
         let a = si.(n.Netlist.id) and b = sj.(n.Netlist.id) in
         Array.iteri (fun k la -> diffs := g_xor t la b.(k) :: !diffs) a
       | _ -> ());
-  Solver.add_clause t.s !diffs
+  Solver.add_clause t.s (Solver.negate gate :: !diffs)

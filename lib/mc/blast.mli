@@ -76,7 +76,13 @@ val cse_stats : t -> int * int
 (** [(hits, lookups)] of the structural-hashing cache; [(0, 0)] when
     [cse:false].  The hit rate measures how much encoding was shared. *)
 
-val add_state_distinct : t -> int -> int -> unit
-(** [add_state_distinct t i j] adds clauses forcing the register states at
-    times [i] and [j] to differ — the simple-path constraint that makes
-    k-induction complete for finite systems. *)
+val add_state_distinct : gate:Sat.Solver.lit -> t -> int -> int -> unit
+(** [add_state_distinct ~gate t i j] adds a clause forcing the register
+    states at times [i] and [j] to differ while [gate] is true — the
+    simple-path constraint that makes k-induction complete for finite
+    systems.  The clause carries [¬gate], so the constraint binds only the
+    queries that assume [gate]; the XOR gates that compare the two states
+    stay plain definitions.  A solver shared across queries of different
+    depths assumes [gate] exactly when frame [j] belongs to the query: an
+    ungated constraint on a frame beyond a later query's depth would
+    wrongly constrain that query. *)

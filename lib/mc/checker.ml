@@ -8,8 +8,9 @@
    Engine pipeline, cheapest first:
    1. constrained-random simulation — a simulated hit proves reachability;
    2. incremental BMC over a shared unrolling — SAT proves reachability;
-   3. k-induction with simple-path constraints — UNSAT step proves genuine
-      unreachability;
+   3. k-induction with simple-path constraints, over one shared free-state
+      unrolling whose extension frames are gated — UNSAT step proves
+      genuine unreachability;
    4. otherwise, exhausting the BMC depth without solver budget overruns
       yields a bounded unreachability verdict ([Bounded]), the analogue of
       the paper's undetermined-as-unreachable configuration (SS VII-B4).
@@ -171,17 +172,31 @@ let default_config =
     sweep = Sweep_off;
   }
 
-(* One SAT engine stack: the netlist it encodes (original, or the swept
-   reduction), the total original->encoded signal map, and the shared BMC
-   unrolling.  Audit mode instantiates two. *)
+(* The engine's one k-induction unrolling, shared by every cover.  Frame 0
+   pins the assumes unconditionally, as a fresh unrolling would.  Frame
+   j >= 1 exists only under its gate ([gates], frame order): the gate
+   guards the frame's assumes and its simple-path constraints against
+   frames 0..j-1.  A query at k assumes the gates of frames 1..k, so the
+   frames an earlier cover grew beyond k are bare Tseitin definitions that
+   constrain nothing, and the query sees exactly the formula a fresh
+   (k+1)-frame unrolling would. *)
+type induction = {
+  ind : Blast.t;
+  ind_assumes : Netlist.signal list;  (* encoded-netlist signals *)
+  mutable gates : Solver.lit list;
+}
+
+(* One SAT engine stack over the netlist it encodes (original, or the swept
+   reduction): the total original->encoded signal map, the shared BMC
+   unrolling and the shared induction unrolling.  Both unrollings
+   substitute the same known-bits invariants (strengthening) when the
+   config flag is on.  Audit mode instantiates two engines. *)
 type engine = {
-  enc_nl : Netlist.t;
   map : Netlist.signal array;
   bmc : Blast.t;
-  known : (Bitvec.t * Bitvec.t) array option;
-      (* Known-bits invariants shared by the BMC unrolling and every
-         induction side solver (strengthening); None when the config
-         flag is off. *)
+  induction : induction Lazy.t;
+      (* Built on the first induction attempt, so a run whose covers all
+         hit the cache never builds it. *)
 }
 
 type t = {
@@ -252,7 +267,15 @@ let make_key_prefix ~salt ~assumes ~assume_initial ~(config : config) nl =
    under the same caveat as sharding and cache warmth: with canonical
    witnesses the verdict and witness depend only on semantics, except
    where a conflict budget runs out — semantically-keyed sharing assumes
-   budgets generous enough that no shared query lands [Undetermined]. *)
+   budgets generous enough that no shared query lands [Undetermined].
+   Budgets are per solve, but the BMC and induction solvers are shared by
+   every cover an engine checks, so whether a solve overruns also depends
+   on the learned clauses and activity earlier covers left: the cover
+   order, the shard partition and which covers hit the cache.  An
+   induction overrun hands the cover to BMC, so a cover induction would
+   have proved reports [Bounded] instead of [Inductive k]; a traced run
+   shows no induction or canonical-witness solve overran when
+   [checker.ind_overruns] and [checker.canon_overruns] are 0. *)
 let make_semantic_key_prefix ~salt ~assumes ~assume_initial ~(config : config)
     ~(sigs : string array) nl =
   let sig_list l = String.concat "," (List.sort compare (List.map (fun s -> sigs.(s)) l)) in
@@ -280,14 +303,26 @@ let make_engine ~(config : config) ~assumes ~assume_initial ~sweep_barriers
     else (nl, identity_map nl)
   in
   let tr l = List.map (fun s -> map.(s)) l in
+  let enc_assumes = tr assumes in
   let known =
     if config.known_bits then Some (Hdl.Absint.known_bits enc_nl) else None
   in
   let bmc =
     Blast.create ~assume_initial:(tr assume_initial) ?known
-      ~cse:config.encode_cse ~initial:`Reset ~assumes:(tr assumes) enc_nl
+      ~cse:config.encode_cse ~initial:`Reset ~assumes:enc_assumes enc_nl
   in
-  { enc_nl; map; bmc; known }
+  let induction =
+    lazy
+      (let ind =
+         Blast.create ?known ~cse:config.encode_cse ~initial:`Free ~assumes:[]
+           enc_nl
+       in
+       List.iter
+         (fun a -> Solver.add_clause (Blast.solver ind) [ Blast.lit1 ind a ~time:0 ])
+         enc_assumes;
+       { ind; ind_assumes = enc_assumes; gates = [] })
+  in
+  { map; bmc; induction }
 
 let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
     ?(assume_initial = []) ?(sweep_barriers = []) ?(semantic_cache = false)
@@ -417,52 +452,79 @@ let try_simulation t cover =
 
 (* --- k-induction --------------------------------------------------------- *)
 
-(* Prove [cover] unreachable by k-induction with simple-path constraints.
-   The induction solver starts from a free state; hypothesis units not-bad@i
-   and pairwise state-distinctness accumulate as k grows. *)
+(* Grow the shared induction unrolling to frames 0..k.  A new frame j gets
+   a fresh gate literal guarding its assumes and its simple-path
+   constraints against frames 0..j-1. *)
+let extend_induction u k =
+  let s = Blast.solver u.ind in
+  while Blast.depth u.ind <= k do
+    let j = Blast.depth u.ind in
+    Blast.ensure_depth u.ind j;
+    let g = Solver.pos (Solver.new_var s) in
+    List.iter
+      (fun a -> Solver.add_clause s [ Solver.negate g; Blast.lit1 u.ind a ~time:j ])
+      u.ind_assumes;
+    for i = 0 to j - 1 do
+      Blast.add_state_distinct ~gate:g u.ind i j
+    done;
+    u.gates <- u.gates @ [ g ]
+  done
+
+(* The engine's induction solver, if an attempt has built it. *)
+let induction_solver eng =
+  if Lazy.is_val eng.induction then Some (Blast.solver (Lazy.force eng.induction).ind)
+  else None
+
+(* Prove [cover] unreachable by k-induction with simple-path constraints, on
+   the engine's shared free-state unrolling.  The query at k assumes the
+   gates of frames 1..k and cover@k.  The hypotheses not-bad@0..k-1 are this
+   cover's own, so they hang on an activation literal that a unit clause
+   retires after the attempt, as BMC retires its activations.  A solve that
+   overruns [induction_conflicts] ends the attempt and counts in
+   [checker.ind_overruns]: on the shared solver, whether it overruns also
+   depends on what earlier covers' solves left behind. *)
 let try_induction t eng cover =
   if t.config.induction_max_k = 0 then None
   else begin
-    (* Hypothesis units are specific to one cover, so each attempt gets a
-       fresh unrolling. *)
-    let ind =
-      Blast.create ?known:eng.known ~cse:t.config.encode_cse ~initial:`Free
-        ~assumes:(List.map (fun s -> eng.map.(s)) t.assumes)
-        eng.enc_nl
+    let vars0 =
+      match induction_solver eng with Some s -> Solver.nvars s | None -> 0
     in
+    let u = Lazy.force eng.induction in
+    let s = Blast.solver u.ind in
     let lits_at time =
       List.map
-        (fun (s, pol) ->
-          let l = Blast.lit1 ind eng.map.(s) ~time in
+        (fun (sig_, pol) ->
+          let l = Blast.lit1 u.ind eng.map.(sig_) ~time in
           if pol then l else Solver.negate l)
         cover
     in
-    let hyp_depth = ref 0 in
+    let act = Solver.pos (Solver.new_var s) in
     let rec go k =
       if k > t.config.induction_max_k then None
       else begin
-        Blast.ensure_depth ind k;
-        (* Hypothesis: not bad at steps < k; pairwise-distinct states. *)
-        for i = !hyp_depth to k - 1 do
-          Solver.add_clause (Blast.solver ind) (List.map Solver.negate (lits_at i))
-        done;
-        hyp_depth := max !hyp_depth k;
+        extend_induction u k;
         if k >= 1 then
-          for i = 0 to k - 1 do
-            Blast.add_state_distinct ind i k
-          done;
-        match
-          Solver.solve ~assumptions:(lits_at k)
-            ~max_conflicts:t.config.induction_conflicts (Blast.solver ind)
-        with
+          Solver.add_clause s
+            (Solver.negate act :: List.map Solver.negate (lits_at (k - 1)));
+        let gates = List.filteri (fun i _ -> i < k) u.gates in
+        let r =
+          Solver.solve
+            ~assumptions:((act :: gates) @ lits_at k)
+            ~max_conflicts:t.config.induction_conflicts s
+        in
+        if Obs.enabled () then
+          Obs.Metrics.incr "checker.ind_overruns"
+            ~by:(if r = Solver.Unknown then 1 else 0);
+        match r with
         | Solver.Unsat -> Some k
         | Solver.Sat -> go (k + 1)
         | Solver.Unknown -> None
       end
     in
     let r = go 0 in
+    Solver.add_clause s [ Solver.negate act ];
     if Obs.enabled () then
-      Obs.Metrics.incr "sat.ind_vars" ~by:(Solver.nvars (Blast.solver ind));
+      Obs.Metrics.incr "sat.ind_vars" ~by:(Solver.nvars s - vars0);
     r
   end
 
@@ -476,19 +538,30 @@ let try_induction t eng cover =
    1. minimal hit time — the earliest per-time gate that is satisfiable;
    2. lexicographically minimal free variables (symbolic-init register
       bits at time 0, then primary-input bits per time), in a fixed
-      time-major, id-major, LSB-first order, preferring 0 — found with
-      incremental solves under a growing assumption list, skipping solves
-      for bits the current model already has at 0;
+      time-major, id-major, LSB-first order, preferring 0 — found by
+      galloping over incremental solves under a growing assumption list:
+      bits the current model has at 0 are fixed without a solve, and at a
+      bit the model has at 1 one solve tries to zero a whole block, whose
+      length doubles after a success and halves after a failure;
    3. one final solve under the full assumption list, whose model is read.
 
    The result depends only on the design's semantics (and the budgets),
    so report digests agree across sweep modes, cache warmth and
-   equivalent netlist variants.  A budget overrun mid-minimization
-   degrades to best-effort (the bit keeps its current model value); the
-   audit tripwire is the backstop. *)
+   equivalent netlist variants.  A budget overrun degrades to best effort
+   (a hit time is skipped, or a bit keeps its model value 1) and counts in
+   [checker.canon_overruns]; the audit tripwire is the backstop. *)
 let canonical_witness t eng ~gates ~default_upto =
   let s = Blast.solver eng.bmc in
   let budget = t.config.bmc_conflicts in
+  let solve ?max_conflicts assumptions =
+    let r = Solver.solve ~assumptions ?max_conflicts s in
+    if Obs.enabled () then begin
+      Obs.Metrics.incr "checker.canon_solves";
+      Obs.Metrics.incr "checker.canon_overruns"
+        ~by:(if r = Solver.Unknown then 1 else 0)
+    end;
+    r
+  in
   let model_upto =
     match List.find_opt (fun (_, g) -> Solver.lit_value s g) gates with
     | Some (time, _) -> time
@@ -500,14 +573,14 @@ let canonical_witness t eng ~gates ~default_upto =
   let rec scan time =
     if time >= model_upto then model_upto
     else
-      match Solver.solve ~assumptions:[ gate_at time ] ~max_conflicts:budget s with
+      match solve ~max_conflicts:budget [ gate_at time ] with
       | Solver.Sat -> time
       | Solver.Unsat | Solver.Unknown -> scan (time + 1)
   in
   let upto = scan 0 in
   (* Re-establish a model for the chosen time (scan may have ended on an
      Unsat step or skipped solving entirely). *)
-  (match Solver.solve ~assumptions:[ gate_at upto ] ~max_conflicts:budget s with
+  (match solve ~max_conflicts:budget [ gate_at upto ] with
   | Solver.Sat -> ()
   | _ -> failwith "Checker: canonical witness lost the satisfying model");
   (* 2. The free variables, in canonical order. *)
@@ -542,22 +615,35 @@ let canonical_witness t eng ~gates ~default_upto =
       model.(j) <- Solver.lit_value s free.(j)
     done
   in
+  (* [model] always satisfies [fixed]: every fixed bit keeps its model
+     value, and a Sat block solve re-captures the model. *)
   let fixed = ref [ gate_at upto ] in
-  for i = 0 to nfree - 1 do
-    let l = free.(i) in
-    if not model.(i) then fixed := Solver.negate l :: !fixed
-    else
-      match
-        Solver.solve ~assumptions:(Solver.negate l :: !fixed) ~max_conflicts:budget s
-      with
-      | Solver.Sat ->
-        capture i;
-        fixed := Solver.negate l :: !fixed
-      | Solver.Unsat | Solver.Unknown -> fixed := l :: !fixed
-  done;
+  let fix l = fixed := l :: !fixed in
+  let rec gallop i len =
+    if i < nfree then
+      if not model.(i) then begin
+        fix (Solver.negate free.(i));
+        gallop (i + 1) len
+      end
+      else
+        let n = min len (nfree - i) in
+        let block = List.init n (fun d -> Solver.negate free.(i + d)) in
+        match solve ~max_conflicts:budget (block @ !fixed) with
+        | Solver.Sat ->
+          capture i;
+          List.iter fix block;
+          gallop (i + n) (2 * len)
+        | Solver.Unsat | Solver.Unknown ->
+          if n > 1 then gallop i (n / 2)
+          else begin
+            fix free.(i);
+            gallop (i + 1) 1
+          end
+  in
+  gallop 0 1;
   (* 3. Final model under the full pin-down; the free variables are fully
      assigned, so this is satisfiable by construction. *)
-  (match Solver.solve ~assumptions:!fixed s with
+  (match solve !fixed with
   | Solver.Sat -> ()
   | _ -> failwith "Checker: canonical witness pin-down unsatisfiable");
   upto
@@ -709,14 +795,20 @@ let compute_cover t cover =
 
 let check_cover ?name t cover =
   let t0 = Obs.now_ns () in
-  (* Snapshots for the per-property sat.* metrics; deltas are taken over the
-     shared BMC solver (the induction pass uses short-lived solvers whose
-     work is not attributed here). *)
+  (* Snapshots for the per-property sat.* metrics: deltas over the shared
+     BMC solver, and sat.ind_* deltas over the shared induction solver
+     (which this cover may be the first to build). *)
   let bmc_s = Blast.solver t.eng.bmc in
   let c0 = Solver.num_conflicts bmc_s in
   let p0 = Solver.num_propagations bmc_s in
   let r0 = Solver.num_reduces bmc_s in
   let h0, l0 = Blast.cse_stats t.eng.bmc in
+  let ind_counts () =
+    match induction_solver t.eng with
+    | Some s -> (Solver.num_conflicts s, Solver.num_propagations s)
+    | None -> (0, 0)
+  in
+  let ic0, ip0 = ind_counts () in
   let finish ~hit ~sim_discharged outcome =
     t.stats.Stats.n_props <- t.stats.Stats.n_props + 1;
     let elapsed = Obs.seconds_since t0 in
@@ -748,6 +840,9 @@ let check_cover ?name t cover =
         (float_of_int (Solver.num_conflicts bmc_s - c0));
       Obs.Metrics.observe "sat.propagations"
         (float_of_int (Solver.num_propagations bmc_s - p0));
+      let ic, ip = ind_counts () in
+      Obs.Metrics.observe "sat.ind_conflicts" (float_of_int (ic - ic0));
+      Obs.Metrics.observe "sat.ind_propagations" (float_of_int (ip - ip0));
       Obs.Metrics.gauge "sat.learnt_db" (float_of_int (Solver.num_learnts bmc_s));
       Obs.Metrics.gauge "sat.learnt_peak"
         (float_of_int (Solver.learnt_peak bmc_s));

@@ -13,7 +13,22 @@
     clauses), k-induction with simple-path constraints (a genuine
     unreachability proof), and finally a bounded-unreachable verdict when
     the BMC depth is exhausted cleanly — the analogue of the paper's
-    undetermined-as-unreachable configuration (§VII-B4).
+    undetermined-as-unreachable configuration (§VII-B4).  k-induction also
+    shares one free-state unrolling across properties, built on the first
+    induction attempt: frame [j >= 1] holds its assumes and its
+    simple-path constraints only under its own gate literal, so a query at
+    depth [k] sees exactly the formula of a fresh [(k+1)]-frame unrolling,
+    and each property's hypotheses are retired after its attempt.
+
+    Conflict budgets are per solve, but both solvers are shared by every
+    property a checker sees, so whether a solve overruns its budget also
+    depends on the learned clauses and variable activity that earlier
+    properties left: on the property order, the shard partition and which
+    properties hit the cache.  An induction overrun hands the property to
+    BMC, so one induction would have proved reports [Bounded] instead of
+    [Inductive k]; a traced run's [checker.ind_overruns] counter (the
+    induction solves that overran) is 0 when no proof kind was lost that
+    way.
 
     The SAT engines can run on an equivalence-swept copy of the netlist
     ({!config.sweep}): {!Hdl.Equiv.reduce} merges proven-equivalent
@@ -22,7 +37,20 @@
     {e canonical} — minimal hit time, then lexicographically-minimal free
     variables — so the reported trace depends only on the design's
     semantics, never on the encoding the solver searched; that is what
-    keeps report digests bit-identical across sweep modes. *)
+    keeps report digests bit-identical across sweep modes.
+
+    The free variables are the symbolic-init register bits in
+    {!Hdl.Netlist.registers} order, then the input bits of cycles
+    [0..hit] time-major in {!Hdl.Netlist.inputs} order, each LSB first;
+    the witness is the assignment that prefers 0 earliest in that order.
+    It is found by galloping: one solve tries to zero a block of bits
+    that doubles after a success and halves after a failure.  A solve
+    that overruns its conflict budget is treated as a failure, so the
+    witness is the exact lexicographic minimum whenever a traced run's
+    [checker.canon_overruns] counter is 0 ([checker.canon_solves] counts
+    every solve the canonicalization makes; these counters and
+    [checker.ind_overruns] are off by default and outside every
+    digest). *)
 
 module Cex : sig
   type t
@@ -93,7 +121,7 @@ type sweep_mode =
   | Sweep_off  (** Encode the netlist as given. *)
   | Sweep_on
       (** SAT-sweep the netlist ({!Hdl.Equiv.reduce}) before encoding;
-          both the BMC unrolling and every induction solver run on the
+          both the BMC unrolling and the induction unrolling run on the
           reduction, with queries translated through the signal map. *)
   | Sweep_audit
       (** Compute with the swept engine {e and} re-run every
@@ -128,11 +156,12 @@ type config = {
           BMC (reset-state) side the substitution never changes the CNF —
           per-step folding of the reset constants subsumes it — but on
           the induction side it is the standard invariant strengthening:
-          the known-bits fixpoint is an inductive invariant, so the
-          free-initial unrollings substitute its constant bits, shrinking
+          the known-bits fixpoint is an inductive invariant, so the shared
+          free-initial unrolling substitutes its constant bits, shrinking
           variables and clauses (the [sat.ind_vars] counter of a traced
-          run) and letting induction discharge covers plain induction
-          cannot.  Part of the cache key: the strengthening can change
+          run: every variable the induction unrolling allocates, its
+          creation included) and letting induction discharge covers
+          plain induction cannot.  Part of the cache key: the strengthening can change
           verdicts (Undetermined becoming Unreachable) and solver
           trajectories.  When sweeping, known bits are computed on the
           netlist each engine actually encodes. *)
@@ -196,8 +225,11 @@ val create :
     re-synthesis, say — then share verdicts.  Sound for the same reason
     digests agree across sweep modes (canonical witnesses), with one
     caveat: a budget-limited [Undetermined] could in principle resolve
-    differently on another variant, so pair this with budgets generous
-    enough that shared queries terminate. *)
+    differently on another variant, and an induction or canonical-witness
+    overrun depends on the properties checked before it (see the module
+    doc), so pair this with budgets generous enough that shared queries
+    terminate — [checker.ind_overruns] and [checker.canon_overruns] of a
+    traced run show whether they did. *)
 
 val check_cover : ?name:string -> t -> (Hdl.Netlist.signal * bool) list -> outcome
 (** [check_cover t lits] searches for a cycle where every [(signal,
