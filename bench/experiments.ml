@@ -41,7 +41,12 @@ let section id title =
   Printf.printf "%s: %s\n" id title;
   Printf.printf "=======================================================\n%!"
 
+(* Shape checks that failed so far; a nonzero count makes the harness
+   exit 1. *)
+let mismatches = ref 0
+
 let check name cond =
+  if not cond then incr mismatches;
   Printf.printf "  [%s] %s\n%!" (if cond then "ok" else "SHAPE-MISMATCH") name
 
 (* Accumulated statistics for E11. *)

@@ -6,8 +6,8 @@
    variables), so it reaches all four states; the known-bits refinement
    proves the two upper states dead and the synthesis prune discharges
    their covers without the model checker.  This is the demo workload for
-   the absint prune path — the bench, the CI smoke, and the tri-mode
-   digest-identity test all drive it. *)
+   the absint prune path — the absint and sweep tests and the CI smoke all
+   drive it. *)
 
 module N = Hdl.Netlist
 

@@ -6,8 +6,8 @@
     the plain FSM-reachability abstraction treats the gating register as
     unconstrained).  The two upper states are therefore base-reachable but
     known-bits-dead: exactly the covers the absint prune discharges.  Used
-    by the bench (P8), the CI absint smoke, and the tri-mode
-    digest-identity test. *)
+    by the absint and sweep tests (which pin its report digest) and the CI
+    absint smoke. *)
 
 val iuv_pc : int
 

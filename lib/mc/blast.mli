@@ -50,7 +50,8 @@ val create :
     normalization and constant folding, so identical subterms across time
     steps and across covers map to a single literal instead of being
     re-encoded.  Purely an encoding-size optimization: the encoded function
-    is unchanged. *)
+    is unchanged.  The checker always encodes with it; [~cse:false] is the
+    reference encoding the tests compare against. *)
 
 val solver : t -> Sat.Solver.t
 val depth : t -> int

@@ -153,7 +153,6 @@ type config = {
   sim_episodes : int;  (* 0 disables the simulation pre-pass *)
   sim_cycles : int;
   seed : int;
-  encode_cse : bool;  (* structural hashing in the Tseitin encoding *)
   known_bits : bool;  (* known-bits substitution: BMC + induction strengthening *)
   sweep : sweep_mode;  (* SAT-sweep the netlist the engines encode *)
 }
@@ -167,7 +166,6 @@ let default_config =
     sim_episodes = 24;
     sim_cycles = 32;
     seed = 1;
-    encode_cse = true;
     known_bits = true;
     sweep = Sweep_off;
   }
@@ -231,12 +229,12 @@ type t = {
    the config, and a caller salt (for inputs the checker cannot see, e.g.
    Flow's imprecise IFT cell rules).  The per-property key then appends
    the cover literals — see [cover_key]. *)
-(* [encode_cse] and [known_bits] are part of the key: they change the
-   solver trajectory and hence which engine decides a verdict.  [sweep]
-   participates as its effective boolean — audit mode computes
-   bit-identically to on (the unswept shadow run is a tripwire, not an
-   input).  The pattern binds every field with no [; _], so a field added
-   to [config] without a place in the key is a build error (warning 9). *)
+(* [known_bits] is part of the key: it changes the solver trajectory and
+   hence which engine decides a verdict.  [sweep] participates as its
+   effective boolean — audit mode computes bit-identically to on (the
+   unswept shadow run is a tripwire, not an input).  The pattern binds
+   every field with no [; _], so a field added to [config] without a
+   place in the key is a build error (warning 9). *)
 let config_key
     {
       bmc_depth;
@@ -246,13 +244,12 @@ let config_key
       sim_episodes;
       sim_cycles;
       seed;
-      encode_cse;
       known_bits;
       sweep;
     } =
-  Printf.sprintf "c:%d.%d.%d.%d.%d.%d.%d|e:%b.%b|w:%b" bmc_depth bmc_conflicts
-    induction_max_k induction_conflicts sim_episodes sim_cycles seed encode_cse
-    known_bits (sweep <> Sweep_off)
+  Printf.sprintf "c:%d.%d.%d.%d.%d.%d.%d|e:%b|w:%b" bmc_depth bmc_conflicts
+    induction_max_k induction_conflicts sim_episodes sim_cycles seed known_bits
+    (sweep <> Sweep_off)
 
 let make_key_prefix ~salt ~assumes ~assume_initial ~(config : config) nl =
   Printf.sprintf "%s|a:%s|i:%s|%s|s:%s" (Netlist.digest nl)
@@ -308,14 +305,13 @@ let make_engine ~(config : config) ~assumes ~assume_initial ~sweep_barriers
     if config.known_bits then Some (Hdl.Absint.known_bits enc_nl) else None
   in
   let bmc =
-    Blast.create ~assume_initial:(tr assume_initial) ?known
-      ~cse:config.encode_cse ~initial:`Reset ~assumes:enc_assumes enc_nl
+    Blast.create ~assume_initial:(tr assume_initial) ?known ~initial:`Reset
+      ~assumes:enc_assumes enc_nl
   in
   let induction =
     lazy
       (let ind =
-         Blast.create ?known ~cse:config.encode_cse ~initial:`Free ~assumes:[]
-           enc_nl
+         Blast.create ?known ~initial:`Free ~assumes:[] enc_nl
        in
        List.iter
          (fun a -> Solver.add_clause (Blast.solver ind) [ Blast.lit1 ind a ~time:0 ])

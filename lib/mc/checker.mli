@@ -146,10 +146,6 @@ type config = {
   sim_episodes : int;  (** 0 disables the simulation pre-pass. *)
   sim_cycles : int;
   seed : int;
-  encode_cse : bool;
-      (** Structural hashing of the Tseitin encoding (default [true]).
-          Part of the verdict-cache key: it changes the solver trajectory
-          and hence how a verdict is reached. *)
   known_bits : bool;
       (** Substitute {!Hdl.Absint.known_bits} invariants as constant
           literals in both engines' encodings (default [true]).  On the

@@ -10,16 +10,15 @@
       kept in a fixed-capacity ring buffer and exportable as Chrome
       trace-event JSON ([chrome://tracing] / [ui.perfetto.dev]);
     - {b metrics}: named counters, gauges, and histograms with optional
-      label sets, exportable as a flat JSON object and merged into
-      [BENCH_results.json] and the engine report.
+      label sets, exportable as a flat JSON object ([--metrics FILE]) and
+      merged into the engine report.
 
     The whole layer is {b off by default}.  Disabled, every entry point
     reduces to one atomic flag read and allocates nothing, so instrumented
-    hot paths cost nothing measurable (bench P4 asserts this).  Nothing
-    here feeds back into verdicts, RNG streams, or report digests: a run
-    traces identically to an untraced one, bit for bit ({e the
-    digest-exclusion rule} — observability fields never enter
-    {!Synthlc.Engine.report_digest}). *)
+    hot paths cost nothing measurable.  Nothing here feeds back into
+    verdicts, RNG streams, or report digests: a run traces identically to
+    an untraced one, bit for bit ({e the digest-exclusion rule} —
+    observability fields never enter {!Synthlc.Engine.report_digest}). *)
 
 val now_ns : unit -> int
 (** Monotonic time in nanoseconds (arbitrary epoch).  Always live, even

@@ -30,4 +30,5 @@ let () =
       Test_fuzz.suite;
       Test_frontend.suite;
       Test_sweep.suite;
+      Test_pins.suite;
     ]

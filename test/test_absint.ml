@@ -307,7 +307,19 @@ let test_absint_prune_digest_identical () =
   let on = run_gated `On in
   let audit = run_gated `Audit in
   let d = Synthlc.Engine.report_digest in
+  Alcotest.(check string) "report digest" "407476c861c08db76f42de782827b0f5"
+    (d on);
   Alcotest.(check string) "digest on = audit" (d audit) (d on);
+  (* Every discharged cover sits in duv_pl: the sums over all stages equal
+     the duv_pl counts checked below. *)
+  let all_stages f =
+    List.fold_left (fun acc (_, s) -> acc + f s) 0
+      (synth_of on).Mupath.Synth.stage_stats
+  in
+  Alcotest.(check (pair int int)) "absint and static prunes over all stages"
+    (2, 1)
+    ( all_stages (fun s -> s.Mupath.Synth.pruned_absint),
+      all_stages (fun s -> s.Mupath.Synth.pruned_static) );
   let duv_stats r = List.assoc "duv_pl" (synth_of r).Mupath.Synth.stage_stats in
   Alcotest.(check int) "on mode discharges two absint covers" 2
     (duv_stats on).Mupath.Synth.pruned_absint;
@@ -345,7 +357,37 @@ let test_known_bits_encoding_digest_identical () =
   let with_kb = run true and without_kb = run false in
   Alcotest.(check string) "digest identical across known_bits on/off"
     (Synthlc.Engine.report_digest without_kb)
-    (Synthlc.Engine.report_digest with_kb)
+    (Synthlc.Engine.report_digest with_kb);
+  (* A cover batch with both simulations off, so SAT decides every cover:
+     the substitution keeps the synthesized set and allocates fewer
+     variables in the shared induction unrolling. *)
+  let batch kb =
+    let config =
+      { gated_config with Mc.Checker.sim_episodes = 0; known_bits = kb }
+    in
+    Obs.reset ();
+    Obs.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let r =
+          Mupath.Synth.run ~config ~presim_episodes:0
+            ~meta:(Designs.Gated.build ())
+            ~iuv:(Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD)
+            ~iuv_pc:Designs.Gated.iuv_pc ()
+        in
+        let vars = List.assoc "sat.ind_vars" (Obs.Metrics.snapshot ()) in
+        ((r.Mupath.Synth.paths, r.Mupath.Synth.decisions), vars))
+  in
+  let set_kb, vars_kb = batch true and set_plain, vars_plain = batch false in
+  Alcotest.(check bool) "batch synthesizes the same set" true
+    (set_kb = set_plain);
+  Alcotest.(check bool)
+    (Printf.sprintf "known bits drop sat.ind_vars (%.0f < %.0f)" vars_kb
+       vars_plain)
+    true (vars_kb < vars_plain)
 
 (* On/audit identity on a built-in core (mirroring test_taint's flow-prune
    test): ibex_lite has no register-level known bits, so the refinement

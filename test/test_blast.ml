@@ -142,19 +142,31 @@ let test_cse_hit_rate () =
     (Sat.Solver.nvars (Mc.Blast.solver b) < Sat.Solver.nvars (Mc.Blast.solver b'))
 
 let test_cse_outcomes_agree () =
-  (* CSE is an encoding-only change: verdicts agree with the non-CSE
-     encoding on both reachable and unreachable covers. *)
-  let outcome_with cse =
+  (* CSE is an encoding-only change: the same circuit encoded with and
+     without it gives the same Sat/Unsat answer for each cover at every
+     depth, on a reachable cover and on an unreachable one. *)
+  let answers cse =
     let nl = build_circuit 13 5 in
-    let chk =
-      C.create ~config:{ no_sim_config with C.encode_cse = cse } ~assumes:[] nl
-    in
-    let s n = Option.get (N.find_named nl n) in
-    ( C.outcome_tag (C.check_cover chk [ (s "acc0", true); (s "acc2", true) ]),
-      C.outcome_tag (C.check_cover chk [ (s "acc_hi", true); (s "acc5", false) ]) )
+    let b = Mc.Blast.create ~cse ~initial:`Reset ~assumes:[] nl in
+    let lit n ~time = Mc.Blast.lit1 b (Option.get (N.find_named nl n)) ~time in
+    List.init 9 (fun time ->
+        Mc.Blast.ensure_depth b time;
+        let solve assumptions =
+          match Sat.Solver.solve ~assumptions (Mc.Blast.solver b) with
+          | Sat.Solver.Sat -> "sat"
+          | Sat.Solver.Unsat -> "unsat"
+          | Sat.Solver.Unknown -> "unknown"
+        in
+        ( solve [ lit "acc0" ~time; lit "acc2" ~time ],
+          solve [ lit "acc_hi" ~time; Sat.Solver.negate (lit "acc5" ~time) ] ))
   in
-  Alcotest.(check (pair string string))
-    "cse on/off verdicts" (outcome_with false) (outcome_with true)
+  let on = answers true in
+  Alcotest.(check (list (pair string string)))
+    "cse on/off answers per depth" (answers false) on;
+  Alcotest.(check bool) "the first cover is reachable" true
+    (List.exists (fun (a, _) -> a = "sat") on);
+  Alcotest.(check bool) "the second cover is unreachable at every depth" true
+    (List.for_all (fun (_, b) -> b = "unsat") on)
 
 let suite =
   ( "blast",

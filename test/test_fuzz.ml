@@ -42,7 +42,17 @@ let test_generator_determinism () =
       let d1 = Hdl.Netlist.digest (G.build cfg).Designs.Meta.nl in
       let d2 = Hdl.Netlist.digest (G.build cfg).Designs.Meta.nl in
       Alcotest.(check string) (G.describe cfg ^ ": digest stable") d1 d2)
-    sampled_configs
+    sampled_configs;
+  (* The first two designs of the seed-42 campaign (CI's fuzz smoke checks
+     the same digests in its corpus): a change to the sampler or to the
+     generator's elaboration moves them. *)
+  List.iteri
+    (fun i digest ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed 42 design %d netlist digest" i)
+        digest
+        (Hdl.Netlist.digest (G.build (G.config_for ~seed:42 i)).Designs.Meta.nl))
+    [ "cab8076c5b85a0d62d3c8b2cb4849532"; "9a20a202dcd69e49c695e71f8fde9938" ]
 
 let test_generated_valid_and_lint_clean () =
   List.iter

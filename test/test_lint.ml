@@ -31,7 +31,18 @@ let test_builtin_designs_clean () =
       Alcotest.(check int) (dname ^ ": no warnings") 0 warnings)
     all_designs;
   let reports = List.map (fun d -> Lint.Driver.run_design (build_design d)) all_designs in
-  Alcotest.(check int) "clean designs exit 0" 0 (D.exit_code reports)
+  Alcotest.(check int) "clean designs exit 0" 0 (D.exit_code reports);
+  (* The known-bits pass (A4xx) has real findings on the built-ins and on
+     the gated DUV, and every one of them is informational. *)
+  let a_series =
+    List.concat_map
+      (fun (r : D.report) ->
+        List.filter (fun (d : D.t) -> d.D.code.[0] = 'A') r.D.diags)
+      (Lint.Driver.run_design (Designs.Gated.build ()) :: reports)
+  in
+  Alcotest.(check bool) "A-series findings exist" true (a_series <> []);
+  Alcotest.(check bool) "A-series findings are informational" true
+    (List.for_all (fun (d : D.t) -> d.D.severity = D.Info) a_series)
 
 (* A deliberately broken design exercising one finding per annotation code
    (plus the structural unnamed-annotated warning). *)

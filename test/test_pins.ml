@@ -1,0 +1,110 @@
+(* Absolute pins on two workloads no other test runs whole.
+
+   The quick SynthLC engine workload: ADD, DIV, LW and BEQ on ibex_lite,
+   transmitters DIV and ADD, at [Test_parallel.light_config] (perfbench's
+   [synthlc_config] at seed 1).  It runs three times: cold and traced into
+   an empty verdict store, warm from that store, and warm again with every
+   static pre-pass audited.  The DIV cover batch runs µPATH synthesis at
+   depth 20 with both simulations off, so the SAT path decides every
+   cover.  A change that moves a verdict, a witness, a prune count, a cache
+   counter or the span count fails here and names the value it moved. *)
+
+module Engine = Synthlc.Engine
+module Synth = Mupath.Synth
+
+let run_engine ?cache ~prune () =
+  Engine.run ?cache ~config:Test_parallel.light_config ~prune
+    ~stimulus:(fun ~pins ~rotate meta ->
+      Designs.Stimulus.ibex ~pins ~rotate meta)
+    ~design:(fun () -> Designs.Ibex.build ())
+    ~jobs:1 ~exclude_sources:[ "IF"; "scbCmt" ]
+    ~instructions:
+      [
+        Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD;
+        Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV;
+        Isa.make ~rd:3 ~rs1:2 Isa.LW;
+        Isa.make ~rs1:1 ~rs2:2 ~imm:8 Isa.BEQ;
+      ]
+    ~transmitters:[ Isa.DIV; Isa.ADD ]
+    ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
+    ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Ibex.iuv_pc ()
+
+(* [f] summed over every transponder's duv_pl stage. *)
+let duv_pl f (r : Engine.report) =
+  List.fold_left
+    (fun acc (t : Engine.transponder_report) ->
+      acc + f (List.assoc "duv_pl" t.Engine.synth.Synth.stage_stats))
+    0 r.Engine.transponders
+
+let counters = Alcotest.(triple int int int)
+
+let test_engine_workload () =
+  Test_sweep.with_tmpdir @@ fun dir ->
+  let digest = "bf3012036c4b2c653249bbfc80d8f397" in
+  let d = Engine.report_digest in
+  Obs.enable ();
+  Obs.reset ();
+  let cold_store = Vcache.create ~dir () in
+  let cold =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        run_engine ~cache:cold_store ~prune:`On ())
+  in
+  let events = List.length (Obs.events ()) in
+  Obs.reset ();
+  Alcotest.(check string) "cold report digest" digest (d cold);
+  Alcotest.check counters "cold hits/misses/stores" (0, 101, 101)
+    (Vcache.counters cold_store);
+  Alcotest.(check int) "trace events" 267 events;
+  Alcotest.(check int) "duv_pl covers pruned statically" 12
+    (duv_pl (fun s -> s.Synth.pruned_static) cold);
+  Alcotest.(check int) "duv_pl covers pruned by known bits" 0
+    (duv_pl (fun s -> s.Synth.pruned_absint) cold);
+  Alcotest.(check int) "duv_pl props dispatched" 0
+    (duv_pl (fun s -> s.Synth.props) cold);
+  Alcotest.(check int) "flow props" 20 cold.Engine.total_flow_props;
+  Alcotest.(check int) "flow props pruned statically" 10
+    cold.Engine.total_flow_pruned_static;
+  let warm_store = Vcache.create ~dir () in
+  let warm = run_engine ~cache:warm_store ~prune:`On () in
+  Alcotest.check counters "warm hits/misses/stores" (101, 0, 0)
+    (Vcache.counters warm_store);
+  Alcotest.(check bool) "warm report equals cold" true
+    (Engine.equal_report cold warm);
+  Alcotest.(check string) "warm report digest" digest (d warm);
+  (* The audit re-checks the 22 pruned covers after the main stream; the
+     101 others replay from the store. *)
+  let audit_store = Vcache.create ~dir () in
+  let audit = run_engine ~cache:audit_store ~prune:`Audit () in
+  Alcotest.(check string) "audited report digest" digest (d audit);
+  Alcotest.check counters "audited hits/misses/stores" (101, 22, 22)
+    (Vcache.counters audit_store);
+  Alcotest.(check int) "audited duv_pl props" 12
+    (duv_pl (fun s -> s.Synth.props) audit);
+  Alcotest.(check int) "audited flow props" 20 audit.Engine.total_flow_props;
+  Alcotest.(check int) "audit prunes no flow cover" 0
+    audit.Engine.total_flow_pruned_static
+
+let test_div_batch () =
+  let config =
+    {
+      Test_parallel.light_config with
+      Mc.Checker.sim_episodes = 0;
+      bmc_depth = 20;
+    }
+  in
+  let r =
+    Synth.run ~config ~presim_episodes:0 ~meta:(Designs.Ibex.build ())
+      ~iuv:(Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV)
+      ~iuv_pc:Designs.Ibex.iuv_pc ()
+  in
+  Alcotest.(check string) "result digest" "7f39a72d8386a5804a67ef11a823c3a1"
+    (Synth.result_digest r)
+
+let suite =
+  ( "pins",
+    [
+      Alcotest.test_case "engine workload cold, warm and audited" `Slow
+        test_engine_workload;
+      Alcotest.test_case "depth-20 DIV batch, simulations off" `Slow
+        test_div_batch;
+    ] )

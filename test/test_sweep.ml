@@ -1,7 +1,8 @@
 (* Sweep-integration tests: checker tri-mode digest identity on the toy
-   DUV (off / on / audit produce bit-identical synthesis results, with the
-   audit's divergence tripwire armed throughout), admission of the
-   committed gate-level ibex_lite example plus its >=20% merge ratio and
+   DUV and on the gated DUV (off / on / audit produce bit-identical
+   synthesis results, with the audit's divergence tripwire armed
+   throughout; the gated DUV's digest is pinned), admission of the
+   committed gate-level ibex_lite example plus its merge counts and
    cross-variant semantic digest, and the semantic cache namespace — a
    cold gate-level fill of the verdict store warms the word-level
    original's run with zero misses. *)
@@ -34,6 +35,29 @@ let run_toy ?cache ?(semantic_cache = false) ~sweep meta =
     ~config:{ Test_mupath.toy_config with C.sweep }
     ~meta ~iuv:(Isa.make Isa.ADD) ~iuv_pc:2 ()
 
+let run_gated ?cache ?(semantic_cache = false) ~sweep meta =
+  Mupath.Synth.run ?cache ~semantic_cache
+    ~config:{ Test_absint.gated_config with C.sweep }
+    ~meta
+    ~iuv:(Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD)
+    ~iuv_pc:Designs.Gated.iuv_pc ()
+
+(* The gated DUV's annotations resolved by name over [nl], as an import
+   with the exported sidecar would resolve them. *)
+let gated_over nl =
+  let sidecar =
+    Frontend.Sidecar.of_meta ~stimulus:Frontend.Sidecar.S_none
+      ~iuv_pc:Designs.Gated.iuv_pc (Designs.Gated.build ())
+  in
+  (Frontend.Sidecar.resolve nl sidecar).Frontend.Sidecar.meta
+
+let gated_gate_level () =
+  gated_over (fst (Hdl.Gateify.run (Designs.Gated.build ()).Meta.nl))
+
+let gated_reimported () =
+  let js = Frontend.Yosys.export_string (Designs.Gated.build ()).Meta.nl in
+  gated_over (Frontend.Yosys.import_string ~design:"gated" js).Frontend.Yosys.nl
+
 let test_trimode_identity () =
   let d sweep =
     Mupath.Synth.result_digest
@@ -46,7 +70,22 @@ let test_trimode_identity () =
      and raises Failure on any verdict or witness divergence — a green
      check here is the cross-check itself. *)
   Alcotest.(check string) "sweep audit is silent and digest-identical" off
-    (d C.Sweep_audit)
+    (d C.Sweep_audit);
+  (* The gated DUV: its gate-level variant in every mode, the word-level
+     built-in and the built-in's export/import round trip all give one
+     pinned digest. *)
+  List.iter
+    (fun (what, sweep, meta) ->
+      Alcotest.(check string) ("gated " ^ what)
+        "555e6b401e721d177f7bb015a345bf5c"
+        (Mupath.Synth.result_digest (run_gated ~sweep meta)))
+    [
+      ("word-level", C.Sweep_off, Designs.Gated.build ());
+      ("re-imported", C.Sweep_off, gated_reimported ());
+      ("gate-level, sweep off", C.Sweep_off, gated_gate_level ());
+      ("gate-level, sweep on", C.Sweep_on, gated_gate_level ());
+      ("gate-level, sweep audit", C.Sweep_audit, gated_gate_level ());
+    ]
 
 (* --- committed gate-level example ---------------------------------------- *)
 
@@ -77,7 +116,12 @@ let test_gl_example_sweep_ratio () =
        stats.E.comb_nodes)
     true
     (float_of_int stats.E.merged
-    >= 0.20 *. float_of_int stats.E.comb_nodes)
+    >= 0.20 *. float_of_int stats.E.comb_nodes);
+  (* The exact counts: a change to the sweep's patterns, its SAT queries or
+     its merge rules moves them. *)
+  Alcotest.(check (triple int int int)) "comb nodes / merged / classes"
+    (7581, 6338, 447)
+    (stats.E.comb_nodes, stats.E.merged, stats.E.classes)
 
 (* --- semantic cache namespace: cold gate-level fill, warm word-level ----- *)
 
@@ -132,6 +176,21 @@ let test_semantic_cache_cross_variant () =
     (hits > 0);
   Alcotest.(check int) "no misses on the warm run" 0 misses;
   Alcotest.(check string) "cross-variant digests identical"
+    (Mupath.Synth.result_digest r_gl)
+    (Mupath.Synth.result_digest r_wl);
+  (* The gated DUV: the gate-level fill serves every one of the word-level
+     run's covers. *)
+  let gated_dir = Filename.concat dir "gated" in
+  let run cache meta =
+    run_gated ~cache ~semantic_cache:true ~sweep:C.Sweep_on meta
+  in
+  let r_gl = run (Vcache.create ~dir:gated_dir ()) (gated_gate_level ()) in
+  let warm = Vcache.create ~dir:gated_dir () in
+  let r_wl = run warm (Designs.Gated.build ()) in
+  let hits, misses, _ = Vcache.counters warm in
+  Alcotest.(check (pair int int)) "gated warm hits/misses" (26, 0)
+    (hits, misses);
+  Alcotest.(check string) "gated cross-variant digests identical"
     (Mupath.Synth.result_digest r_gl)
     (Mupath.Synth.result_digest r_wl)
 
