@@ -21,13 +21,129 @@ type stats = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Concrete evaluation: settle the combinational logic in topological
-   order with the shared node semantics; inputs and registers must be
-   pre-populated in [values] by the caller (free sources for sweeping,
-   sequential state for the canonical stimulus). *)
+(* Concrete evaluation, one pattern at a time: settle the combinational
+   logic in topological order with the shared node semantics; inputs and
+   registers must be pre-populated in [values] by the caller.  Only the
+   canonical stimulus of [signatures] uses it: its digest is a semantic
+   cache key, so it stays on the reference semantics. *)
 let settle nl order values =
   let value s = values.(s) in
   Array.iter (fun id -> values.(id) <- Netlist.eval_node nl value id) order
+
+(* ------------------------------------------------------------------ *)
+(* Bit-level lowering of every non-source node kind, written once over an
+   abstract bit algebra.  On solver literals it is the miter CNF
+   ([encode]); on machine words, one pattern per bit, it is the block
+   simulator ([Words]).  The sweep classifies nodes by the one and proves
+   them with the other, so the two cannot disagree about what a node
+   computes. *)
+
+module type BITS = sig
+  type ctx
+  type bit
+
+  val one : ctx -> bit
+  val neg : bit -> bit
+  val conj : ctx -> bit -> bit -> bit
+  val disj : ctx -> bit -> bit -> bit
+  val xor : ctx -> bit -> bit -> bit
+  val mux : ctx -> bit -> bit -> bit -> bit (* select, on true, on false *)
+end
+
+module Lower (B : BITS) = struct
+  (* On literals every call may allocate a variable and add clauses, so
+     the calls are sequenced explicitly: their order is the CNF's variable
+     numbering. *)
+  let full_add c a b cin =
+    let ab = B.xor c a b in
+    let c_ab = B.conj c cin ab in
+    let g = B.conj c a b in
+    let carry = B.disj c g c_ab in
+    let sum = B.xor c ab cin in
+    (sum, carry)
+
+  let ripple_add c ?cin la lb =
+    let w = Array.length la in
+    let carry = ref (match cin with Some x -> x | None -> B.neg (B.one c)) in
+    Array.init w (fun i ->
+        let s, co = full_add c la.(i) lb.(i) !carry in
+        carry := co;
+        s)
+
+  (* Unsigned less-than by LSB-to-MSB scan: at each bit, a difference
+     overrides the verdict of the lower bits. *)
+  let ripple_ult c la lb =
+    let w = Array.length la in
+    let lt = ref (B.neg (B.one c)) in
+    for i = 0 to w - 1 do
+      let diff = B.xor c la.(i) lb.(i) in
+      lt := B.mux c diff lb.(i) !lt
+    done;
+    !lt
+
+  let ripple_slt c la lb =
+    let w = Array.length la in
+    let lt = ref (B.neg (B.one c)) in
+    for i = 0 to w - 1 do
+      let diff = B.xor c la.(i) lb.(i) in
+      (* At the sign bit the comparison flips: a set sign means smaller. *)
+      let when_diff = if i = w - 1 then la.(i) else lb.(i) in
+      lt := B.mux c diff when_diff !lt
+    done;
+    !lt
+
+  (* The bits of node [nd], LSB first, from its operands' bits [get].
+     Sources are the caller's: free variables for the CNF, pattern words
+     for the simulator. *)
+  let node c get (nd : Netlist.node) =
+    let tt = B.one c in
+    let ff = B.neg tt in
+    let w = nd.Netlist.width in
+    let open Netlist in
+    match nd.kind with
+    | Input | Reg _ -> invalid_arg "Equiv: a source has no lowering"
+    | Wire { driver = None } -> invalid_arg "Equiv: unconnected wire"
+    | Const v -> Array.init w (fun i -> if Bitvec.bit v i then tt else ff)
+    | Wire { driver = Some d } -> get d
+    | Not a -> Array.map B.neg (get a)
+    | Op2 (op, a, b) -> (
+      let la = get a and lb = get b in
+      match op with
+      | And -> Array.init w (fun i -> B.conj c la.(i) lb.(i))
+      | Or -> Array.init w (fun i -> B.disj c la.(i) lb.(i))
+      | Xor -> Array.init w (fun i -> B.xor c la.(i) lb.(i))
+      | Add -> ripple_add c la lb
+      | Sub -> ripple_add c ~cin:tt la (Array.map B.neg lb)
+      | Mul ->
+        let acc = ref (Array.make w ff) in
+        for j = 0 to w - 1 do
+          let row =
+            Array.init w (fun i -> if i >= j then B.conj c la.(i - j) lb.(j) else ff)
+          in
+          acc := ripple_add c !acc row
+        done;
+        !acc
+      | Eq ->
+        let z =
+          Array.to_list la
+          |> List.mapi (fun i ai -> B.neg (B.xor c ai lb.(i)))
+          |> List.fold_left (B.conj c) tt
+        in
+        [| z |]
+      | Ult -> [| ripple_ult c la lb |]
+      | Slt -> [| ripple_slt c la lb |])
+    | Mux { sel; on_true; on_false } ->
+      let ls = (get sel).(0) in
+      let la = get on_true and lb = get on_false in
+      Array.init w (fun i -> B.mux c ls la.(i) lb.(i))
+    | Extract { hi; lo; arg } -> Array.sub (get arg) lo (hi - lo + 1)
+    | Concat parts ->
+      List.rev parts
+      |> List.map (fun p -> Array.to_list (get p))
+      |> List.concat |> Array.of_list
+    | ReduceOr a -> [| Array.fold_left (B.disj c) ff (get a) |]
+    | ReduceAnd a -> [| Array.fold_left (B.conj c) tt (get a) |]
+end
 
 (* ------------------------------------------------------------------ *)
 (* Depth-0 CNF encoding of the combinational logic, directly on the SAT
@@ -114,39 +230,17 @@ let g_mux e sel t f =
     z
   end
 
-let full_add e a b cin =
-  let ab = g_xor e a b in
-  (g_xor e ab cin, g_or e (g_and e a b) (g_and e cin ab))
+module Cnf = Lower (struct
+  type ctx = enc
+  type bit = S.lit
 
-let ripple_add e ?(cin : S.lit option) la lb =
-  let w = Array.length la in
-  let carry = ref (match cin with Some c -> c | None -> S.negate e.lt) in
-  Array.init w (fun i ->
-      let s, c = full_add e la.(i) lb.(i) !carry in
-      carry := c;
-      s)
-
-(* Unsigned less-than by LSB-to-MSB scan: at each bit, a difference
-   overrides the verdict of the lower bits. *)
-let ripple_ult e la lb =
-  let w = Array.length la in
-  let lt = ref (S.negate e.lt) in
-  for i = 0 to w - 1 do
-    let diff = g_xor e la.(i) lb.(i) in
-    lt := g_mux e diff lb.(i) !lt
-  done;
-  !lt
-
-let ripple_slt e la lb =
-  let w = Array.length la in
-  let lt = ref (S.negate e.lt) in
-  for i = 0 to w - 1 do
-    let diff = g_xor e la.(i) lb.(i) in
-    (* At the sign bit the comparison flips: a set sign means smaller. *)
-    let when_diff = if i = w - 1 then la.(i) else lb.(i) in
-    lt := g_mux e diff when_diff !lt
-  done;
-  !lt
+  let one e = e.lt
+  let neg = S.negate
+  let conj = g_and
+  let disj = g_or
+  let xor = g_xor
+  let mux = g_mux
+end)
 
 let encode nl order =
   let s = S.create () in
@@ -162,61 +256,172 @@ let encode nl order =
       xor_cache = Hashtbl.create 1024;
     }
   in
-  let lf = S.negate lt in
-  let open Netlist in
+  let get s = e.lits.(s) in
   Array.iter
     (fun id ->
-      let n = node nl id in
-      let w = n.width in
-      let l =
-        match n.kind with
-        | Input | Reg _ -> Array.init w (fun _ -> fresh e)
-        | Const v -> Array.init w (fun i -> if Bitvec.bit v i then lt else lf)
-        | Wire { driver = Some d } -> e.lits.(d)
-        | Wire { driver = None } -> assert false
-        | Not a -> Array.map S.negate e.lits.(a)
-        | Op2 (op, a, b) -> (
-          let la = e.lits.(a) and lb = e.lits.(b) in
-          match op with
-          | And -> Array.init w (fun i -> g_and e la.(i) lb.(i))
-          | Or -> Array.init w (fun i -> g_or e la.(i) lb.(i))
-          | Xor -> Array.init w (fun i -> g_xor e la.(i) lb.(i))
-          | Add -> ripple_add e la lb
-          | Sub -> ripple_add e ~cin:lt la (Array.map S.negate lb)
-          | Mul ->
-            let acc = ref (Array.make w lf) in
-            for j = 0 to w - 1 do
-              let row =
-                Array.init w (fun i ->
-                    if i >= j then g_and e la.(i - j) lb.(j) else lf)
-              in
-              acc := ripple_add e !acc row
-            done;
-            !acc
-          | Eq ->
-            let z =
-              Array.to_list la
-              |> List.mapi (fun i ai -> S.negate (g_xor e ai lb.(i)))
-              |> List.fold_left (g_and e) lt
-            in
-            [| z |]
-          | Ult -> [| ripple_ult e la lb |]
-          | Slt -> [| ripple_slt e la lb |])
-        | Mux { sel; on_true; on_false } ->
-          let ls = e.lits.(sel).(0) in
-          let la = e.lits.(on_true) and lb = e.lits.(on_false) in
-          Array.init w (fun i -> g_mux e ls la.(i) lb.(i))
-        | Extract { hi; lo; arg } -> Array.sub e.lits.(arg) lo (hi - lo + 1)
-        | Concat parts ->
-          List.rev parts
-          |> List.map (fun p -> Array.to_list e.lits.(p))
-          |> List.concat |> Array.of_list
-        | ReduceOr a -> [| Array.fold_left (g_or e) lf e.lits.(a) |]
-        | ReduceAnd a -> [| Array.fold_left (g_and e) lt e.lits.(a) |]
-      in
-      e.lits.(id) <- l)
+      let nd = Netlist.node nl id in
+      e.lits.(id) <-
+        (match nd.Netlist.kind with
+        | Netlist.Input | Netlist.Reg _ ->
+          Array.init nd.Netlist.width (fun _ -> fresh e)
+        | _ -> Cnf.node e get nd))
     order;
   e
+
+(* ------------------------------------------------------------------ *)
+(* Block simulation.  Each node's trace is a set of bit-planes: one OCaml
+   int per bit of the node per block of [block] patterns, pattern [p] in
+   bit [p mod block] of block [p / block].  One word operation of the
+   lowering then simulates a whole block (FRAIG-style).  A pattern is
+   appended to the sources' planes as it arrives; [flush] simulates every
+   block holding one not yet simulated, the partial last block whole, so
+   a batch of counterexamples costs one pass. *)
+
+module Words = Lower (struct
+  type ctx = unit
+  type bit = int
+
+  let one () = -1
+  let neg = lnot
+  let conj () a b = a land b
+  let disj () a b = a lor b
+  let xor () a b = a lxor b
+  let mux () s t f = (s land t) lor (lnot s land f)
+end)
+
+(* 62 patterns per word leave the sign bit clear: every word and every
+   [(1 lsl k) - 1] mask stays non-negative. *)
+let block = 62
+
+type traces = {
+  t_nl : Netlist.t;
+  t_gates : Netlist.node array; (* every non-source node, in comb order *)
+  t_sources : Netlist.signal array; (* inputs and registers, ascending id *)
+  mutable t_blocks : int array array array;
+      (* .(b).(id).(i): bit [i] of node [id] over block [b]; grown by doubling *)
+  mutable t_count : int; (* patterns appended *)
+  mutable t_simulated : int; (* patterns simulated; the rest are pending *)
+}
+
+let make_traces nl order =
+  let gates =
+    Array.to_list order
+    |> List.filter_map (fun id ->
+           let nd = Netlist.node nl id in
+           match nd.Netlist.kind with
+           | Netlist.Input | Netlist.Reg _ -> None
+           | _ -> Some nd)
+    |> Array.of_list
+  in
+  let sources =
+    Array.of_list (List.sort compare (Netlist.inputs nl @ Netlist.registers nl))
+  in
+  {
+    t_nl = nl;
+    t_gates = gates;
+    t_sources = sources;
+    t_blocks = [||];
+    t_count = 0;
+    t_simulated = 0;
+  }
+
+let traces nl =
+  Netlist.validate nl;
+  make_traces nl (Netlist.comb_order nl)
+
+let num_blocks t = (t.t_count + block - 1) / block
+
+(* Valid-pattern mask of block [b].  Bits past the last pattern hold
+   every node's value under the all-zero pattern and never count. *)
+let block_mask t b = (1 lsl min block (t.t_count - (b * block))) - 1
+
+(* Append one pattern: [bits s] reads source [s]'s value bit by bit.  It
+   is called once per source, in ascending id order. *)
+let push t bits =
+  let b = t.t_count / block and k = t.t_count mod block in
+  if k = 0 then begin
+    if b = Array.length t.t_blocks then
+      t.t_blocks <- Array.append t.t_blocks (Array.make (max 1 b) [||]);
+    let blk = Array.make (Netlist.num_nodes t.t_nl) [||] in
+    Array.iter
+      (fun s -> blk.(s) <- Array.make (Netlist.width t.t_nl s) 0)
+      t.t_sources;
+    t.t_blocks.(b) <- blk
+  end;
+  let blk = t.t_blocks.(b) in
+  Array.iter
+    (fun s ->
+      let bit = bits s in
+      let words = blk.(s) in
+      for i = 0 to Array.length words - 1 do
+        if bit i then words.(i) <- words.(i) lor (1 lsl k)
+      done)
+    t.t_sources;
+  t.t_count <- t.t_count + 1
+
+let flush t =
+  if t.t_simulated < t.t_count then begin
+    for b = t.t_simulated / block to num_blocks t - 1 do
+      let blk = t.t_blocks.(b) in
+      let get s = blk.(s) in
+      Array.iter
+        (fun nd -> blk.(nd.Netlist.id) <- Words.node () get nd)
+        t.t_gates
+    done;
+    t.t_simulated <- t.t_count
+  end
+
+let add_pattern t f =
+  push t (fun s ->
+      let v = f s in
+      if Bitvec.width v <> Netlist.width t.t_nl s then
+        invalid_arg "Equiv.add_pattern: width mismatch";
+      Bitvec.bit v)
+
+let value t id p =
+  if p < 0 || p >= t.t_count then invalid_arg "Equiv.value: no such pattern";
+  flush t;
+  let words = t.t_blocks.(p / block).(id) in
+  Bitvec.of_bits
+    (List.init (Array.length words) (fun i -> (words.(i) lsr (p mod block)) land 1 = 1))
+
+(* Node [id]'s whole simulated trace (read it after [flush]) as one masked
+   array, with a flag.  A 1-bit trace is taken in the phase that reads 0
+   on pattern 0 (the flag says whether it was flipped), so a node and its
+   complement share a key. *)
+let trace_key t id =
+  let w = Netlist.width t.t_nl id in
+  let flip = w = 1 && t.t_blocks.(0).(id).(0) land 1 = 1 in
+  let key = Array.make (w * num_blocks t) 0 in
+  for b = 0 to num_blocks t - 1 do
+    let m = block_mask t b and words = t.t_blocks.(b).(id) in
+    for i = 0 to w - 1 do
+      key.((b * w) + i) <- (if flip then lnot words.(i) else words.(i)) land m
+    done
+  done;
+  (key, flip)
+
+(* Whether node [id] held one value on every pattern. *)
+let is_const t id =
+  flush t;
+  let first = t.t_blocks.(0).(id) in
+  let same = ref true in
+  for b = 0 to num_blocks t - 1 do
+    let m = block_mask t b and words = t.t_blocks.(b).(id) in
+    Array.iteri
+      (fun i x ->
+        let want = if first.(i) land 1 = 1 then m else 0 in
+        if x land m <> want then same := false)
+      words
+  done;
+  !same
+
+module Trace_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash a = Array.fold_left (fun h x -> (h * 31) + x) 0 a land max_int
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Union-find with parity: each node carries whether it equals (false)
@@ -271,9 +476,6 @@ let is_comb (k : Netlist.kind) =
   | Input | Const _ | Reg _ | Wire _ -> false
   | Not _ | Op2 _ | Mux _ | Extract _ | Concat _ | ReduceOr _ | ReduceAnd _ -> true
 
-let complement_trace t =
-  String.map (function '0' -> '1' | '1' -> '0' | c -> c) t
-
 let analyze_internal ?(patterns = 64) ?(max_conflicts = 10_000) ?(barriers = [])
     nl =
   Netlist.validate nl;
@@ -295,30 +497,11 @@ let analyze_internal ?(patterns = 64) ?(max_conflicts = 10_000) ?(barriers = [])
         if nd.Netlist.name = None && not barrier.(id) then candidate.(id) <- true
       end;
       (match nd.Netlist.kind with Netlist.Wire _ -> () | _ -> eligible.(id) <- true));
-  let sources =
-    List.sort compare (Netlist.inputs nl @ Netlist.registers nl)
-  in
-  (* Traces. *)
-  let bufs = Array.init n (fun _ -> Buffer.create 128) in
-  let first_val = Array.make n None in
-  let is_const_trace = Array.make n true in
-  let pattern_count = ref 0 in
-  let values = Array.make n (Bitvec.zero 1) in
-  let run_pattern fill =
-    List.iter (fun s -> values.(s) <- fill s) sources;
-    settle nl order values;
-    for id = 0 to n - 1 do
-      Buffer.add_string bufs.(id) (Bitvec.to_hex_string values.(id));
-      Buffer.add_char bufs.(id) ';';
-      (match first_val.(id) with
-      | None -> first_val.(id) <- Some values.(id)
-      | Some v -> if not (Bitvec.equal v values.(id)) then is_const_trace.(id) <- false)
-    done;
-    incr pattern_count
-  in
+  (* Traces: random patterns, one draw per source, simulated by block. *)
+  let tr = make_traces nl order in
   let rng = Random.State.make [| 0x53eeb; n |] in
   for _ = 1 to max 1 patterns do
-    run_pattern (fun s -> Bitvec.random rng (Netlist.width nl s))
+    push tr (fun s -> Bitvec.bit (Bitvec.random rng (Netlist.width nl s)))
   done;
   (* SAT side. *)
   let e = encode nl order in
@@ -332,11 +515,11 @@ let analyze_internal ?(patterns = 64) ?(max_conflicts = 10_000) ?(barriers = [])
     | S.Sat ->
       incr refuted;
       (* Counterexample pattern: the model's source values refine the
-         partition so this pair never pairs up again. *)
-      run_pattern (fun s ->
+         partition so this pair never pairs up again.  It is simulated
+         with the next batch, before any trace is read again. *)
+      push tr (fun s ->
           let ls = e.lits.(s) in
-          Bitvec.of_bits
-            (List.init (Array.length ls) (fun i -> S.lit_value e.s ls.(i))))
+          fun i -> S.lit_value e.s ls.(i))
     | S.Unsat -> ()
     | S.Unknown -> incr unknown);
     S.add_clause e.s [ S.negate act ];
@@ -352,33 +535,26 @@ let analyze_internal ?(patterns = 64) ?(max_conflicts = 10_000) ?(barriers = [])
     e.lits.(a) |> Array.to_list
     |> List.mapi (fun i ai -> if Bitvec.bit v i then S.negate ai else ai)
   in
-  (* Partition from current traces: eligible nodes keyed by width + trace
-     (1-bit nodes: the lexicographically smaller of trace / complemented
-     trace, remembering which phase matched). *)
+  (* Partition from current traces: eligible nodes keyed by their whole
+     trace (1-bit nodes: in the phase that reads 0 on pattern 0,
+     remembering whether it was flipped). *)
   let classify () =
-    let tbl : (string, (int * bool) list ref) Hashtbl.t = Hashtbl.create 256 in
+    flush tr;
+    let tbl = Trace_tbl.create 256 in
     let ordered = ref [] in
     for id = n - 1 downto 0 do
       if eligible.(id) then begin
-        let w = Netlist.width nl id in
-        let t = Buffer.contents bufs.(id) in
-        let key, ph =
-          if w = 1 then begin
-            let ct = complement_trace t in
-            if String.compare ct t < 0 then ("1|" ^ ct, true) else ("1|" ^ t, false)
-          end
-          else (string_of_int w ^ "|" ^ t, false)
-        in
-        match Hashtbl.find_opt tbl key with
+        let key, ph = trace_key tr id in
+        match Trace_tbl.find_opt tbl key with
         | Some l -> l := (id, ph) :: !l
         | None ->
           let l = ref [ (id, ph) ] in
-          Hashtbl.add tbl key l;
+          Trace_tbl.add tbl key l;
           ordered := l :: !ordered
       end
     done;
-    (* [ordered] lists classes by ascending lowest member id; members are
-       ascending already (downward loop + cons). *)
+    (* [ordered] lists classes by descending highest member id; members
+       are ascending (downward loop + cons). *)
     List.filter_map
       (fun l -> match !l with [] | [ _ ] -> None | ms -> Some ms)
       (List.rev !ordered)
@@ -423,12 +599,14 @@ let analyze_internal ?(patterns = 64) ?(max_conflicts = 10_000) ?(barriers = [])
     end
   done;
   (* Constant proving: group representatives and lone combinational nodes
-     whose trace never varied. *)
+     whose trace never varied.  [is_const] simulates a counterexample the
+     previous candidate's miter found before it reads a trace. *)
   let try_const id =
-    match first_val.(id) with
-    | Some v when is_const_trace.(id) && comb.(id) -> (
-      match miter_solve (const_diffs id v) with S.Unsat -> Some v | _ -> None)
-    | _ -> None
+    if comb.(id) && is_const tr id then begin
+      let v = value tr id 0 in
+      match miter_solve (const_diffs id v) with S.Unsat -> Some v | _ -> None
+    end
+    else None
   in
   let classes = ref [] in
   let group_list =
@@ -442,14 +620,12 @@ let analyze_internal ?(patterns = 64) ?(max_conflicts = 10_000) ?(barriers = [])
       | [] -> ()
       | [ (id, _) ] ->
         (* Singleton: only interesting if provably constant. *)
-        if is_const_trace.(id) then
-          Option.iter
-            (fun v -> classes := { rep = id; members = []; const_value = Some v } :: !classes)
-            (try_const id)
+        Option.iter
+          (fun v -> classes := { rep = id; members = []; const_value = Some v } :: !classes)
+          (try_const id)
       | (rep, prep) :: rest ->
         let members = List.map (fun (m, pm) -> (m, prep <> pm)) rest in
-        let const_value = if is_const_trace.(rep) then try_const rep else None in
-        classes := { rep; members; const_value } :: !classes)
+        classes := { rep; members; const_value = try_const rep } :: !classes)
     group_list;
   let a_classes = List.rev !classes in
   let a_comb = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 comb in
@@ -463,7 +639,7 @@ let analyze_internal ?(patterns = 64) ?(max_conflicts = 10_000) ?(barriers = [])
     a_queries = !queries;
     a_refuted = !refuted;
     a_unknown = !unknown;
-    a_patterns = !pattern_count;
+    a_patterns = tr.t_count;
     a_candidate = candidate;
   }
 

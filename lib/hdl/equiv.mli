@@ -7,6 +7,21 @@
     prove or refute each candidate, with every refutation yielding a
     counterexample pattern that refines the partition, to a fixpoint.
 
+    Patterns are simulated a block at a time (Mishchenko et al., "FRAIGs",
+    2005): each node's trace is a set of bit-planes, one OCaml int per bit
+    of the node per block of up to 62 patterns, so one word operation
+    simulates a whole block.  The planes and the miter CNF come from one
+    bit-level lowering of the node kinds, instantiated once on pattern
+    words and once on solver literals, so the sweep's simulation and its
+    encoding cannot disagree.  Two ordering rules make the block
+    simulation invisible to the SAT side — the same queries in the same
+    order, hence the same classes, merges and statistics as simulating
+    each pattern on its own:
+    - counterexamples found while refining classes are buffered and
+      simulated as one batch before the next partition;
+    - a counterexample found while proving constants is simulated before
+      the next constant candidate is examined.
+
     Proven classes are merged by a deterministic representative rule:
     the lowest node id wins.  Ports (inputs), registers, named signals —
     which covers everything a µFSM/IFR metadata sidecar can reference,
@@ -73,6 +88,25 @@ val reduce :
     register survives under its own name; node ids are renumbered densely.
     Merges that would create a combinational cycle (possible because wire
     drivers may point forward) are vetoed deterministically and counted. *)
+
+(** {1 Block simulation}
+
+    The sweep's trace store, exposed so it can be tested against
+    {!Netlist.eval_node}. *)
+
+type traces
+(** Every node's value on every pattern appended so far. *)
+
+val traces : Netlist.t -> traces
+(** An empty store.  The netlist must validate. *)
+
+val add_pattern : traces -> (Netlist.signal -> Bitvec.t) -> unit
+(** [add_pattern t f] appends one pattern in which source [s] (an input
+    or register) takes the value [f s].  [f] is called once per source, in
+    ascending id order.  Simulation is deferred to the next {!value}. *)
+
+val value : traces -> Netlist.signal -> int -> Bitvec.t
+(** [value t s p] is node [s]'s value on pattern [p], counted from 0. *)
 
 (** {1 Semantic identity} *)
 

@@ -24,11 +24,15 @@ let listing nl members =
 
 let run (meta : Meta.t) =
   let nl = meta.Meta.nl in
-  match
-    try Some (E.analyze ~barriers:(Meta.signals meta) nl) with _ -> None
-  with
-  | None -> []
-  | Some (classes, _stats) ->
+  match N.validate nl with
+  | exception Failure _ -> []
+  | () ->
+    (* An annotation outside the netlist names no node to keep (the
+       annotation pass reports it as L101). *)
+    let barriers =
+      List.filter (fun s -> s >= 0 && s < N.num_nodes nl) (Meta.signals meta)
+    in
+    let classes, _stats = E.analyze ~barriers nl in
     let diags = ref [] in
     let emit ?signal ~code fmt =
       Printf.ksprintf
@@ -39,13 +43,10 @@ let run (meta : Meta.t) =
     in
     (* Known-bits facts, to keep E503 disjoint from A401: only constants
        the dataflow fixpoint cannot prove are worth a second diagnostic. *)
-    let kb = try Some (Hdl.Absint.known_bits nl) with _ -> None in
+    let kb = Hdl.Absint.known_bits nl in
     let kb_proves s v =
-      match kb with
-      | None -> false
-      | Some kb ->
-        let kn, kv = kb.(s) in
-        Bitvec.is_ones kn && Bitvec.equal kv v
+      let kn, kv = kb.(s) in
+      Bitvec.is_ones kn && Bitvec.equal kv v
     in
     List.iter
       (fun (c : E.cls) ->

@@ -19,10 +19,12 @@
     All three are informational: duplicate logic is legal (and common in
     post-synthesis netlists), but it inflates every downstream encoding.
     The annotated metadata signals are passed as merge barriers, matching
-    what a [config.sweep] run would actually merge.
+    what a [config.sweep] run would actually merge; an annotation outside
+    the netlist (the annotation pass's L101) is left out.
 
-    The pass bails out silently on netlists the sweep rejects (e.g.
-    combinationally cyclic ones): reporting those is the structural
-    pass's job. *)
+    The pass returns no diagnostics on netlists {!Hdl.Netlist.validate}
+    rejects (e.g. combinationally cyclic ones): reporting those is the
+    structural pass's job.  Any other exception from the sweep or the
+    known-bits fixpoint propagates. *)
 
 val run : Designs.Meta.t -> Diagnostic.t list

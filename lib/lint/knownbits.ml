@@ -30,10 +30,12 @@ let run (meta : Meta.t) =
   (* The analysis needs a validated netlist (acyclic combinational logic,
      connected registers).  µLint must degrade, not crash, on the broken
      netlists the structural pass exists to report — so bail out silently
-     if the fixpoint rejects the design. *)
-  match (try Some (AI.known_bits nl) with _ -> None) with
-  | None -> []
-  | Some kb ->
+     when validation rejects the design.  Any other exception is a bug and
+     propagates. *)
+  match N.validate nl with
+  | exception Failure _ -> []
+  | () ->
+    let kb = AI.known_bits nl in
     let diags = ref [] in
     let emit ?signal ~code ~severity fmt =
       Printf.ksprintf

@@ -15,8 +15,9 @@
     - [A406] (info): a register enable proven always-1 — the hold path is
       dead.
 
-    The pass returns no diagnostics on netlists the analysis rejects
-    (e.g. combinationally cyclic ones): reporting those is the structural
-    pass's job. *)
+    The pass returns no diagnostics on netlists {!Hdl.Netlist.validate}
+    rejects (e.g. combinationally cyclic ones): reporting those is the
+    structural pass's job.  Any other exception from the fixpoint
+    propagates. *)
 
 val run : Designs.Meta.t -> Diagnostic.t list

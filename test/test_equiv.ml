@@ -1,9 +1,11 @@
 (* Hdl.Equiv tests: SAT-sweep correctness (duplicates, complements,
-   proven constants), merge barriers (ports / registers / metadata
+   proven constants, and a constant-phase counterexample simulated before
+   the next candidate), merge barriers (ports / registers / metadata
    signals survive), the qcheck differential asserting swept and
    unswept netlists agree on every original signal over a 24-cycle
-   random simulation, semantic-digest invariance under sweeping and
-   module renaming, and the memoized structural digest. *)
+   random simulation, the qcheck differential of the block simulator
+   against [Netlist.eval_node], semantic-digest invariance under sweeping
+   and module renaming, and the memoized structural digest. *)
 
 module N = Hdl.Netlist
 module E = Hdl.Equiv
@@ -70,6 +72,27 @@ let test_analyze_classes () =
     Alcotest.(check bool) "neq is complement of eq1" true ph
   | None -> Alcotest.fail "no class for complement pair");
   Alcotest.(check bool) "queries issued" true (stats.E.sat_queries > 0)
+
+(* A counterexample found while proving constants reaches the traces
+   before the next constant candidate is examined.  [x], an unnamed
+   16-input AND, and [y], [x] concatenated with itself, both read constant
+   0 under the random patterns.  The miter for [x] comes back Sat (every
+   input set), and that counterexample shows [y] at 3, so [y] is never
+   queried: one query, one refutation.  Deferring the counterexample would
+   issue a second, refuted query on [y]. *)
+let test_const_phase_counterexample_first () =
+  let nl = N.create "const_phase" in
+  let a = N.input nl "a" 16 in
+  let x = N.reduce_and nl a in
+  let y = N.concat nl [ x; x ] in
+  let red, image, stats = E.reduce nl in
+  Alcotest.(check (pair int int)) "queries / refuted" (1, 1)
+    (stats.E.sat_queries, stats.E.sat_refuted);
+  Alcotest.(check int) "no merges" 0 stats.E.merged;
+  (match ((N.node red image.(x)).N.kind, (N.node red image.(y)).N.kind) with
+  | N.ReduceAnd _, N.Concat _ -> ()
+  | _ -> Alcotest.fail "a refuted constant candidate was rewritten");
+  Alcotest.(check int) "both nodes survive" (N.num_nodes nl) (N.num_nodes red)
 
 (* --- merge barriers ----------------------------------------------------- *)
 
@@ -185,6 +208,99 @@ let test_sweep_differential_builtins () =
       (fun () -> Designs.Cache.build ());
     ]
 
+(* --- block simulator vs the reference semantics -------------------------- *)
+
+(* Every node kind at widths 1, 62, 63, 64 and 70: either side of a
+   62-pattern word and of a 64-bit Bitvec limb.  Each width has an input,
+   a register and a wire whose driver comes after its first reader. *)
+let every_kind_netlist () =
+  let nl = N.create "every_kind" in
+  let sel = N.input nl "sel" 1 in
+  List.iter
+    (fun w ->
+      let a = N.input nl (Printf.sprintf "a%d" w) w in
+      let r =
+        N.reg nl ~name:(Printf.sprintf "r%d" w) ~init:N.Init_symbolic ~width:w ()
+      in
+      N.connect_reg nl r a;
+      let fwd = N.wire nl w in
+      let b = N.mux nl ~sel ~on_true:a ~on_false:fwd in
+      let ops = N.[ And; Or; Xor; Add; Sub; Mul; Eq; Ult; Slt ] in
+      List.iter (fun op -> ignore (N.op2 nl op a b)) ops;
+      List.iter (fun op -> ignore (N.op2 nl op b r)) ops;
+      ignore (N.not_ nl a);
+      ignore (N.extract nl ~hi:(w - 1) ~lo:(w / 2) a);
+      ignore (N.extract nl ~hi:0 ~lo:0 b);
+      ignore (N.concat nl [ a; sel; r ]);
+      ignore (N.reduce_and nl a);
+      ignore (N.reduce_or nl (N.op2 nl N.And a r));
+      ignore (N.const nl (Bitvec.ones w));
+      N.connect_wire nl fwd (N.op2 nl N.Xor r (N.const nl (Bitvec.one w))))
+    [ 1; 62; 63; 64; 70 ];
+  nl
+
+(* A source value drawn to hit the corners the kinds care about: zero,
+   all ones, one, the sign bit alone, or random. *)
+let corner_value rng w =
+  match Random.State.int rng 5 with
+  | 0 -> Bitvec.zero w
+  | 1 -> Bitvec.ones w
+  | 2 -> Bitvec.one w
+  | 3 -> Bitvec.shift_left (Bitvec.one w) (w - 1)
+  | _ -> Bitvec.random rng w
+
+(* Append [count] patterns, reading a value half-way so the partial block
+   is simulated and then re-simulated, and compare every node on every
+   pattern with [Netlist.eval_node]. *)
+let block_sim_agrees nl ~seed ~count =
+  let rng = Random.State.make [| seed; count |] in
+  let n = N.num_nodes nl in
+  let order = N.comb_order nl in
+  let sources = N.inputs nl @ N.registers nl in
+  let pats =
+    Array.init count (fun _ ->
+        let v = Array.make n (Bitvec.zero 1) in
+        List.iter (fun s -> v.(s) <- corner_value rng (N.width nl s)) sources;
+        v)
+  in
+  let t = E.traces nl in
+  Array.iteri
+    (fun p v ->
+      E.add_pattern t (Array.get v);
+      if p = count / 2 then ignore (E.value t (n - 1) p))
+    pats;
+  Array.iteri
+    (fun p values ->
+      Array.iter
+        (fun s ->
+          match (N.node nl s).N.kind with
+          | N.Input | N.Reg _ -> ()
+          | _ -> values.(s) <- N.eval_node nl (Array.get values) s)
+        order;
+      Array.iteri
+        (fun s want ->
+          let got = E.value t s p in
+          if not (Bitvec.equal want got) then
+            QCheck.Test.fail_reportf
+              "%s: node %d (%d bits), pattern %d of %d: expected %a, got %a"
+              (N.name nl) s (N.width nl s) p count Bitvec.pp want Bitvec.pp got)
+        values)
+    pats;
+  true
+
+let qcheck_block_sim_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:6
+       ~name:"block simulator matches eval_node (every kind, Fuzz.Gen)"
+       arb_seed
+       (fun seed ->
+         let pipeline = (Fuzz.Gen.build (Fuzz.Gen.config_for ~seed 0)).Designs.Meta.nl in
+         List.for_all
+           (fun count ->
+             block_sim_agrees (every_kind_netlist ()) ~seed ~count
+             && block_sim_agrees pipeline ~seed ~count)
+           [ 1; 61; 62; 63; 125 ]))
+
 (* --- semantic digest ----------------------------------------------------- *)
 
 let test_semantic_digest_sweep_invariant () =
@@ -273,12 +389,15 @@ let suite =
       Alcotest.test_case "proven constant becomes Const" `Quick
         test_sweep_proven_constant_is_const_node;
       Alcotest.test_case "analyze classes" `Quick test_analyze_classes;
+      Alcotest.test_case "constant-phase counterexample simulated first"
+        `Quick test_const_phase_counterexample_first;
       Alcotest.test_case "barriers survive" `Quick test_barriers_survive;
       Alcotest.test_case "explicit barrier not merged" `Quick
         test_explicit_barrier_not_merged;
       Alcotest.test_case "metadata signals are barriers" `Quick
         test_metadata_signals_are_barriers;
       qcheck_sweep_differential;
+      qcheck_block_sim_differential;
       Alcotest.test_case "sweep differential on built-ins" `Quick
         test_sweep_differential_builtins;
       Alcotest.test_case "semantic digest sweep-invariant" `Quick

@@ -83,6 +83,13 @@ let cli_report_digest args =
   | Some l -> String.sub l n (String.length l - n)
   | None -> Alcotest.failf "%s printed no report digest" args
 
+(* How many diagnostics of each code in [codes] a report carries. *)
+let code_counts (r : D.report) codes =
+  List.map
+    (fun code ->
+      List.length (List.filter (fun (x : D.t) -> x.D.code = code) r.D.diags))
+    codes
+
 (* Admission, then [mupath] ADD on the admitted example with every CLI
    default: an absolute pin on one report digest, so a change anywhere
    along the import -> synthesis -> checker -> SAT path that alters a
@@ -97,6 +104,9 @@ let test_example_admission () =
       d.Frontend.Admission.report.D.diags
   in
   Alcotest.(check int) "no admission errors" 0 (List.length errors);
+  (* µLint's equivalence pass: the sweep's proven classes, reported. *)
+  Alcotest.(check (list int)) "E501 / E502 / E503 counts" [ 150; 15; 0 ]
+    (code_counts d.Frontend.Admission.report [ "E501"; "E502"; "E503" ]);
   Alcotest.(check string) "mupath ADD report digest"
     "16387a7c6c6c0e8ec71e318557630819"
     (cli_report_digest

@@ -2,8 +2,9 @@
    DUV and on the gated DUV (off / on / audit produce bit-identical
    synthesis results, with the audit's divergence tripwire armed
    throughout; the gated DUV's digest is pinned), admission of the
-   committed gate-level ibex_lite example plus its merge counts and
-   cross-variant semantic digest, and the semantic cache namespace — a
+   committed gate-level ibex_lite example plus its E501–E503 counts and
+   cross-variant semantic digest, the sweep's whole trajectory on both
+   committed examples, and the semantic cache namespace — a
    cold gate-level fill of the verdict store warms the word-level
    original's run with zero misses. *)
 
@@ -87,7 +88,7 @@ let test_trimode_identity () =
       ("gate-level, sweep audit", C.Sweep_audit, gated_gate_level ());
     ]
 
-(* --- committed gate-level example ---------------------------------------- *)
+(* --- committed examples -------------------------------------------------- *)
 
 let test_gl_example_admission () =
   let d = load_or_fail ~json_path:gl_json ~meta_path:gl_meta () in
@@ -97,6 +98,10 @@ let test_gl_example_admission () =
       d.Frontend.Admission.report.Lint.Diagnostic.diags
   in
   Alcotest.(check int) "no admission errors" 0 (List.length errors);
+  (* µLint's equivalence pass runs the same sweep kernel at admission. *)
+  Alcotest.(check (list int)) "E501 / E502 / E503 counts" [ 484; 62; 0 ]
+    (Test_frontend.code_counts d.Frontend.Admission.report
+       [ "E501"; "E502"; "E503" ]);
   let meta = d.Frontend.Admission.meta in
   let builtin = Designs.Ibex.build () in
   (* The gate-level variant is a different structure... *)
@@ -107,21 +112,43 @@ let test_gl_example_admission () =
     (E.semantic_digest builtin.Meta.nl)
     (E.semantic_digest meta.Meta.nl)
 
-let test_gl_example_sweep_ratio () =
-  let d = load_or_fail ~lint:false ~json_path:gl_json ~meta_path:gl_meta () in
+(* Sweep an admitted example (µLint off, the sidecar's signals as merge
+   barriers) and pin its whole trajectory: the merge counts, the miter
+   queries it issued, refuted and gave up on, the patterns it simulated
+   and the reduced netlist's digest.  A change to the sweep's patterns,
+   its SAT queries, their order or its merge rules moves them. *)
+let check_sweep_trajectory ~json_path ~meta_path ~merges ~queries ~patterns
+    ~digest =
+  let d = load_or_fail ~lint:false ~json_path ~meta_path () in
   let meta = d.Frontend.Admission.meta in
-  let _red, _image, stats = E.reduce ~barriers:(Meta.signals meta) meta.Meta.nl in
+  let red, _image, stats = E.reduce ~barriers:(Meta.signals meta) meta.Meta.nl in
+  Alcotest.(check (triple int int int)) "comb nodes / merged / classes" merges
+    (stats.E.comb_nodes, stats.E.merged, stats.E.classes);
+  Alcotest.(check (triple int int int)) "queries / refuted / unknown" queries
+    (stats.E.sat_queries, stats.E.sat_refuted, stats.E.sat_unknown);
+  Alcotest.(check int) "patterns" patterns stats.E.patterns;
+  Alcotest.(check string) "reduced netlist digest" digest (N.digest red);
+  stats
+
+let test_gl_example_sweep_ratio () =
+  let stats =
+    check_sweep_trajectory ~json_path:gl_json ~meta_path:gl_meta
+      ~merges:(7581, 6338, 447) ~queries:(6752, 413, 0) ~patterns:477
+      ~digest:"9a560654c7ed3f4dd8169821328540cb"
+  in
   Alcotest.(check bool)
     (Printf.sprintf "gate-level sweep merges >= 20%% (%d/%d)" stats.E.merged
        stats.E.comb_nodes)
     true
     (float_of_int stats.E.merged
-    >= 0.20 *. float_of_int stats.E.comb_nodes);
-  (* The exact counts: a change to the sweep's patterns, its SAT queries or
-     its merge rules moves them. *)
-  Alcotest.(check (triple int int int)) "comb nodes / merged / classes"
-    (7581, 6338, 447)
-    (stats.E.comb_nodes, stats.E.merged, stats.E.classes)
+    >= 0.20 *. float_of_int stats.E.comb_nodes)
+
+let test_ibex_example_sweep () =
+  ignore
+    (check_sweep_trajectory ~json_path:Test_frontend.example_json
+       ~meta_path:Test_frontend.example_meta
+       ~merges:(946, 776, 108) ~queries:(882, 105, 0) ~patterns:169
+       ~digest:"4a79aab6a285c6ce7d65fd4a0654680d")
 
 (* --- semantic cache namespace: cold gate-level fill, warm word-level ----- *)
 
@@ -203,6 +230,8 @@ let suite =
         `Quick test_gl_example_admission;
       Alcotest.test_case "gate-level example sweeps >= 20%" `Quick
         test_gl_example_sweep_ratio;
+      Alcotest.test_case "word-level example sweep trajectory" `Quick
+        test_ibex_example_sweep;
       Alcotest.test_case "semantic cache: cold gl fill warms word-level"
         `Quick test_semantic_cache_cross_variant;
     ] )
