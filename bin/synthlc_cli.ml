@@ -139,11 +139,21 @@ let meta_arg =
   in
   Arg.(value & opt (some string) None & info [ "meta" ] ~docv:"FILE" ~doc)
 
+(* A negative count is a usage error naming its flag (exit 124), not an
+   exception from deep inside the checker. *)
+let nonneg_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a non-negative integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let depth_arg =
-  Arg.(value & opt int 12 & info [ "depth" ] ~docv:"N" ~doc:"BMC unrolling depth.")
+  Arg.(value & opt nonneg_int 12 & info [ "depth" ] ~docv:"N" ~doc:"BMC unrolling depth.")
 
 let episodes_arg =
-  Arg.(value & opt int 12 & info [ "episodes" ] ~docv:"N" ~doc:"Random-simulation pre-pass episodes.")
+  Arg.(value & opt nonneg_int 12 & info [ "episodes" ] ~docv:"N" ~doc:"Random-simulation pre-pass episodes.")
 
 let jobs_arg =
   let doc =

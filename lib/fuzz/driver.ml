@@ -128,6 +128,8 @@ let exit_code s = if s.failures = [] then 0 else 1
 let campaign ?(depth = default_depth) ?(episodes = default_episodes) ?workdir
     ?(defect = None) ?only ?(budget_s = 0.) ?(log = fun _ -> ()) ~seed ~count
     () =
+  if depth < 0 then invalid_arg "fuzz: --depth must be non-negative";
+  if episodes < 0 then invalid_arg "fuzz: --episodes must be non-negative";
   let t0 = Unix.gettimeofday () in
   let targets =
     match only with

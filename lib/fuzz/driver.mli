@@ -67,7 +67,9 @@ val campaign :
   summary
 (** Run a campaign.  [defect] (default [None]) overrides every sampled
     config's defect field — the seeded-defect acceptance path.  [log]
-    receives one progress line per design (default: drop). *)
+    receives one progress line per design (default: drop).  Raises
+    [Invalid_argument] before any design runs on a negative [depth] or
+    [episodes], a [count] below 1 or a negative [only]. *)
 
 val summary_to_json : summary -> string
 val exit_code : summary -> int

@@ -31,242 +31,27 @@ let settle nl order values =
   Array.iter (fun id -> values.(id) <- Netlist.eval_node nl value id) order
 
 (* ------------------------------------------------------------------ *)
-(* Bit-level lowering of every non-source node kind, written once over an
-   abstract bit algebra.  On solver literals it is the miter CNF
-   ([encode]); on machine words, one pattern per bit, it is the block
-   simulator ([Words]).  The sweep classifies nodes by the one and proves
-   them with the other, so the two cannot disagree about what a node
-   computes. *)
+(* Depth-0 CNF encoding of the combinational logic through [Lower]'s gate
+   library, the one [Mc.Blast] unrolls: inputs and register outputs are
+   free variables.  The block simulator below lowers the same node kinds
+   on pattern words, so the sweep's simulation and its encoding cannot
+   disagree. *)
 
-module type BITS = sig
-  type ctx
-  type bit
-
-  val one : ctx -> bit
-  val neg : bit -> bit
-  val conj : ctx -> bit -> bit -> bit
-  val disj : ctx -> bit -> bit -> bit
-  val xor : ctx -> bit -> bit -> bit
-  val mux : ctx -> bit -> bit -> bit -> bit (* select, on true, on false *)
-end
-
-module Lower (B : BITS) = struct
-  (* On literals every call may allocate a variable and add clauses, so
-     the calls are sequenced explicitly: their order is the CNF's variable
-     numbering. *)
-  let full_add c a b cin =
-    let ab = B.xor c a b in
-    let c_ab = B.conj c cin ab in
-    let g = B.conj c a b in
-    let carry = B.disj c g c_ab in
-    let sum = B.xor c ab cin in
-    (sum, carry)
-
-  let ripple_add c ?cin la lb =
-    let w = Array.length la in
-    let carry = ref (match cin with Some x -> x | None -> B.neg (B.one c)) in
-    Array.init w (fun i ->
-        let s, co = full_add c la.(i) lb.(i) !carry in
-        carry := co;
-        s)
-
-  (* Unsigned less-than by LSB-to-MSB scan: at each bit, a difference
-     overrides the verdict of the lower bits. *)
-  let ripple_ult c la lb =
-    let w = Array.length la in
-    let lt = ref (B.neg (B.one c)) in
-    for i = 0 to w - 1 do
-      let diff = B.xor c la.(i) lb.(i) in
-      lt := B.mux c diff lb.(i) !lt
-    done;
-    !lt
-
-  let ripple_slt c la lb =
-    let w = Array.length la in
-    let lt = ref (B.neg (B.one c)) in
-    for i = 0 to w - 1 do
-      let diff = B.xor c la.(i) lb.(i) in
-      (* At the sign bit the comparison flips: a set sign means smaller. *)
-      let when_diff = if i = w - 1 then la.(i) else lb.(i) in
-      lt := B.mux c diff when_diff !lt
-    done;
-    !lt
-
-  (* The bits of node [nd], LSB first, from its operands' bits [get].
-     Sources are the caller's: free variables for the CNF, pattern words
-     for the simulator. *)
-  let node c get (nd : Netlist.node) =
-    let tt = B.one c in
-    let ff = B.neg tt in
-    let w = nd.Netlist.width in
-    let open Netlist in
-    match nd.kind with
-    | Input | Reg _ -> invalid_arg "Equiv: a source has no lowering"
-    | Wire { driver = None } -> invalid_arg "Equiv: unconnected wire"
-    | Const v -> Array.init w (fun i -> if Bitvec.bit v i then tt else ff)
-    | Wire { driver = Some d } -> get d
-    | Not a -> Array.map B.neg (get a)
-    | Op2 (op, a, b) -> (
-      let la = get a and lb = get b in
-      match op with
-      | And -> Array.init w (fun i -> B.conj c la.(i) lb.(i))
-      | Or -> Array.init w (fun i -> B.disj c la.(i) lb.(i))
-      | Xor -> Array.init w (fun i -> B.xor c la.(i) lb.(i))
-      | Add -> ripple_add c la lb
-      | Sub -> ripple_add c ~cin:tt la (Array.map B.neg lb)
-      | Mul ->
-        let acc = ref (Array.make w ff) in
-        for j = 0 to w - 1 do
-          let row =
-            Array.init w (fun i -> if i >= j then B.conj c la.(i - j) lb.(j) else ff)
-          in
-          acc := ripple_add c !acc row
-        done;
-        !acc
-      | Eq ->
-        let z =
-          Array.to_list la
-          |> List.mapi (fun i ai -> B.neg (B.xor c ai lb.(i)))
-          |> List.fold_left (B.conj c) tt
-        in
-        [| z |]
-      | Ult -> [| ripple_ult c la lb |]
-      | Slt -> [| ripple_slt c la lb |])
-    | Mux { sel; on_true; on_false } ->
-      let ls = (get sel).(0) in
-      let la = get on_true and lb = get on_false in
-      Array.init w (fun i -> B.mux c ls la.(i) lb.(i))
-    | Extract { hi; lo; arg } -> Array.sub (get arg) lo (hi - lo + 1)
-    | Concat parts ->
-      List.rev parts
-      |> List.map (fun p -> Array.to_list (get p))
-      |> List.concat |> Array.of_list
-    | ReduceOr a -> [| Array.fold_left (B.disj c) ff (get a) |]
-    | ReduceAnd a -> [| Array.fold_left (B.conj c) tt (get a) |]
-end
-
-(* ------------------------------------------------------------------ *)
-(* Depth-0 CNF encoding of the combinational logic, directly on the SAT
-   solver: inputs and register outputs are free variables.  This is a
-   deliberately separate, miniature cousin of [Mc.Blast] — [lib/hdl]
-   sits below [lib/mc], and sweeping needs no time unrolling. *)
-
-type enc = {
-  s : S.t;
-  lt : S.lit; (* constant true *)
-  lits : S.lit array array; (* per node, LSB first *)
-  and_cache : (S.lit * S.lit, S.lit) Hashtbl.t;
-  xor_cache : (int * int, S.lit) Hashtbl.t;
-}
-
-let fresh e = S.pos (S.new_var e.s)
-
-let g_and e a b =
-  let lf = S.negate e.lt in
-  if a = lf || b = lf then lf
-  else if a = e.lt then b
-  else if b = e.lt then a
-  else if a = b then a
-  else if a = S.negate b then lf
-  else begin
-    let key = (min a b, max a b) in
-    match Hashtbl.find_opt e.and_cache key with
-    | Some z -> z
-    | None ->
-      let z = fresh e in
-      S.add_clause e.s [ S.negate z; a ];
-      S.add_clause e.s [ S.negate z; b ];
-      S.add_clause e.s [ z; S.negate a; S.negate b ];
-      Hashtbl.add e.and_cache key z;
-      z
-  end
-
-let g_or e a b = S.negate (g_and e (S.negate a) (S.negate b))
-
-let g_xor e a b =
-  let lf = S.negate e.lt in
-  if a = lf then b
-  else if a = e.lt then S.negate b
-  else if b = lf then a
-  else if b = e.lt then S.negate a
-  else if a = b then lf
-  else if a = S.negate b then e.lt
-  else begin
-    (* Fold signs out: xor(~a, b) = ~xor(a, b). *)
-    let va = S.var_of a and vb = S.var_of b in
-    let sign = S.is_pos a <> S.is_pos b in
-    let key = (min va vb, max va vb) in
-    let z =
-      match Hashtbl.find_opt e.xor_cache key with
-      | Some z -> z
-      | None ->
-        let pa = S.pos va and pb = S.pos vb in
-        let z = fresh e in
-        S.add_clause e.s [ S.negate z; pa; pb ];
-        S.add_clause e.s [ S.negate z; S.negate pa; S.negate pb ];
-        S.add_clause e.s [ z; S.negate pa; pb ];
-        S.add_clause e.s [ z; pa; S.negate pb ];
-        Hashtbl.add e.xor_cache key z;
-        z
-    in
-    if sign then S.negate z else z
-  end
-
-let g_mux e sel t f =
-  let lf = S.negate e.lt in
-  if sel = e.lt then t
-  else if sel = lf then f
-  else if t = f then t
-  else if t = e.lt && f = lf then sel
-  else if t = lf && f = e.lt then S.negate sel
-  else begin
-    let z = fresh e in
-    S.add_clause e.s [ S.negate sel; S.negate t; z ];
-    S.add_clause e.s [ S.negate sel; t; S.negate z ];
-    S.add_clause e.s [ sel; S.negate f; z ];
-    S.add_clause e.s [ sel; f; S.negate z ];
-    S.add_clause e.s [ S.negate t; S.negate f; z ];
-    S.add_clause e.s [ t; f; S.negate z ];
-    z
-  end
-
-module Cnf = Lower (struct
-  type ctx = enc
-  type bit = S.lit
-
-  let one e = e.lt
-  let neg = S.negate
-  let conj = g_and
-  let disj = g_or
-  let xor = g_xor
-  let mux = g_mux
-end)
+module Cnf = Lower.Lits
 
 let encode nl order =
-  let s = S.create () in
-  let tv = S.new_var s in
-  let lt = S.pos tv in
-  S.add_clause s [ lt ];
-  let e =
-    {
-      s;
-      lt;
-      lits = Array.make (Netlist.num_nodes nl) [||];
-      and_cache = Hashtbl.create 1024;
-      xor_cache = Hashtbl.create 1024;
-    }
-  in
-  let get s = e.lits.(s) in
+  let g = Cnf.create (S.create ()) in
+  let lits = Array.make (Netlist.num_nodes nl) [||] in
   Array.iter
     (fun id ->
       let nd = Netlist.node nl id in
-      e.lits.(id) <-
+      lits.(id) <-
         (match nd.Netlist.kind with
         | Netlist.Input | Netlist.Reg _ ->
-          Array.init nd.Netlist.width (fun _ -> fresh e)
-        | _ -> Cnf.node e get nd))
+          Array.init nd.Netlist.width (fun _ -> Cnf.fresh g)
+        | _ -> Cnf.node g (Array.get lits) nd))
     order;
-  e
+  (g, lits)
 
 (* ------------------------------------------------------------------ *)
 (* Block simulation.  Each node's trace is a set of bit-planes: one OCaml
@@ -277,7 +62,7 @@ let encode nl order =
    block holding one not yet simulated, the partial last block whole, so
    a batch of counterexamples costs one pass. *)
 
-module Words = Lower (struct
+module Words = Lower.Make (struct
   type ctx = unit
   type bit = int
 
@@ -504,35 +289,36 @@ let analyze_internal ?(patterns = 64) ?(max_conflicts = 10_000) ?(barriers = [])
     push tr (fun s -> Bitvec.bit (Bitvec.random rng (Netlist.width nl s)))
   done;
   (* SAT side. *)
-  let e = encode nl order in
+  let g, lits = encode nl order in
+  let s = Cnf.solver g in
   let queries = ref 0 and refuted = ref 0 and unknown = ref 0 in
   let miter_solve diffs =
-    let act = fresh e in
-    S.add_clause e.s (S.negate act :: diffs);
+    let act = Cnf.fresh g in
+    S.add_clause s (S.negate act :: diffs);
     incr queries;
-    let r = S.solve ~assumptions:[ act ] ~max_conflicts e.s in
+    let r = S.solve ~assumptions:[ act ] ~max_conflicts s in
     (match r with
     | S.Sat ->
       incr refuted;
       (* Counterexample pattern: the model's source values refine the
          partition so this pair never pairs up again.  It is simulated
          with the next batch, before any trace is read again. *)
-      push tr (fun s ->
-          let ls = e.lits.(s) in
-          fun i -> S.lit_value e.s ls.(i))
+      push tr (fun src ->
+          let ls = lits.(src) in
+          fun i -> S.lit_value s ls.(i))
     | S.Unsat -> ()
     | S.Unknown -> incr unknown);
-    S.add_clause e.s [ S.negate act ];
+    S.add_clause s [ S.negate act ];
     r
   in
   let pair_diffs a b ph =
-    let la = e.lits.(a) and lb = e.lits.(b) in
+    let la = lits.(a) and lb = lits.(b) in
     Array.to_list la
     |> List.mapi (fun i ai ->
-           g_xor e ai (if ph then S.negate lb.(i) else lb.(i)))
+           Cnf.xor g ai (if ph then S.negate lb.(i) else lb.(i)))
   in
   let const_diffs a v =
-    e.lits.(a) |> Array.to_list
+    lits.(a) |> Array.to_list
     |> List.mapi (fun i ai -> if Bitvec.bit v i then S.negate ai else ai)
   in
   (* Partition from current traces: eligible nodes keyed by their whole

@@ -11,9 +11,10 @@
     2005): each node's trace is a set of bit-planes, one OCaml int per bit
     of the node per block of up to 62 patterns, so one word operation
     simulates a whole block.  The planes and the miter CNF come from one
-    bit-level lowering of the node kinds, instantiated once on pattern
-    words and once on solver literals, so the sweep's simulation and its
-    encoding cannot disagree.  Two ordering rules make the block
+    bit-level lowering of the node kinds, {!Lower}, instantiated here on
+    pattern words and used on solver literals through {!Lower.Lits}, the
+    gate library [Mc.Blast] also unrolls; so the sweep's simulation, its
+    encoding and the model checker's encoding cannot disagree.  Two ordering rules make the block
     simulation invisible to the SAT side — the same queries in the same
     order, hence the same classes, merges and statistics as simulating
     each pattern on its own:

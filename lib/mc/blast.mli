@@ -31,7 +31,7 @@ val create :
     ({!Hdl.Absint.known_bits} of the same netlist): proven bits encode as
     the constant true/false literal instead of fresh variables — a fully
     proven node builds no gates at all — and constant folding in the gate
-    helpers then shrinks everything downstream, on top of [cse].  Sound
+    library then shrinks everything downstream, on top of [cse].  Sound
     under [`Reset] because the invariants hold in every reachable state
     from reset at every cycle (there the substitution is also subsumed by
     per-step folding of the reset constants, so it never changes the
@@ -44,14 +44,19 @@ val create :
     strengthening can prove covers unreachable that plain induction
     cannot.
 
-    [cse] (default [true]) enables structural hashing of the Tseitin
-    encoding: AND/XOR gates (and everything built on them — OR, mux,
-    adders, comparators) are keyed on their operand literals with sign
-    normalization and constant folding, so identical subterms across time
-    steps and across covers map to a single literal instead of being
-    re-encoded.  Purely an encoding-size optimization: the encoded function
-    is unchanged.  The checker always encodes with it; [~cse:false] is the
-    reference encoding the tests compare against. *)
+    Every combinational node goes through {!Hdl.Lower}, the bit-level
+    lowering {!Hdl.Equiv} also encodes its miters with; this module adds
+    only the time frames, the sources (fresh inputs per step, register
+    init and enable), the assumes and the known-bits overlay.  [cse]
+    (default [true]) enables the gate library's structural hashing: AND
+    and XOR gates (and the OR, adders and comparators built on them) are
+    keyed on their operand literals with sign normalization and constant
+    folding, so identical subterms across time steps and across covers map
+    to a single literal instead of being re-encoded.  A mux is one 6-clause
+    gate over hashed operands, itself never hashed.  Purely an
+    encoding-size optimization: the encoded function is unchanged.  The
+    checker always encodes with it; [~cse:false] is the reference encoding
+    the tests compare against. *)
 
 val solver : t -> Sat.Solver.t
 val depth : t -> int
@@ -69,9 +74,6 @@ val lit1 : t -> Hdl.Netlist.signal -> time:int -> Sat.Solver.lit
 
 val model_value : t -> Hdl.Netlist.signal -> time:int -> Bitvec.t
 (** Read a signal's value from the most recent satisfying model. *)
-
-val lit_true : t -> Sat.Solver.lit
-(** A literal constrained to true (handy for building assumptions). *)
 
 val cse_stats : t -> int * int
 (** [(hits, lookups)] of the structural-hashing cache; [(0, 0)] when

@@ -323,6 +323,7 @@ let make_engine ~(config : config) ~assumes ~assume_initial ~sweep_barriers
 let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
     ?(assume_initial = []) ?(sweep_barriers = []) ?(semantic_cache = false)
     ~assumes nl =
+  if config.bmc_depth < 0 then invalid_arg "Checker.create: negative bmc_depth";
   Netlist.validate nl;
   let named =
     Netlist.fold_nodes nl ~init:[] ~f:(fun acc n ->

@@ -225,7 +225,9 @@ val create :
     overrun depends on the properties checked before it (see the module
     doc), so pair this with budgets generous enough that shared queries
     terminate — [checker.ind_overruns] and [checker.canon_overruns] of a
-    traced run show whether they did. *)
+    traced run show whether they did.
+
+    Raises [Invalid_argument] when [config.bmc_depth] is negative. *)
 
 val check_cover : ?name:string -> t -> (Hdl.Netlist.signal * bool) list -> outcome
 (** [check_cover t lits] searches for a cycle where every [(signal,

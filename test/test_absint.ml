@@ -389,38 +389,6 @@ let test_known_bits_encoding_digest_identical () =
        vars_plain)
     true (vars_kb < vars_plain)
 
-(* On/audit identity on a built-in core (mirroring test_taint's flow-prune
-   test): ibex_lite has no register-level known bits, so the refinement
-   must discharge nothing — and, exactly because the dead/live partition
-   is computed identically in both modes, the digest must still match. *)
-let test_absint_noop_on_ibex () =
-  let run prune =
-    let design () = Designs.Ibex.build () in
-    let stimulus ~pins ~rotate meta = Designs.Stimulus.ibex ~pins ~rotate meta in
-    Synthlc.Engine.run ~config:Test_parallel.light_config ~prune ~stimulus
-      ~design ~jobs:1
-      ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
-      ~transmitters:[ Isa.DIV ]
-      ~kinds:[ Synthlc.Types.Intrinsic ]
-      ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
-  in
-  let on = run `On in
-  let audit = run `Audit in
-  let d = Synthlc.Engine.report_digest in
-  Alcotest.(check string) "digest on = audit" (d audit) (d on);
-  let absint_pruned (r : Synthlc.Engine.report) =
-    List.fold_left
-      (fun acc (t : Synthlc.Engine.transponder_report) ->
-        List.fold_left
-          (fun acc (_, (s : Mupath.Synth.stage_stats)) ->
-            acc + s.Mupath.Synth.pruned_absint)
-          acc t.Synthlc.Engine.synth.Mupath.Synth.stage_stats
-        + t.Synthlc.Engine.flow_pruned_absint)
-      0 r.Synthlc.Engine.transponders
-  in
-  Alcotest.(check int) "nothing to discharge on ibex_lite" 0
-    (absint_pruned on)
-
 let suite =
   ( "absint",
     [
@@ -441,6 +409,4 @@ let suite =
         test_absint_prune_digest_identical;
       Alcotest.test_case "known-bits encoding digest-identical" `Quick
         test_known_bits_encoding_digest_identical;
-      Alcotest.test_case "absint no-op digest-identical on ibex" `Slow
-        test_absint_noop_on_ibex;
     ] )

@@ -3,8 +3,9 @@
    per-class rejection of unsupported constructs with messages naming the
    cell type and instance, sidecar resolution errors, qcheck round-trip
    over fuzz-generated pipelines, the CLI exit-2 agreement between
-   mupath/synthlc/lint/sim on unknown design names, and [sim]'s exit
-   contract and pinned output. *)
+   mupath/synthlc/lint/sim on unknown design names, the refusal of a
+   negative --depth or --episodes, and [sim]'s exit contract and pinned
+   output. *)
 
 module J = Frontend.Json
 module Y = Frontend.Yosys
@@ -360,6 +361,42 @@ let test_cli_unknown_names () =
     true
     (Test_formats.contains text "bogus" && Test_formats.contains text "A, B, G1")
 
+(* A negative --depth or --episodes is refused before any work, naming the
+   flag: a usage error (124) for mupath and synthlc, fuzz's bad-usage exit
+   2 (as for --count 0).  Depth 0 stays valid, and the checker itself
+   refuses a negative depth by name. *)
+let test_cli_negative_counts () =
+  List.iter
+    (fun (args, flag) ->
+      let code, text = run_cli args in
+      Alcotest.(check int) (args ^ " exits 124") 124 code;
+      Alcotest.(check bool) (args ^ " names " ^ flag) true
+        (Test_formats.contains text flag))
+    [
+      ("mupath -d ibex_lite --depth=-3", "--depth");
+      ("synthlc -d ibex_lite --depth=-3", "--depth");
+      ("mupath --depth=-1 --episodes=0", "--depth");
+      ("synthlc -d gated --episodes=-1", "--episodes");
+    ];
+  List.iter
+    (fun (args, flag) ->
+      let code, text = run_cli (args ^ " --out /dev/null") in
+      Alcotest.(check int) (args ^ " exits 2") 2 code;
+      Alcotest.(check bool) (args ^ " names " ^ flag) true
+        (Test_formats.contains text flag))
+    [ ("fuzz --depth=-2 --count 1", "--depth"); ("fuzz --episodes=-1 --count 1", "--episodes") ];
+  Alcotest.(check int) "mupath --depth=0 exits 0" 0
+    (exit_of
+       (Printf.sprintf "%s mupath -d gated --depth=0 --episodes=0 -i 'add r1, r2, r3'" cli));
+  let nl = Hdl.Netlist.create "one_input" in
+  ignore (Hdl.Netlist.input nl "go" 1);
+  Alcotest.check_raises "Checker.create refuses a negative depth"
+    (Invalid_argument "Checker.create: negative bmc_depth") (fun () ->
+      ignore
+        (Mc.Checker.create
+           ~config:{ Mc.Checker.default_config with Mc.Checker.bmc_depth = -1 }
+           ~assumes:[] nl))
+
 let test_cli_import_contract () =
   Alcotest.(check int) "import of the committed example exits 0" 0
     (exit_of (Printf.sprintf "%s import %s --meta %s" cli example_json example_meta));
@@ -401,6 +438,8 @@ let suite =
         test_cli_import_contract;
       Alcotest.test_case "unknown -t mnemonic and --counts label rejected"
         `Quick test_cli_unknown_names;
+      Alcotest.test_case "negative --depth/--episodes rejected" `Quick
+        test_cli_negative_counts;
       Alcotest.test_case "sim exit contract" `Quick test_cli_sim_exit_contract;
       Alcotest.test_case "sim output pinned" `Quick test_cli_sim_pins;
     ] )

@@ -29,11 +29,21 @@ let run_engine ?cache ~prune () =
     ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
     ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Ibex.iuv_pc ()
 
+(* [f] of each transponder's duv_pl stage. *)
+let duv_pl_each f (r : Engine.report) =
+  List.map
+    (fun (t : Engine.transponder_report) ->
+      f (List.assoc "duv_pl" t.Engine.synth.Synth.stage_stats))
+    r.Engine.transponders
+
 (* [f] summed over every transponder's duv_pl stage. *)
-let duv_pl f (r : Engine.report) =
+let duv_pl f r = List.fold_left ( + ) 0 (duv_pl_each f r)
+
+(* [f] summed over every Synth stage of every transponder. *)
+let all_stages f (r : Engine.report) =
   List.fold_left
     (fun acc (t : Engine.transponder_report) ->
-      acc + f (List.assoc "duv_pl" t.Engine.synth.Synth.stage_stats))
+      List.fold_left (fun acc (_, s) -> acc + f s) acc t.Engine.synth.Synth.stage_stats)
     0 r.Engine.transponders
 
 let counters = Alcotest.(triple int int int)
@@ -57,8 +67,12 @@ let test_engine_workload () =
   Alcotest.(check int) "trace events" 267 events;
   Alcotest.(check int) "duv_pl covers pruned statically" 12
     (duv_pl (fun s -> s.Synth.pruned_static) cold);
-  Alcotest.(check int) "duv_pl covers pruned by known bits" 0
-    (duv_pl (fun s -> s.Synth.pruned_absint) cold);
+  (* ibex_lite has no register-level known bits: the refinement discharges
+     nothing, in any stage or in the flow. *)
+  Alcotest.(check int) "covers pruned by known bits, every stage" 0
+    (all_stages (fun s -> s.Synth.pruned_absint) cold);
+  Alcotest.(check int) "flow props pruned by known bits" 0
+    cold.Engine.total_flow_pruned_absint;
   Alcotest.(check int) "duv_pl props dispatched" 0
     (duv_pl (fun s -> s.Synth.props) cold);
   Alcotest.(check int) "flow props" 20 cold.Engine.total_flow_props;
@@ -80,9 +94,19 @@ let test_engine_workload () =
     (Vcache.counters audit_store);
   Alcotest.(check int) "audited duv_pl props" 12
     (duv_pl (fun s -> s.Synth.props) audit);
+  (* Every cover a pre-pass discharged cold is a property under audit,
+     transponder by transponder. *)
+  Alcotest.(check (list int)) "audited duv_pl props = cold props + prunes"
+    (duv_pl_each
+       (fun s -> s.Synth.props + s.Synth.pruned_static + s.Synth.pruned_absint)
+       cold)
+    (duv_pl_each (fun s -> s.Synth.props) audit);
+  Alcotest.(check (pair int int)) "audit prunes no cover, every stage" (0, 0)
+    ( all_stages (fun s -> s.Synth.pruned_static) audit,
+      all_stages (fun s -> s.Synth.pruned_absint) audit );
   Alcotest.(check int) "audited flow props" 20 audit.Engine.total_flow_props;
-  Alcotest.(check int) "audit prunes no flow cover" 0
-    audit.Engine.total_flow_pruned_static
+  Alcotest.(check (pair int int)) "audit prunes no flow cover" (0, 0)
+    (audit.Engine.total_flow_pruned_static, audit.Engine.total_flow_pruned_absint)
 
 let test_div_batch () =
   let config =
