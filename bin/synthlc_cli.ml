@@ -374,13 +374,14 @@ let sim_cmd =
     let nl = meta.Designs.Meta.nl in
     let sget n = Option.get (Hdl.Netlist.find_named nl n) in
     let sim = Sim.create ~seed:1 nl in
+    let fetch_pc = sget "fetch_pc" in
     let instr_at pc =
       if pc < Array.length program then Isa.encode program.(pc)
       else Isa.encode Isa.nop
     in
     for c = 0 to cycles - 1 do
-      Sim.eval sim;
-      let pc = Bitvec.to_int (Sim.peek sim (sget "fetch_pc")) in
+      Sim.eval_cone sim fetch_pc;
+      let pc = Bitvec.to_int (Sim.peek sim fetch_pc) in
       (match Hdl.Netlist.find_named nl Designs.Core.sig_if_instr_in0 with
       | Some s0 ->
         Sim.poke sim s0 (instr_at pc);

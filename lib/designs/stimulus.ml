@@ -38,7 +38,7 @@ let core ?(pins = []) ?(rotate = []) ?(seed = 0x51e9) (meta : Meta.t) =
             (pc, List.nth cands (Random.State.int rng (List.length cands))))
           rotate
     end;
-    Sim.eval sim;
+    Sim.eval_cone sim fetch_pc;
     let pc = Bitvec.to_int (Sim.peek sim fetch_pc) in
     Sim.poke sim in0 (pick pc);
     Sim.poke sim in1 (pick ((pc + 1) mod (1 lsl Isa.pc_bits)))
@@ -60,7 +60,7 @@ let cache ?(pins = []) ?(seed = 0xcac4e) (meta : Meta.t) =
       Isa.encode (Isa.make op)
   in
   fun sim _cycle ->
-    Sim.eval sim;
+    Sim.eval_cone sim rq_ctr;
     let pc = Bitvec.to_int (Sim.peek sim rq_ctr) in
     Sim.poke sim req_instr (pick pc);
     Sim.poke sim req_addr (Bitvec.random rng Isa.xlen);
@@ -98,6 +98,6 @@ let ibex ?(pins = []) ?(rotate = []) ?(seed = 0x1be8) (meta : Meta.t) =
             (pc, List.nth cands (Random.State.int rng (List.length cands))))
           rotate
     end;
-    Sim.eval sim;
+    Sim.eval_cone sim fetch_pc;
     let pc = Bitvec.to_int (Sim.peek sim fetch_pc) in
     Sim.poke sim in0 (pick pc)

@@ -5,7 +5,13 @@
     must carry the IUV's encoding.  These generators poke the design's fetch
     inputs accordingly, optionally pinning further PC slots to specific
     instructions (used by SynthLC to place transmitters), and randomize
-    everything else. *)
+    everything else.
+
+    A generator is called once per cycle, before the caller evaluates the
+    whole netlist.  It reads the current PC (or request counter) with
+    {!Sim.eval_cone}, which evaluates only that signal's combinational
+    cone, then pokes the inputs; the caller's full evaluation brings every
+    other node up to date. *)
 
 val core :
   ?pins:(int * Isa.t) list ->
@@ -16,7 +22,8 @@ val core :
   int ->
   unit
 (** Stimulus for the CVA6-lite cores: drives [if_instr_in0]/[if_instr_in1]
-    from the current fetch PC, honouring [pins] (PC slot → instruction).
+    from the current fetch PC ([fetch_pc], read through its cone), honouring
+    [pins] (PC slot → instruction).
     Slots listed in [rotate] are re-pinned each episode to a fresh draw
     from the given candidates — SynthLC uses this to place random
     transmitters at the transmitter PC slot. *)
@@ -30,7 +37,8 @@ val cache :
   unit
 (** Stimulus for the cache DUV: drives the request word (LW/SW only, per
     the DUV's environment assumption), address/data operands, and AXI read
-    data.  [pins] pin request slots (by request PC) to a given LW/SW. *)
+    data.  [pins] pin request slots (by request PC, the [rq_ctr] counter
+    read through its cone) to a given LW/SW. *)
 
 val ibex :
   ?pins:(int * Isa.t) list ->

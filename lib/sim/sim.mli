@@ -8,11 +8,19 @@
 
     {!create} compiles the netlist once into a levelized program: flat
     arrays of opcode, operands and width mask in [Netlist.comb_order], and a
-    register table for {!step}.  Values at most 62 bits wide live unboxed in
-    an [int array]; a wider node keeps a [Bitvec.t] value, and it and every
-    node reading it are evaluated with {!Hdl.Netlist.eval_node}, node by
-    node in the same pass.  Both kinds follow the same [Bitvec] semantics,
-    and {!peek} returns a [Bitvec.t] either way.
+    register table for {!step}.  The program is hash-consed.  A wire shares
+    its driver's value slot, and a node whose opcode, width, operand slots
+    and immediates repeat an earlier node's (the operands of the commutative
+    [And], [Or], [Xor], [Add], [Mul] and [Eq] taken in either order) shares
+    that node's slot, so each distinct computation runs once per cycle.
+    {!peek}, {!peek_bool} and the register table read every node through
+    its representative slot; inputs, registers and wide nodes keep their
+    own.  Every node therefore reads the value the netlist semantics give
+    it.  Values at most 62 bits wide live unboxed in an [int array]; a
+    wider node keeps a [Bitvec.t] value, and it and every node reading it
+    are evaluated with {!Hdl.Netlist.eval_node}, node by node in the same
+    pass.  Both kinds follow the same [Bitvec] semantics, and {!peek}
+    returns a [Bitvec.t] either way.
 
     An instance is meant to be reused: {!reset} with a seed starts a fresh
     episode without recompiling or reallocating the value arrays.
@@ -52,8 +60,25 @@ val poke_reg : t -> Hdl.Netlist.signal -> Bitvec.t -> unit
 val eval : t -> unit
 (** Evaluate combinational logic from current register and input values. *)
 
+val eval_cone : t -> Hdl.Netlist.signal -> unit
+(** Evaluate only the instructions in the signal's combinational cone, from
+    current register and input values: the cheap way to read one signal,
+    such as a fetch PC, before poking the cycle's inputs.  Afterwards the
+    signal and every node in its cone read as after a full {!eval}; only
+    the cone's values are current, other nodes may read stale ones until
+    the next {!eval}, and {!step} still requires one.  The cone's
+    instruction list is computed on first use and cached per signal; its
+    instructions run the same step as {!eval}'s.
+
+    The signal need not be a register.  In every built-in design and
+    shipped example [fetch_pc] is one, and its cone is the single
+    instruction reading its state; but the Yosys importer also names
+    combinational nets (public netnames and output ports), so an imported
+    design's [fetch_pc] may be logic, whose cone this evaluates too. *)
+
 val peek : t -> Hdl.Netlist.signal -> Bitvec.t
-(** Value after the most recent {!eval}. *)
+(** Value after the most recent {!eval} (or, for a node in its cone,
+    {!eval_cone}). *)
 
 val peek_bool : t -> Hdl.Netlist.signal -> bool
 (** [peek] of a 1-bit signal. *)

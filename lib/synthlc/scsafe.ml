@@ -21,10 +21,14 @@ type violation = {
   vi_diverge_cycle : int;
 }
 
-let observe ~(meta : Meta.t) ~(program : Isa.t list)
-    ~(arf_values : Bitvec.t array) ~(cycles : int) ~seed () =
+(* Run [program] on [sim], an instance compiled from [meta]'s netlist, with
+   the given architectural register values.  [reset ~seed] leaves [sim] as
+   [Sim.create ~seed] would, so microarchitectural state is seeded
+   identically across paired runs. *)
+let observe sim ~(meta : Meta.t) ~(program : Isa.t list)
+    ~(arf_values : Bitvec.t array) ~(cycles : int) ~seed : observation =
   let nl = meta.Meta.nl in
-  let sim = Sim.create ~seed nl in
+  Sim.reset ~seed sim;
   (* Pin architectural registers; memory keeps its seeded contents (it is
      identical across paired runs because the seed is shared). *)
   List.iteri
@@ -43,7 +47,7 @@ let observe ~(meta : Meta.t) ~(program : Isa.t list)
   in
   let obs = ref [] in
   for _ = 0 to cycles - 1 do
-    Sim.eval sim;
+    Sim.eval_cone sim fetch_pc;
     let pc = Bitvec.to_int (Sim.peek sim fetch_pc) in
     Sim.poke sim in0 (instr_at pc);
     Sim.poke sim in1 (instr_at (pc + 1));
@@ -73,6 +77,8 @@ let observe ~(meta : Meta.t) ~(program : Isa.t list)
    shared seed) identical, and diff the observation traces. *)
 let find_violation ?(trials = 32) ?(cycles = 48) ~(design : unit -> Meta.t)
     ~(program : Isa.t list) ~(secret_reg : int) () =
+  let meta = design () in
+  let sim = Sim.create meta.Meta.nl in
   let rng = Random.State.make [| 0x5afe1 |] in
   let rec go trial =
     if trial >= trials then None
@@ -86,14 +92,8 @@ let find_violation ?(trials = 32) ?(cycles = 48) ~(design : unit -> Meta.t)
         a.(secret_reg) <- v;
         a
       in
-      let o1 =
-        observe ~meta:(design ()) ~program ~arf_values:(with_secret low) ~cycles
-          ~seed ()
-      in
-      let o2 =
-        observe ~meta:(design ()) ~program ~arf_values:(with_secret high) ~cycles
-          ~seed ()
-      in
+      let o1 = observe sim ~meta ~program ~arf_values:(with_secret low) ~cycles ~seed in
+      let o2 = observe sim ~meta ~program ~arf_values:(with_secret high) ~cycles ~seed in
       let rec diff c a b =
         match (a, b) with
         | [], [] -> None

@@ -7,26 +7,12 @@
     states — the concrete counterpart of Eq. V.1, used by examples and
     tests to confirm that SynthLC-flagged channels are real. *)
 
-type observation = string list list
-(** Per cycle: labels of the occupied performing locations. *)
-
 type violation = {
   vi_secret_reg : int;  (** Index into the design's ARF list. *)
   vi_low : Bitvec.t;
   vi_high : Bitvec.t;
   vi_diverge_cycle : int;
 }
-
-val observe :
-  meta:Designs.Meta.t ->
-  program:Isa.t list ->
-  arf_values:Bitvec.t array ->
-  cycles:int ->
-  seed:int ->
-  unit ->
-  observation
-(** Run [program] on a core with the given architectural register values
-    (microarchitectural state is seeded identically across paired runs). *)
 
 val find_violation :
   ?trials:int ->
@@ -38,4 +24,6 @@ val find_violation :
   violation option
 (** Vary one secret register between random values, hold everything else
     fixed, and diff the observation traces.  [None] means no violation was
-    found within the trial budget (not a proof of safety). *)
+    found within the trial budget (not a proof of safety).  [design] is
+    called once, and every observation runs on one compiled simulator,
+    reset with that observation's seed. *)

@@ -1,9 +1,10 @@
 (* Differential validation of the bit-blasted BMC path against the
    simulator: any bit-pattern the simulator can produce must be BMC-
    reachable (with the simulation pre-pass disabled, so the SAT encoding
-   itself is exercised), and values the circuit can never produce must be
-   unreachable.  A qcheck differential checks every node of the depth-0
-   encoding against [Netlist.eval_node]. *)
+   itself is exercised), values the circuit can never produce must be
+   unreachable, and every witness BMC returns must replay on the simulator.
+   A qcheck differential checks every node of the depth-0 encoding against
+   [Netlist.eval_node]. *)
 
 module N = Hdl.Netlist
 module C = Mc.Checker
@@ -53,6 +54,31 @@ let sim_pattern nl ~seed ~cycles =
       let s = Option.get (N.find_named nl (Printf.sprintf "acc%d" i)) in
       (s, Sim.peek_bool sim s))
 
+(* Replay a witness on the simulator: from reset, poke each cycle's inputs
+   as the witness records them; every named signal must then read its
+   recorded value on every cycle. *)
+let replay nl cex =
+  let sim = Sim.create nl in
+  let named =
+    N.fold_nodes nl ~init:[] ~f:(fun acc nd ->
+        match nd.N.name with Some name -> (name, nd.N.id) :: acc | None -> acc)
+  in
+  for cycle = 0 to C.Cex.length cex - 1 do
+    List.iter
+      (fun (name, s) ->
+        if List.mem s (N.inputs nl) then Sim.poke sim s (C.Cex.value_exn cex name ~cycle))
+      named;
+    Sim.eval sim;
+    List.iter
+      (fun (name, s) ->
+        let want = C.Cex.value_exn cex name ~cycle and got = Sim.peek sim s in
+        if not (Bitvec.equal want got) then
+          Alcotest.failf "witness does not replay: %s at cycle %d: witness %s, simulator %s"
+            name cycle (Bitvec.to_hex_string want) (Bitvec.to_hex_string got))
+      named;
+    Sim.step sim
+  done
+
 let no_sim_config =
   {
     C.default_config with
@@ -71,7 +97,7 @@ let test_simulated_patterns_reachable () =
       let cycles = 1 + Random.State.int rng 7 in
       let pattern = sim_pattern nl ~seed:((trial * 17) + run) ~cycles in
       match C.check_cover chk pattern with
-      | C.Reachable _ -> ()
+      | C.Reachable cex -> replay nl cex
       | o ->
         Alcotest.failf "trial %d run %d: simulated pattern not BMC-reachable (%s)"
           trial run (C.outcome_tag o)
@@ -96,6 +122,7 @@ let test_model_values_consistent () =
   let cover = [ (s "acc0", true); (s "acc1", false); (s "acc2", true) ] in
   match C.check_cover chk cover with
   | C.Reachable cex ->
+    replay nl cex;
     let last = C.Cex.length cex - 1 in
     let acc = Bitvec.to_int (C.Cex.value_exn cex "acc" ~cycle:last) in
     Alcotest.(check int) "acc bits match cover" 0b101 (acc land 0b111)
@@ -116,6 +143,7 @@ let test_assume_respected_in_model () =
   let s n = Option.get (N.find_named nl n) in
   match C.check_cover chk [ (s "acc0", true) ] with
   | C.Reachable cex ->
+    replay nl cex;
     for c = 0 to C.Cex.length cex - 1 do
       Alcotest.(check int)
         (Printf.sprintf "a = 0 at cycle %d" c)

@@ -321,8 +321,9 @@ let test_cli_sim_exit_contract () =
         (Test_formats.contains text "\"bogus\""))
 
 (* The simulator end to end: [sim]'s stdout lists PL occupancy per cycle
-   and the final ARF, which the golden-model tests do not check.  The
-   imported example prints byte-identical output to its built-in. *)
+   and the final ARF, which the golden-model tests do not check.  Both
+   imported examples, word-level and gate-level, print byte-identical
+   output to their built-in. *)
 let test_cli_sim_pins () =
   with_program
     "add r1, r2, r3\ndiv r3, r1, r2\nlw r2, 4(r1)\nsw r3, 0(r2)\n\
@@ -341,7 +342,25 @@ let test_cli_sim_pins () =
       Alcotest.(check string) "cva6_lite output" "ef16c8dea7b6424e3a9ee1c9bebc5fd1"
         (md5 "cva6_lite");
       Alcotest.(check string) "imported example prints the built-in's output"
-        (out "ibex_lite") (out example_json))
+        (out "ibex_lite") (out example_json);
+      Alcotest.(check string) "gate-level example prints the built-in's output"
+        (out "ibex_lite") (out "../examples/ibex_lite_gl.json"))
+
+(* [scsafe]'s paired simulations end to end.  The violations are found on
+   the third and fourth trial, so earlier trials' observations ran on the
+   same simulator first. *)
+let test_cli_scsafe_pins () =
+  List.iter
+    (fun (args, want) ->
+      let code, text = run_cli ("scsafe" ^ args) in
+      Alcotest.(check int) ("scsafe" ^ args ^ " exits 0") 0 code;
+      Alcotest.(check string) ("scsafe" ^ args ^ " output") want text)
+    [
+      ("", "SC-Safe VIOLATED: secret r1 = 0x67 vs 0x74 diverges observations at cycle 5\n");
+      ( " --secret 1",
+        "SC-Safe VIOLATED: secret r2 = 0x27 vs 0x94 diverges observations at cycle 5\n" );
+      (" --secret 2 --trials 8", "no violation found in 8 trials\n");
+    ]
 
 (* A misspelt transmitter mnemonic or revisit-count label fails before
    any synthesis runs and names the offender, instead of reading as "no
@@ -442,4 +461,5 @@ let suite =
         test_cli_negative_counts;
       Alcotest.test_case "sim exit contract" `Quick test_cli_sim_exit_contract;
       Alcotest.test_case "sim output pinned" `Quick test_cli_sim_pins;
+      Alcotest.test_case "scsafe output pinned" `Quick test_cli_scsafe_pins;
     ] )

@@ -2,10 +2,9 @@
    overflow accounting, ambient-context attribution, the metrics registry,
    Chrome trace-event / metrics JSON export well-formedness, pool
    integration (nested submission under tracing, derive_seed golden
-   stability), and the digest-exclusion rule — engine reports must be
-   bit-identical with tracing on vs. off and -j1 vs. -j4. *)
-
-module Engine = Synthlc.Engine
+   stability).  The digest-exclusion rule end to end (engine reports
+   bit-identical with tracing on vs. off) is checked by [parallel]'s
+   "engine -j 4 deterministic (ibex)", whose -j 1 arm runs traced. *)
 
 (* Every test starts from a known-clean, enabled layer and leaves the
    layer disabled for whoever runs next (other suites assume the
@@ -229,31 +228,6 @@ let test_pool_nested_under_obs () =
       | Some c -> Alcotest.(check (float 0.)) "run histogram matches" 5.0 c
       | None -> Alcotest.fail "missing pool.task_run_s histogram")
 
-(* The digest-exclusion rule, end to end: the same engine workload run
-   (a) untraced sequentially and (b) traced across 4 domains must agree
-   on every semantic fact — equal reports, bit-identical digests — and
-   the traced run must actually have produced observability output. *)
-let test_engine_digest_invariant_under_tracing () =
-  Obs.disable ();
-  Obs.reset ();
-  let plain = Test_parallel.run_ibex_engine 1 in
-  Alcotest.(check (list (pair string (float 0.))))
-    "untraced report carries no metrics" [] plain.Engine.metrics;
-  let traced =
-    with_obs (fun () ->
-        let r = Test_parallel.run_ibex_engine 4 in
-        Alcotest.(check bool) "spans recorded" true (Obs.events () <> []);
-        r)
-  in
-  Alcotest.(check bool) "reports equal" true (Engine.equal_report plain traced);
-  Alcotest.(check string) "digests bit-identical"
-    (Engine.report_digest plain)
-    (Engine.report_digest traced);
-  Alcotest.(check bool) "traced report carries metrics" true
-    (traced.Engine.metrics <> []);
-  Alcotest.(check bool) "engine.task spans attribute seeds" true
-    (List.mem_assoc "engine.elapsed_s" traced.Engine.metrics)
-
 let suite =
   ( "obs",
     [
@@ -265,6 +239,4 @@ let suite =
       Alcotest.test_case "chrome trace export" `Quick test_chrome_trace_export;
       Alcotest.test_case "derive_seed golden" `Quick test_derive_seed_golden;
       Alcotest.test_case "nested pool under obs" `Quick test_pool_nested_under_obs;
-      Alcotest.test_case "engine digest invariant (ibex)" `Slow
-        test_engine_digest_invariant_under_tracing;
     ] )

@@ -2,8 +2,9 @@
    invisible in the output.  [Engine.run ~jobs:4] on the Ibex design has to
    produce the same signatures and the same report (µPATH sets, decisions,
    property outcome counts) as the sequential run — the per-task seed
-   derivation exists precisely for this.  Also: property sharding on the
-   toy DUV finds the same µPATH set as the single-checker run. *)
+   derivation exists precisely for this — and tracing must not change the
+   report digest.  Also: property sharding on the toy DUV finds the
+   same µPATH set as the single-checker run. *)
 
 module Engine = Synthlc.Engine
 
@@ -31,12 +32,27 @@ let run_ibex_engine jobs =
     ~kinds:[ Synthlc.Types.Intrinsic ]
     ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
 
+(* The -j 1 arm also runs traced, so the one pair of runs checks the
+   digest-exclusion rule too: the traced sequential run and the untraced
+   parallel run (the path users run) agree on every semantic fact, and only
+   the traced one carries observability output. *)
 let test_engine_jobs_deterministic () =
-  let seq = run_ibex_engine 1 in
+  let seq =
+    Test_obs.with_obs (fun () ->
+        let r = run_ibex_engine 1 in
+        Alcotest.(check bool) "spans recorded" true (Obs.events () <> []);
+        r)
+  in
   let par = run_ibex_engine 4 in
+  Alcotest.(check (list (pair string (float 0.))))
+    "untraced report carries no metrics" [] par.Engine.metrics;
   Alcotest.(check int) "jobs recorded" 4 par.Engine.jobs;
   Alcotest.(check bool) "report equal to sequential" true
     (Engine.equal_report seq par);
+  Alcotest.(check string) "digests bit-identical" (Engine.report_digest seq)
+    (Engine.report_digest par);
+  Alcotest.(check bool) "traced report carries engine.elapsed_s" true
+    (List.mem_assoc "engine.elapsed_s" seq.Engine.metrics);
   let sig_names r =
     List.map Synthlc.Types.signature_name (Engine.all_signatures r)
   in

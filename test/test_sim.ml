@@ -1,7 +1,8 @@
 (* Simulator tests: register/enable semantics, symbolic-init randomization,
-   reset, trace recording and VCD rendering, and the compiled evaluator
-   against the reference node semantics ([Netlist.eval_node]) on random
-   netlists that mix narrow and wide values. *)
+   reset, trace recording and VCD rendering, and the compiled, hash-consed
+   evaluator (full and cone-only) against the reference node semantics
+   ([Netlist.eval_node]) on random netlists that mix narrow and wide values
+   and repeat their own structure. *)
 
 module N = Hdl.Netlist
 
@@ -105,7 +106,11 @@ let test_trace_and_vcd () =
    [Bitvec.t] values, so narrow and wide nodes mix in Concat, Extract, the
    comparisons and Mux.  Registers get a symbolic or concrete init and, half
    the time, an enable; wires are declared early and driven at the end by
-   any node outside their own cone. *)
+   any node outside their own cone.  For the simulator's hash-consing, the
+   netlist is full of structural duplicates: every node is emitted twice
+   with the same operands, binary operators a third time with their
+   operands swapped, constants twice, an extract again at another offset of
+   the same width, and wire chains two deep. *)
 let random_netlist seed =
   let rng = Random.State.make [| seed |] in
   let nl = N.create "diff" in
@@ -125,7 +130,11 @@ let random_netlist seed =
   let one_of l = List.nth l (int (List.length l)) in
   let new_source w =
     if Random.State.bool rng then N.input nl (Printf.sprintf "i%d" (N.num_nodes nl)) w
-    else N.const nl (Bitvec.random rng w)
+    else begin
+      let c = Bitvec.random rng w in
+      ignore (add (N.const nl c));
+      N.const nl c
+    end
   in
   let source w = add (new_source w) in
   let of_width w =
@@ -152,20 +161,41 @@ let random_netlist seed =
   in
   let wires = List.init 2 (fun _ -> add (N.wire nl (pick_width ()))) in
   let ops = N.[| And; Or; Xor; Add; Sub; Mul; Eq; Ult; Slt |] in
+  let twice f =
+    ignore (add (f ()));
+    f ()
+  in
+  let link s =
+    let w = N.wire nl (N.width nl s) in
+    N.connect_wire nl w s;
+    w
+  in
   for _ = 1 to 40 do
     let a = one_of !pool in
     let w = N.width nl a in
     ignore
       (add
-         (match int 8 with
-         | 0 -> N.not_ nl a
-         | 1 | 2 -> N.op2 nl ops.(int (Array.length ops)) a (of_width w)
-         | 3 -> N.mux nl ~sel:(of_width 1) ~on_true:a ~on_false:(of_width w)
+         (match int 9 with
+         | 0 -> twice (fun () -> N.not_ nl a)
+         | 1 | 2 ->
+           let o = ops.(int (Array.length ops)) and b = of_width w in
+           ignore (add (N.op2 nl o b a));
+           twice (fun () -> N.op2 nl o a b)
+         | 3 ->
+           let sel = of_width 1 and on_false = of_width w in
+           twice (fun () -> N.mux nl ~sel ~on_true:a ~on_false)
          | 4 ->
            let lo = int w in
-           N.extract nl ~hi:(lo + int (w - lo)) ~lo a
-         | 5 -> N.concat nl (List.init (2 + int 3) (fun _ -> narrowish ()))
-         | 6 -> if Random.State.bool rng then N.reduce_or nl a else N.reduce_and nl a
+           let hi = lo + int (w - lo) in
+           if lo > 0 then ignore (add (N.extract nl ~hi:(hi - 1) ~lo:(lo - 1) a));
+           twice (fun () -> N.extract nl ~hi ~lo a)
+         | 5 ->
+           let parts = List.init (2 + int 3) (fun _ -> narrowish ()) in
+           twice (fun () -> N.concat nl parts)
+         | 6 ->
+           let use_or = Random.State.bool rng in
+           twice (fun () -> if use_or then N.reduce_or nl a else N.reduce_and nl a)
+         | 7 -> link (add (link a))
          | _ -> new_source (pick_width ())))
   done;
   List.iter
@@ -249,6 +279,30 @@ let same_rows nl ~what expected got =
     expected;
   true
 
+(* [eval_cone] before each cycle's full [eval]: a different node's cone
+   each cycle, and every node in it must already read its reference value
+   for the cycle. *)
+let cones_agree nl ~seed expected =
+  let sim = Sim.create ~seed nl in
+  let n = N.num_nodes nl in
+  Array.iteri
+    (fun c row ->
+      Sim.poke_random_inputs sim;
+      let target = ((c * 7919) + seed) mod n in
+      Sim.eval_cone sim target;
+      Hashtbl.iter
+        (fun s () ->
+          let got = Sim.peek sim s in
+          if not (Bitvec.equal row.(s) got) then
+            QCheck.Test.fail_reportf
+              "eval_cone %d: node %d (%d bits), cycle %d: expected %a, got %a" target s
+              (N.width nl s) c Bitvec.pp row.(s) Bitvec.pp got)
+        (N.comb_cone nl [ target ]);
+      Sim.eval sim;
+      Sim.step sim)
+    expected;
+  true
+
 let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000)
 
 let qcheck_differential =
@@ -257,8 +311,9 @@ let qcheck_differential =
        ~name:"compiled evaluator matches the reference semantics" arb_seed
        (fun seed ->
          let nl = random_netlist seed in
-         same_rows nl ~what:"create" (reference nl ~seed)
-           (simulate (Sim.create ~seed nl))))
+         let expected = reference nl ~seed in
+         same_rows nl ~what:"create" expected (simulate (Sim.create ~seed nl))
+         && cones_agree nl ~seed expected))
 
 (* [reset ~seed] on a used instance is indistinguishable from a fresh
    [create ~seed]: every value reads zero before the first eval, and the

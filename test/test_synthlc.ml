@@ -186,7 +186,10 @@ let test_scsafe_on_core () =
        ~design:(fun () -> Designs.Core.build Designs.Core.baseline)
        ~program ~secret_reg:0 ()
    with
-  | Some v -> Alcotest.(check bool) "diverges" true (v.Scsafe.vi_diverge_cycle >= 0)
+  | Some v ->
+    Alcotest.(check int) "diverges at cycle 6" 6 v.Scsafe.vi_diverge_cycle;
+    Alcotest.(check string) "low secret" "67" (Bitvec.to_hex_string v.Scsafe.vi_low);
+    Alcotest.(check string) "high secret" "74" (Bitvec.to_hex_string v.Scsafe.vi_high)
   | None -> Alcotest.fail "expected an SC-Safe violation");
   (* ...whereas a pure ALU program over the secret is observation-equivalent
      (ALU ops are single-cycle and data-independent). *)
