@@ -227,15 +227,6 @@ let sweep_arg =
   in
   Arg.(value & opt sweep_conv Mc.Checker.Sweep_off & info [ "sweep" ] ~docv:"MODE" ~doc)
 
-let semantic_cache_arg =
-  let doc =
-    "Key the verdict cache by behavioral signatures instead of netlist \
-     structure, so semantically equivalent variants of one design (e.g. a \
-     gate-level re-synthesis) share cached verdicts.  Requires \
-     $(b,--cache-dir)."
-  in
-  Arg.(value & flag & info [ "semantic-cache" ] ~doc)
-
 let imprecise_ift_arg =
   let doc =
     "Degrade the IFT cell rules from value-aware to taint-union for \
@@ -428,8 +419,8 @@ let sim_cmd =
 (* --- mupath ----------------------------------------------------------- *)
 
 let mupath_cmd =
-  let run dname meta_path iuv config dot counts shards cache_dir prune
-      semantic_cache trace metrics =
+  let run dname meta_path iuv config dot counts shards cache_dir prune trace
+      metrics =
     let src = resolve_design ~cmd:"mupath" ?meta:meta_path dname in
     with_obs ~trace ~metrics (fun () ->
         let meta = builder_of ~cmd:"mupath" src () in
@@ -439,7 +430,7 @@ let mupath_cmd =
         let stim = Option.map (fun f -> f ~pins ~rotate:[] meta) (stimulus_of src) in
         let cache = cache_of cache_dir in
         let r =
-          Mupath.Synth.run ?cache ~config ?stimulus:stim ~semantic_cache
+          Mupath.Synth.run ?cache ~config ?stimulus:stim
             ~static_prune:(prune = `On) ~absint:prune
             ~revisit_count_labels:counts ~shards ~meta ~iuv ~iuv_pc ()
         in
@@ -460,14 +451,14 @@ let mupath_cmd =
     (Cmd.info "mupath" ~doc:"RTL2MuPATH: synthesize the uPATH set for one instruction")
     Term.(
       const run $ design_arg $ meta_arg $ instr_arg $ config_term $ dot
-      $ counts $ shards_arg $ cache_dir_arg $ prune_arg $ semantic_cache_arg
-      $ trace_arg $ metrics_arg)
+      $ counts $ shards_arg $ cache_dir_arg $ prune_arg $ trace_arg
+      $ metrics_arg)
 
 (* --- synthlc ---------------------------------------------------------- *)
 
 let synthlc_cmd =
   let run dname meta_path instructions transmitters config static jobs
-      cache_dir prune imprecise semantic_cache trace metrics =
+      cache_dir prune imprecise trace metrics =
     let src = resolve_design ~cmd:"synthlc" ?meta:meta_path dname in
     with_obs ~trace ~metrics @@ fun () ->
     let design = builder_of ~cmd:"synthlc" src in
@@ -486,7 +477,7 @@ let synthlc_cmd =
     in
     let cache = cache_of cache_dir in
     let report =
-      Synthlc.Engine.run ?cache ~config ~semantic_cache
+      Synthlc.Engine.run ?cache ~config
         ~precise:(not imprecise) ~prune ?stimulus ~design ~jobs ~instructions
         ~transmitters ~kinds ~revisit_count_labels ~iuv_pc ()
     in
@@ -519,8 +510,8 @@ let synthlc_cmd =
     (Cmd.info "synthlc" ~doc:"SynthLC: synthesize leakage signatures and contracts")
     Term.(
       const run $ design_arg $ meta_arg $ instrs $ txs $ config_term $ static
-      $ jobs_arg $ cache_dir_arg $ prune_arg $ imprecise_ift_arg
-      $ semantic_cache_arg $ trace_arg $ metrics_arg)
+      $ jobs_arg $ cache_dir_arg $ prune_arg $ imprecise_ift_arg $ trace_arg
+      $ metrics_arg)
 
 (* --- scsafe ----------------------------------------------------------- *)
 

@@ -21,16 +21,6 @@ type stats = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Concrete evaluation, one pattern at a time: settle the combinational
-   logic in topological order with the shared node semantics; inputs and
-   registers must be pre-populated in [values] by the caller.  Only the
-   canonical stimulus of [signatures] uses it: its digest is a semantic
-   cache key, so it stays on the reference semantics. *)
-let settle nl order values =
-  let value s = values.(s) in
-  Array.iter (fun id -> values.(id) <- Netlist.eval_node nl value id) order
-
-(* ------------------------------------------------------------------ *)
 (* Depth-0 CNF encoding of the combinational logic through [Lower]'s gate
    library, the one [Mc.Blast] unrolls: inputs and register outputs are
    free variables.  The block simulator below lowers the same node kinds
@@ -677,148 +667,3 @@ let reduce ?patterns ?max_conflicts ?(barriers = []) nl =
       ~vetoed:!vetoed
   in
   (out, image, stats)
-
-(* ------------------------------------------------------------------ *)
-(* Canonical stimulus: behavioral fingerprints independent of node ids
-   and construction order.  Inputs are driven by name-seeded PRNGs,
-   symbolic-init registers start at zero, so any two netlists with the
-   same interface names and the same observable behavior produce the
-   same signatures for their named signals. *)
-
-let stimulus_seed name episode =
-  let d = Digest.string name in
-  Array.init 5 (fun i ->
-      if i = 4 then episode
-      else
-        let b j = Char.code d.[(4 * i) + j] in
-        (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3)
-
-let signatures ?(episodes = 4) ?(cycles = 24) nl =
-  Netlist.validate nl;
-  let n = Netlist.num_nodes nl in
-  let order = Netlist.comb_order nl in
-  let bufs = Array.init n (fun _ -> Buffer.create 256) in
-  let values = Array.make n (Bitvec.zero 1) in
-  let inputs = Netlist.inputs nl in
-  let regs = Netlist.registers nl in
-  for episode = 0 to episodes - 1 do
-    let rngs =
-      List.map
-        (fun i ->
-          let name =
-            match (Netlist.node nl i).Netlist.name with
-            | Some nm -> nm
-            | None -> assert false
-          in
-          (i, Random.State.make (stimulus_seed name episode)))
-        inputs
-    in
-    List.iter
-      (fun r ->
-        match (Netlist.node nl r).Netlist.kind with
-        | Netlist.Reg { init = Netlist.Init_value v; _ } -> values.(r) <- v
-        | Netlist.Reg { init = Netlist.Init_symbolic; _ } ->
-          values.(r) <- Bitvec.zero (Netlist.width nl r)
-        | _ -> assert false)
-      regs;
-    for _cycle = 1 to cycles do
-      List.iter
-        (fun (i, st) -> values.(i) <- Bitvec.random st (Netlist.width nl i))
-        rngs;
-      settle nl order values;
-      for id = 0 to n - 1 do
-        Buffer.add_string bufs.(id) (Bitvec.to_hex_string values.(id));
-        Buffer.add_char bufs.(id) ';'
-      done;
-      (* Clock edge, mirroring [Sim.step]. *)
-      let latched =
-        List.filter_map
-          (fun r ->
-            match (Netlist.node nl r).Netlist.kind with
-            | Netlist.Reg { next = Some nx; enable; _ } ->
-              let update =
-                match enable with
-                | None -> true
-                | Some en -> not (Bitvec.is_zero values.(en))
-              in
-              if update then Some (r, values.(nx)) else None
-            | _ -> None)
-          regs
-      in
-      List.iter (fun (r, v) -> values.(r) <- v) latched
-    done
-  done;
-  Array.mapi
-    (fun id buf ->
-      Digest.to_hex
-        (Digest.string
-           (string_of_int (Netlist.width nl id) ^ ":" ^ Buffer.contents buf)))
-    bufs
-
-let semantic_digest ?episodes ?cycles nl =
-  let sigs = signatures ?episodes ?cycles nl in
-  let named = ref [] in
-  Netlist.iter_nodes nl (fun nd ->
-      match nd.Netlist.name with
-      | Some nm ->
-        named :=
-          Printf.sprintf "%s=%d:%s" nm nd.Netlist.width sigs.(nd.Netlist.id)
-          :: !named
-      | None -> ());
-  let sorted = List.sort compare !named in
-  Digest.to_hex (Digest.string (String.concat "\n" sorted))
-
-(* Name-structural descriptors, in post-order over node ids (operands
-   always precede their consumers, so one left-to-right pass suffices).
-   A named node is its name — nothing below it leaks into any consumer's
-   descriptor — so the strings are stable across semantically equivalent
-   netlist variants as long as logic above the named frontier is built
-   identically (which is exactly how per-variant monitor construction
-   works: the same code, over name-resolved signals).  Hash-consing via
-   per-node digests keeps the pass linear. *)
-let describe_all nl =
-  let n = Netlist.num_nodes nl in
-  let desc = Array.make n "" in
-  let op_tag = function
-    | Netlist.And -> "and"
-    | Netlist.Or -> "or"
-    | Netlist.Xor -> "xor"
-    | Netlist.Add -> "add"
-    | Netlist.Sub -> "sub"
-    | Netlist.Mul -> "mul"
-    | Netlist.Eq -> "eq"
-    | Netlist.Ult -> "ult"
-    | Netlist.Slt -> "slt"
-  in
-  Netlist.iter_nodes nl (fun nd ->
-      let id = nd.Netlist.id in
-      let d s = desc.(s) in
-      let term =
-        match nd.Netlist.name with
-        | Some nm -> Printf.sprintf "name:%s:%d" nm nd.Netlist.width
-        | None -> (
-          match nd.Netlist.kind with
-          | Netlist.Input -> assert false (* inputs are always named *)
-          | Netlist.Const v -> "const:" ^ Bitvec.to_hex_string v
-          | Netlist.Reg _ ->
-            (* Registers are always named, so this arm is unreachable for
-               admitted netlists; key on the id as a safe fallback. *)
-            Printf.sprintf "reg:%d" id
-          | Netlist.Wire { driver = Some s } -> "wire:" ^ d s
-          | Netlist.Wire { driver = None } -> Printf.sprintf "wire:%d" id
-          | Netlist.Not a -> "not:" ^ d a
-          | Netlist.Op2 (op, a, b) ->
-            Printf.sprintf "%s:%s:%s" (op_tag op) (d a) (d b)
-          | Netlist.Mux { sel; on_true; on_false } ->
-            Printf.sprintf "mux:%s:%s:%s" (d sel) (d on_true) (d on_false)
-          | Netlist.Extract { hi; lo; arg } ->
-            Printf.sprintf "ex:%d:%d:%s" hi lo (d arg)
-          | Netlist.Concat parts ->
-            "cat:" ^ String.concat ":" (List.map d parts)
-          | Netlist.ReduceOr a -> "ror:" ^ d a
-          | Netlist.ReduceAnd a -> "rand:" ^ d a)
-      in
-      desc.(id) <-
-        Digest.to_hex
-          (Digest.string (string_of_int nd.Netlist.width ^ "|" ^ term)));
-  desc

@@ -108,38 +108,3 @@ val add_pattern : traces -> (Netlist.signal -> Bitvec.t) -> unit
 
 val value : traces -> Netlist.signal -> int -> Bitvec.t
 (** [value t s p] is node [s]'s value on pattern [p], counted from 0. *)
-
-(** {1 Semantic identity} *)
-
-val signatures : ?episodes:int -> ?cycles:int -> Netlist.t -> string array
-(** Per-node behavioral fingerprints under a canonical stimulus: for each
-    of [episodes] (default 4) episodes, registers start at their init value
-    (symbolic-init registers at zero) and every input is driven for
-    [cycles] (default 24) cycles by a PRNG seeded from the {e input's name}
-    and the episode index — so the fingerprint of a node depends only on
-    its behavior and the design's interface names, never on node ids or
-    construction order.  Two nodes (in the same or different netlists) with
-    equal observable behavior under this stimulus get equal signatures. *)
-
-val semantic_digest : ?episodes:int -> ?cycles:int -> Netlist.t -> string
-(** Hex digest of the design's observable behavior: the sorted
-    [(name, width, signature)] set of all named signals and inputs under
-    the canonical stimulus of {!signatures}.  Independent of the module
-    name and of internal structure, so a word-level design and its
-    gate-level re-synthesis digest identically — the key of the Vcache
-    semantic namespace. *)
-
-val describe_all : Netlist.t -> string array
-(** Name-structural descriptor per node: a named node is identified by its
-    (name, width); an unnamed node by its kind and its operands'
-    descriptors, hash-consed into one digest per node.  Descriptors of a
-    wire are transparent to its driver.
-
-    Unlike {!signatures} (behavioral, collision-prone for logic the
-    canonical stimulus never exercises), descriptors never collide for
-    structurally distinct cones, and they are stable across semantically
-    equivalent netlist variants for any logic built identically above the
-    named-signal frontier — the property semantic cache keys need:
-    per-variant monitor construction runs the same code over name-resolved
-    signals, so a cover's literals descriptor-match across variants while
-    two different covers never do. *)

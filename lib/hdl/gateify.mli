@@ -14,7 +14,7 @@
     re-extracts the bits it needs, so structurally duplicate gates abound.
     That makes its output the canonical workload for {!Equiv}: a
     post-synthesis-shaped netlist that sweeps back down to size, while
-    {!Equiv.semantic_digest} is preserved by construction. *)
+    every named signal keeps its value on every cycle by construction. *)
 
 val run : Netlist.t -> Netlist.t * Netlist.signal array
 (** [run nl] returns the gate-level netlist and the total mapping [image]

@@ -214,14 +214,6 @@ type t = {
   rng : Random.State.t;
   cache : Vcache.t option;
   key_prefix : string;  (* "" when no cache is attached *)
-  sigs : string array option;
-      (* Name-structural per-node descriptors ([Equiv.describe_all]);
-         present only in the semantic cache-key namespace, where
-         cover/assume keys are built from them instead of node ids.
-         Behavioral trace signatures would collide for covers the
-         canonical stimulus never activates (all-zero traces), silently
-         cross-serving verdicts; descriptors never collide for distinct
-         cones yet still match across equivalent netlist variants. *)
 }
 
 (* The cache key covers everything a verdict depends on: the elaborated
@@ -256,29 +248,6 @@ let make_key_prefix ~salt ~assumes ~assume_initial ~(config : config) nl =
     (String.concat "," (List.map string_of_int assumes))
     (String.concat "," (List.map string_of_int assume_initial))
     (config_key config) salt
-
-(* Semantic namespace: the design contributes its behavioral digest and
-   the assumption signals contribute name-structural descriptors, so
-   equivalent netlist variants (a word-level built-in and its gate-level
-   re-synthesis, say) produce the same keys and share verdicts.  Sound
-   under the same caveat as sharding and cache warmth: with canonical
-   witnesses the verdict and witness depend only on semantics, except
-   where a conflict budget runs out — semantically-keyed sharing assumes
-   budgets generous enough that no shared query lands [Undetermined].
-   Budgets are per solve, but the BMC and induction solvers are shared by
-   every cover an engine checks, so whether a solve overruns also depends
-   on the learned clauses and activity earlier covers left: the cover
-   order, the shard partition and which covers hit the cache.  An
-   induction overrun hands the cover to BMC, so a cover induction would
-   have proved reports [Bounded] instead of [Inductive k]; a traced run
-   shows no induction or canonical-witness solve overran when
-   [checker.ind_overruns] and [checker.canon_overruns] are 0. *)
-let make_semantic_key_prefix ~salt ~assumes ~assume_initial ~(config : config)
-    ~(sigs : string array) nl =
-  let sig_list l = String.concat "," (List.sort compare (List.map (fun s -> sigs.(s)) l)) in
-  Printf.sprintf "sem1:%s|a:%s|i:%s|%s|s:%s"
-    (Hdl.Equiv.semantic_digest nl)
-    (sig_list assumes) (sig_list assume_initial) (config_key config) salt
 
 let identity_map nl = Array.init (Netlist.num_nodes nl) Fun.id
 
@@ -321,8 +290,7 @@ let make_engine ~(config : config) ~assumes ~assume_initial ~sweep_barriers
   { map; bmc; induction }
 
 let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
-    ?(assume_initial = []) ?(sweep_barriers = []) ?(semantic_cache = false)
-    ~assumes nl =
+    ?(assume_initial = []) ?(sweep_barriers = []) ~assumes nl =
   if config.bmc_depth < 0 then invalid_arg "Checker.create: negative bmc_depth";
   Netlist.validate nl;
   let named =
@@ -343,10 +311,6 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
            ~swept:false nl)
     else None
   in
-  let sigs =
-    if semantic_cache && cache <> None then Some (Hdl.Equiv.describe_all nl)
-    else None
-  in
   {
     nl;
     config;
@@ -361,14 +325,10 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
     rng = Random.State.make [| config.seed |];
     cache;
     key_prefix =
-      (match (cache, sigs) with
-      | None, _ -> ""
-      | Some _, Some sigs ->
-        make_semantic_key_prefix ~salt:cache_salt ~assumes ~assume_initial
-          ~config ~sigs nl
-      | Some _, None ->
+      (match cache with
+      | None -> ""
+      | Some _ ->
         make_key_prefix ~salt:cache_salt ~assumes ~assume_initial ~config nl);
-    sigs;
   }
 
 let stats t = t.stats
@@ -668,15 +628,8 @@ let decode_entry blob =
     | exception _ -> None
 
 let cover_key t cover =
-  let lit (s, pol) =
-    match t.sigs with
-    | Some sigs -> sigs.(s) ^ if pol then "+" else "-"
-    | None -> string_of_int s ^ if pol then "+" else "-"
-  in
-  (* Semantic keys sort the literals: equivalent variants may construct
-     the same cover in a different order. *)
+  let lit (s, pol) = string_of_int s ^ if pol then "+" else "-" in
   let lits = List.map lit cover in
-  let lits = if t.sigs = None then lits else List.sort compare lits in
   Digest.to_hex (Digest.string (t.key_prefix ^ "|p:" ^ String.concat "," lits))
 
 (* --- main entry ----------------------------------------------------------- *)

@@ -185,7 +185,6 @@ val create :
   ?config:config ->
   ?assume_initial:Hdl.Netlist.signal list ->
   ?sweep_barriers:Hdl.Netlist.signal list ->
-  ?semantic_cache:bool ->
   assumes:Hdl.Netlist.signal list ->
   Hdl.Netlist.t ->
   t
@@ -197,35 +196,22 @@ val create :
     [cache] attaches a persistent verdict store: each {!check_cover} is
     keyed by a digest of (netlist structure, assumption signals, every
     [config] field including the seed, [cache_salt], cover literals) and
-    served from the store when present.  A cached verdict replays exactly
-    as the cold run computed it — witness trace, sim-discharged
-    accounting, and the RNG draws the sim pre-pass consumed — so a run
-    whose properties all hit is bit-identical to the run that filled the
-    store.  [cache_salt] must identify any verdict-relevant input the
-    checker cannot see.  Only {!Synthlc.Flow} sets one, for imprecise
-    IFT; every caller derives [stimulus] from the design and from the
-    instructions its monitored netlist already encodes.
+    served from the store when present.  Netlists that differ in
+    structure never share a key, however alike they behave.  A cached
+    verdict replays exactly as the cold run computed it — witness trace,
+    sim-discharged accounting, and the RNG draws the sim pre-pass
+    consumed — so a run whose properties all hit is bit-identical to the
+    run that filled the store.  [cache_salt] must identify any
+    verdict-relevant input the checker cannot see.  Only {!Synthlc.Flow}
+    sets one, for imprecise IFT; every caller derives [stimulus] from the
+    design and from the instructions its monitored netlist already
+    encodes.
 
     [sweep_barriers] are extra signals the equivalence sweep must never
     merge away (named signals, registers and inputs are always barriers);
     callers pass every metadata-referenced signal, belt and braces on top
     of those signals being named.  Ignored when [config.sweep] is
     {!Sweep_off}.
-
-    [semantic_cache] (default [false], meaningful only with [cache])
-    switches the cache keys to the behavioral namespace: the netlist
-    contributes {!Hdl.Equiv.semantic_digest} instead of its structural
-    digest, and assume/cover signals contribute their
-    {!Hdl.Equiv.signatures} instead of node ids.  Semantically equivalent
-    netlist variants — a word-level design and its gate-level
-    re-synthesis, say — then share verdicts.  Sound for the same reason
-    digests agree across sweep modes (canonical witnesses), with one
-    caveat: a budget-limited [Undetermined] could in principle resolve
-    differently on another variant, and an induction or canonical-witness
-    overrun depends on the properties checked before it (see the module
-    doc), so pair this with budgets generous enough that shared queries
-    terminate — [checker.ind_overruns] and [checker.canon_overruns] of a
-    traced run show whether they did.
 
     Raises [Invalid_argument] when [config.bmc_depth] is negative. *)
 

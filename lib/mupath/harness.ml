@@ -113,8 +113,8 @@ let ufsm_connectivity (meta : Meta.t) =
 let pl_groups meta =
   List.map (fun g -> (g.label, g.members)) (collect_groups meta)
 
-let create ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
-    ?(revisit_count_labels = []) ~meta ~iuv ~iuv_pc () =
+let create ?cache ?cache_salt ?config ?stimulus ?(revisit_count_labels = [])
+    ~meta ~iuv ~iuv_pc () =
   let module D = Hdl.Dsl.Make (struct
     let nl = meta.Meta.nl
   end) in
@@ -275,7 +275,7 @@ let create ?cache ?cache_salt ?config ?stimulus ?(semantic_cache = false)
   let assumes = iuv_assumes @ no_refetch @ meta.Meta.extra_assumes in
   let checker =
     Mc.Checker.create ?cache ?cache_salt ?stimulus ?config
-      ~sweep_barriers:(Meta.signals meta) ~semantic_cache ~assumes nl
+      ~sweep_barriers:(Meta.signals meta) ~assumes nl
   in
   {
     meta;

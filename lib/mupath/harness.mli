@@ -33,17 +33,15 @@ val create :
   ?cache_salt:string ->
   ?config:Mc.Checker.config ->
   ?stimulus:(Sim.t -> int -> unit) ->
-  ?semantic_cache:bool ->
   ?revisit_count_labels:string list ->
   meta:Designs.Meta.t ->
   iuv:Isa.t ->
   iuv_pc:int ->
   unit ->
   t
-(** [cache]/[cache_salt]/[semantic_cache] are forwarded to
-    {!Mc.Checker.create}: the monitored netlist's digest (which covers the
-    IUV pin, the PL monitors, and the revisit counters) keys the verdict
-    store.  {!Designs.Meta.signals} is passed as the checker's sweep
+(** [cache]/[cache_salt] are forwarded to {!Mc.Checker.create}: the
+    monitored netlist's digest (which covers the IUV pin, the PL monitors,
+    and the revisit counters) keys the verdict store.  {!Designs.Meta.signals} is passed as the checker's sweep
     barriers, so an equivalence sweep ([config.sweep]) can never merge
     away an annotated signal. *)
 

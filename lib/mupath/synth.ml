@@ -50,17 +50,17 @@ let max_candidate_sets = 4096
 let max_revisit_count = 12
 let presim_cycles = 48
 
-let run ?cache ?config ?stimulus ?(semantic_cache = false)
-    ?(revisit_count_labels = []) ?(presim_episodes = 64) ?(static_prune = true)
-    ?(absint = `On) ?(shards = 1) ~meta ~iuv ~iuv_pc () =
+let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
+    ?(presim_episodes = 64) ?(static_prune = true) ?(absint = `On) ?(shards = 1)
+    ~meta ~iuv ~iuv_pc () =
   let shards = max 1 shards in
   Obs.with_span "synth.run" ~args:[ ("instr", Isa.to_string iuv) ] @@ fun () ->
   (* Sharded cover batches run on a pool of [shards] domains of its own
      (unsharded, the pool spawns no domain and is never used). *)
   Pool.with_pool ~jobs:shards @@ fun pool ->
   let h =
-    Harness.create ?cache ?config ?stimulus ~semantic_cache
-      ~revisit_count_labels ~meta ~iuv ~iuv_pc ()
+    Harness.create ?cache ?config ?stimulus ~revisit_count_labels ~meta ~iuv
+      ~iuv_pc ()
   in
   let nl = meta.Designs.Meta.nl in
   let chk = Harness.checker h in
@@ -141,7 +141,7 @@ let run ?cache ?config ?stimulus ?(semantic_cache = false)
             in
             Checker.create ?cache:shard_caches.(k) ?stimulus
               ~config:cfg ~sweep_barriers:(Designs.Meta.signals meta)
-              ~semantic_cache ~assumes:(Harness.assumes h) nl)
+              ~assumes:(Harness.assumes h) nl)
   in
   let stage names =
     List.map

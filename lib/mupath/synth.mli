@@ -66,7 +66,6 @@ val run :
   ?cache:Vcache.t ->
   ?config:Mc.Checker.config ->
   ?stimulus:(Sim.t -> int -> unit) ->
-  ?semantic_cache:bool ->
   ?revisit_count_labels:string list ->
   ?presim_episodes:int ->
   ?static_prune:bool ->
@@ -97,9 +96,7 @@ val run :
     every checker property — including each shard's — is looked up before
     any engine runs, and a run whose properties all hit is bit-identical to
     the run that filled the store, because cached witness traces replay
-    through the same harvesting code paths.  [semantic_cache] switches the
-    store to the behavioral key namespace (see {!Mc.Checker.create}), so
-    semantically equivalent netlist variants share verdicts.
+    through the same harvesting code paths.
     [config.sweep] selects the checker's equivalence-sweep mode; the
     design's {!Designs.Meta.signals} are always passed as merge barriers.  With [shards > 1], each
     non-zero shard stages its writes and the joins merge them in shard

@@ -658,24 +658,3 @@ let lit_value s l =
   if not s.has_model then
     invalid_arg "Solver.lit_value: no model (last result was not Sat)";
   if is_pos l then s.phase.(var_of l) else not s.phase.(var_of l)
-
-(* --- CNF export --------------------------------------------------------- *)
-
-(* The solver's clause set in DIMACS convention (variable [v] is [v + 1];
-   negative literals are negated ints): the arena clauses plus the level-0
-   trail units (unit clauses never enter the arena — [add_clause] enqueues
-   them directly).  Exporting mid-search would also capture search
-   assignments, so call this between [solve]s (any quiescent point). *)
-let export_clauses s =
-  let dimacs l = if is_pos l then var_of l + 1 else -(var_of l + 1) in
-  let units_upto =
-    if Vec.len s.trail_lim = 0 then Vec.len s.trail else Vec.get s.trail_lim 0
-  in
-  let units =
-    List.init units_upto (fun i -> [ dimacs (Vec.get s.trail i) ])
-  in
-  let arena =
-    List.init s.nclauses (fun cid ->
-        Array.to_list (Array.map dimacs s.clauses.(cid).lits))
-  in
-  if s.ok then units @ arena else [ [] ]

@@ -96,12 +96,3 @@ val num_conflicts : t -> int
 
 val num_decisions : t -> int
 val num_propagations : t -> int
-
-(** {2 CNF export} *)
-
-val export_clauses : t -> int list list
-(** The solver's current clause set in DIMACS convention (variable [v] is
-    [v+1], negation is integer negation): the clause arena plus the level-0
-    unit assignments (unit clauses never enter the arena).  Returns [[[]]]
-    (the empty clause) if the instance is known unsatisfiable.  Call
-    between [solve]s. *)

@@ -144,7 +144,7 @@ let assert_inside_grid ~grid (tagged : Types.tagged_decision list) =
     tagged
 
 let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
-    ?semantic_cache ?(precise = true) ?(prune = `On)
+    ?(precise = true) ?(prune = `On)
     ?(stimulus : stimulus_builder option) ?(exclude_sources = []) ?(jobs = 1)
     ~(design : unit -> Meta.t) ~(instructions : Isa.t list)
     ~(transmitters : Isa.opcode list) ~(kinds : Types.transmitter_kind list)
@@ -189,7 +189,7 @@ let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
       let synth =
         Mupath.Synth.run ?cache ~config:(reseed index synth_config)
           ?stimulus:(Option.map (fun f -> f ~pins ~rotate:[] meta) stimulus)
-          ?semantic_cache ~static_prune:(prune = `On) ~absint:prune
+          ~static_prune:(prune = `On) ~absint:prune
           ~revisit_count_labels ~meta ~iuv:instr ~iuv_pc ()
       in
       (* Candidate transponders have µPATH variability (§V-C): more than one
@@ -228,7 +228,7 @@ let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
               in
               Flow.analyze ?cache ~config
                 ?stimulus:(Option.map (fun f -> f ~pins ~rotate) stimulus)
-                ?semantic_cache ~precise ~prune ~design ~transponder:instr
+                ~precise ~prune ~design ~transponder:instr
                 ~decisions:multi_decisions ~transmitters ~kind ~operand
                 ~iuv_pc ())
             pairs

@@ -85,7 +85,6 @@ val run :
   ?cache:Vcache.t ->
   ?config:Mc.Checker.config ->
   ?synth_config:Mc.Checker.config ->
-  ?semantic_cache:bool ->
   ?precise:bool ->
   ?prune:Mupath.Prune.mode ->
   ?stimulus:stimulus_builder ->

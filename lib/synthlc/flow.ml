@@ -29,8 +29,8 @@ let transmitter_pc ~iuv_pc = function
   | Types.Dynamic_younger -> iuv_pc + 1
   | Types.Static -> iuv_pc - 2
 
-let analyze ?cache ?config ?stimulus ?semantic_cache ?(precise = true)
-    ?(prune = `On) ~(design : unit -> Meta.t) ~(transponder : Isa.t)
+let analyze ?cache ?config ?stimulus ?(precise = true) ?(prune = `On)
+    ~(design : unit -> Meta.t) ~(transponder : Isa.t)
     ~(decisions : (string * string list list) list)
     ~(transmitters : Isa.opcode list) ~(kind : Types.transmitter_kind)
     ~(operand : Types.operand) ~iuv_pc () =
@@ -196,7 +196,7 @@ let analyze ?cache ?config ?stimulus ?semantic_cache ?(precise = true)
   let h =
     Mupath.Harness.create ?cache ?cache_salt ?config
       ?stimulus:(Option.map (fun f -> f meta) stimulus)
-      ?semantic_cache ~meta ~iuv:transponder ~iuv_pc ()
+      ~meta ~iuv:transponder ~iuv_pc ()
   in
   let chk = Mupath.Harness.checker h in
 

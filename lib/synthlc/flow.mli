@@ -35,7 +35,6 @@ val analyze :
   ?cache:Vcache.t ->
   ?config:Mc.Checker.config ->
   ?stimulus:(Designs.Meta.t -> Sim.t -> int -> unit) ->
-  ?semantic_cache:bool ->
   ?precise:bool ->
   ?prune:Mupath.Prune.mode ->
   design:(unit -> Designs.Meta.t) ->

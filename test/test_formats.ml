@@ -1,40 +1,5 @@
-(* Interchange-format tests: DIMACS CNF round-trips (and solver agreement
-   on loaded instances) and µSPEC model emission from synthesis results. *)
-
-let test_dimacs_roundtrip () =
-  let clauses = [ [ 1; -2; 3 ]; [ -1 ]; [ 2; 3 ] ] in
-  let text = Sat.Dimacs.to_string ~nvars:3 clauses in
-  match Sat.Dimacs.parse text with
-  | Ok (nv, cls) ->
-    Alcotest.(check int) "nvars" 3 nv;
-    Alcotest.(check (list (list int))) "clauses" clauses cls
-  | Error e -> Alcotest.fail e
-
-let test_dimacs_parse_forms () =
-  (match Sat.Dimacs.parse "c comment\np cnf 2 1\n1 -2 0\n" with
-  | Ok (2, [ [ 1; -2 ] ]) -> ()
-  | Ok _ -> Alcotest.fail "wrong parse"
-  | Error e -> Alcotest.fail e);
-  (match Sat.Dimacs.parse "p cnf 1 1\n1" with
-  | Error _ -> () (* unterminated clause *)
-  | Ok _ -> Alcotest.fail "accepted unterminated clause");
-  match Sat.Dimacs.parse "p cnf 1 1\nx 0\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted junk literal"
-
-let test_dimacs_load_solve () =
-  (* (x1 | x2) & (~x1) & (~x2) : UNSAT *)
-  let s = Sat.Solver.create () in
-  (match Sat.Dimacs.load s "p cnf 2 3\n1 2 0\n-1 0\n-2 0\n" with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "unsat" true (Sat.Solver.solve s = Sat.Solver.Unsat);
-  let s = Sat.Solver.create () in
-  (match Sat.Dimacs.load s "p cnf 2 2\n1 2 0\n-1 0\n" with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "sat" true (Sat.Solver.solve s = Sat.Solver.Sat);
-  Alcotest.(check bool) "x2 forced" true (Sat.Solver.value s 1)
+(* Interchange-format tests: µSPEC model emission from synthesis
+   results. *)
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -60,8 +25,5 @@ let test_uspec_emission () =
 let suite =
   ( "formats",
     [
-      Alcotest.test_case "dimacs roundtrip" `Quick test_dimacs_roundtrip;
-      Alcotest.test_case "dimacs parse forms" `Quick test_dimacs_parse_forms;
-      Alcotest.test_case "dimacs load+solve" `Quick test_dimacs_load_solve;
       Alcotest.test_case "uspec emission" `Quick test_uspec_emission;
     ] )

@@ -2,9 +2,10 @@
    invisible in the output.  [Engine.run ~jobs:4] on the Ibex design has to
    produce the same signatures and the same report (µPATH sets, decisions,
    property outcome counts) as the sequential run — the per-task seed
-   derivation exists precisely for this — and tracing must not change the
-   report digest.  Also: property sharding on the toy DUV finds the
-   same µPATH set as the single-checker run. *)
+   derivation exists precisely for this — tracing must not change the
+   report digest, and a warm rerun from the verdict store the sequential
+   run filled must replay its report.  Also: property sharding on the toy
+   DUV finds the same µPATH set as the single-checker run. *)
 
 module Engine = Synthlc.Engine
 
@@ -18,31 +19,47 @@ let light_config =
     sim_cycles = 36;
   }
 
-let run_ibex_engine jobs =
+let run_ibex_engine ?cache jobs =
   let design () = Designs.Ibex.build () in
   let stimulus ~pins ~rotate meta = Designs.Stimulus.ibex ~pins ~rotate meta in
   (* Only the -j 1 arm names the synthesis config; the -j 4 arm leaves it
      to its default, [config], so the equal-report check below pins that
      default too. *)
   let synth_config = if jobs = 1 then Some light_config else None in
-  Engine.run ~config:light_config ?synth_config ~stimulus ~design ~jobs
+  Engine.run ?cache ~config:light_config ?synth_config ~stimulus ~design ~jobs
     ~instructions:
       [ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD; Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
     ~transmitters:[ Isa.DIV; Isa.ADD ]
     ~kinds:[ Synthlc.Types.Intrinsic ]
     ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
 
-(* The -j 1 arm also runs traced, so the one pair of runs checks the
-   digest-exclusion rule too: the traced sequential run and the untraced
-   parallel run (the path users run) agree on every semantic fact, and only
-   the traced one carries observability output. *)
+(* The -j 1 arm also runs traced and fills a fresh verdict store, so the
+   one pair of runs checks the digest-exclusion rule and the cache too: the
+   traced, cold-cached sequential run and the untraced, uncached parallel
+   run (the path users run) agree on every semantic fact, and only the
+   traced one carries observability output.  A warm -j 1 rerun from that
+   store then replays the cold report. *)
 let test_engine_jobs_deterministic () =
+  Test_sweep.with_tmpdir @@ fun dir ->
+  let cold_store = Vcache.create ~dir () in
   let seq =
     Test_obs.with_obs (fun () ->
-        let r = run_ibex_engine 1 in
+        let r = run_ibex_engine ~cache:cold_store 1 in
         Alcotest.(check bool) "spans recorded" true (Obs.events () <> []);
         r)
   in
+  Alcotest.(check (triple int int int)) "cold hits / misses / stores"
+    (0, 52, 52) (Vcache.counters cold_store);
+  let warm_store = Vcache.create ~dir () in
+  let warm = run_ibex_engine ~cache:warm_store 1 in
+  Alcotest.(check bool) "warm report equal to cold" true
+    (Engine.equal_report seq warm);
+  Alcotest.(check string) "warm digest equal to cold"
+    (Engine.report_digest seq) (Engine.report_digest warm);
+  Alcotest.(check (triple int int int)) "warm hits / misses / stores"
+    (52, 0, 0) (Vcache.counters warm_store);
+  Alcotest.(check (float 0.)) "warm synthesis-stage hit rate" 1.
+    (Mc.Checker.Stats.hit_rate warm.Engine.checker_totals);
   let par = run_ibex_engine 4 in
   Alcotest.(check (list (pair string (float 0.))))
     "untraced report carries no metrics" [] par.Engine.metrics;

@@ -173,30 +173,6 @@ let test_model_guard () =
   Alcotest.(check bool) "no model after unknown" false (S.has_model s);
   expect_no_model (fun () -> S.value s 0)
 
-(* --- DIMACS round-trip --------------------------------------------------- *)
-
-let test_dimacs_roundtrip () =
-  let cls = [ [ 1; -2 ]; [ 2; 3; -1 ]; [ -3 ] ] in
-  (match Sat.Dimacs.parse (Sat.Dimacs.to_string ~nvars:3 cls) with
-  | Ok (nv, cls') ->
-    Alcotest.(check int) "nvars" 3 nv;
-    Alcotest.(check bool) "clauses" true (cls = cls')
-  | Error e -> Alcotest.failf "parse failed: %s" e);
-  (* Export -> load is equisatisfiable, including level-0 units and after a
-     solve (learnt clauses are implied, so the verdict is preserved). *)
-  let check_export nv cls =
-    let s = mk nv cls in
-    let r = S.solve s in
-    let s2 = S.create () in
-    (match Sat.Dimacs.load s2 (Sat.Dimacs.of_solver s) with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "load failed: %s" e);
-    Alcotest.(check bool) "export preserves verdict" true (S.solve s2 = r)
-  in
-  check_export 3 [ [ S.pos 0 ]; [ S.neg_of_var 0; S.pos 1 ]; [ S.pos 2; S.neg_of_var 1 ] ];
-  check_export 2 [ [ S.pos 0 ]; [ S.neg_of_var 0 ] ];
-  check_export 4 [ [ S.pos 0; S.pos 1 ]; [ S.neg_of_var 2; S.pos 3 ] ]
-
 (* Random assumption sequences: a CNF plus several queries, each a list of
    assumption literals. *)
 let arb_cnf_queries =
@@ -286,7 +262,6 @@ let suite =
       Alcotest.test_case "assumptions" `Quick test_assumptions;
       Alcotest.test_case "reduce_db shrinks learnt DB" `Quick test_reduce_db_shrinks;
       Alcotest.test_case "model guard" `Quick test_model_guard;
-      Alcotest.test_case "dimacs round-trip" `Quick test_dimacs_roundtrip;
     ]
     @ qcheck_tests )
 

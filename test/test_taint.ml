@@ -2,8 +2,9 @@
    reach, blocked kill, value-aware precision), the qcheck soundness
    property (the static mask contains every bit the Ift-instrumented
    design can dynamically taint, in the matching precision mode), the
-   static leakage grid on ibex_lite, and the end-to-end digest-identity
-   contract of SynthLC's static flow pruning across its three modes. *)
+   imprecise-IFT cache namespace and report identity on the toy DUV, and
+   the static leakage grid on ibex_lite.  The digest identity of SynthLC's
+   static flow pruning across its modes is pinned in the [pins] suite. *)
 
 module N = Hdl.Netlist
 module A = Hdl.Analysis
@@ -174,7 +175,9 @@ let qcheck_static_superset_imprecise =
 
 (* A precise run must never replay an imprecise run's verdicts (or vice
    versa): the [|ift:imprecise] salt keeps their cache keys disjoint even
-   where the instrumented-netlist digests happen to agree. *)
+   where the instrumented-netlist digests happen to agree.  Nor may the
+   two share a report digest: the precision knob is part of the report's
+   identity. *)
 let test_imprecise_cache_namespaced () =
   let dir =
     let f = Filename.temp_file "taintcache" ".d" in
@@ -207,7 +210,16 @@ let test_imprecise_cache_namespaced () =
   Alcotest.(check bool) "warm precise run replays" true (h2 > 0);
   let _, h3, m3 = run ~precise:false in
   Alcotest.(check int) "imprecise run shares nothing" 0 h3;
-  Alcotest.(check bool) "imprecise run misses" true (m3 > 0)
+  Alcotest.(check bool) "imprecise run misses" true (m3 > 0);
+  let digest ~precise =
+    Synthlc.Engine.report_digest
+      (Synthlc.Engine.run ~config:Test_mupath.toy_config ~precise ~design
+         ~jobs:1 ~instructions:[ Isa.make Isa.ADD ] ~transmitters:[ Isa.ADD ]
+         ~kinds:[ Synthlc.Types.Intrinsic ] ~revisit_count_labels:[]
+         ~iuv_pc:2 ())
+  in
+  Alcotest.(check bool) "imprecise digest differs" true
+    (digest ~precise:false <> digest ~precise:true)
 
 (* --- the static leakage grid on a real design -------------------------- *)
 
@@ -223,39 +235,6 @@ let test_ibex_grid () =
         (Synthlc.Types.operand_name op ^ " taint reaches some PL")
         true (live <> []))
     grid
-
-(* --- end-to-end: prune-mode digest identity ---------------------------- *)
-
-(* The ibex DIV workload has decision sources with empty destination sets
-   (complete/squash), whose covers are statically dead; digest identity
-   across prune on and audit plus q_pruned_static > 0 in the default mode
-   is the acceptance contract. *)
-let run_ibex ?(precise = true) prune =
-  let design () = Designs.Ibex.build () in
-  let stimulus ~pins ~rotate meta = Designs.Stimulus.ibex ~pins ~rotate meta in
-  Synthlc.Engine.run ~config:Test_parallel.light_config ~precise ~prune
-    ~stimulus ~design ~jobs:1
-    ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
-    ~transmitters:[ Isa.DIV ]
-    ~kinds:[ Synthlc.Types.Intrinsic ]
-    ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
-
-let test_flow_prune_digest_identical () =
-  let on = run_ibex `On in
-  let audit = run_ibex `Audit in
-  let d = Synthlc.Engine.report_digest in
-  Alcotest.(check string) "digest on = audit" (d audit) (d on);
-  Alcotest.(check bool) "default mode prunes covers" true
-    (on.Synthlc.Engine.total_flow_pruned_static > 0);
-  Alcotest.(check int) "audit mode discharges nothing statically" 0
-    audit.Synthlc.Engine.total_flow_pruned_static;
-  (* q_props counts every considered cover in every mode. *)
-  Alcotest.(check int) "flow props identical across modes"
-    on.Synthlc.Engine.total_flow_props audit.Synthlc.Engine.total_flow_props;
-  (* The precision knob is part of the report identity. *)
-  let imprecise = run_ibex ~precise:false `On in
-  Alcotest.(check bool) "imprecise digest differs" true
-    (d imprecise <> d on)
 
 let suite =
   ( "taint",
@@ -274,6 +253,4 @@ let suite =
       Alcotest.test_case "imprecise IFT cache-namespaced" `Quick
         test_imprecise_cache_namespaced;
       Alcotest.test_case "ibex static leakage grid" `Quick test_ibex_grid;
-      Alcotest.test_case "flow prune digest-identical" `Slow
-        test_flow_prune_digest_identical;
     ] )
