@@ -9,23 +9,31 @@
 
 open Cmdliner
 
-let design_names =
+(* A design the commands can run: how to build a fresh instance, the
+   stimulus family that drives it and its IUV slot.  Built-ins are the rows
+   of [builtins]; an imported design is admitted into the same shape. *)
+type design = {
+  build : unit -> Designs.Meta.t;
+  kind : Designs.Stimulus.kind;
+  iuv_pc : int;
+}
+
+let builtins =
+  let row kind iuv_pc build = { build; kind; iuv_pc } in
+  let core cfg =
+    row Designs.Stimulus.Core Designs.Core.iuv_pc (fun () -> Designs.Core.build cfg)
+  in
   [
-    "cva6_lite"; "cva6_mul"; "cva6_op"; "cva6_fixed"; "ibex_lite";
-    "cva6_cache"; "gated";
+    ("cva6_lite", core Designs.Core.baseline);
+    ("cva6_mul", core Designs.Core.cva6_mul);
+    ("cva6_op", core Designs.Core.cva6_op);
+    ("cva6_fixed", core Designs.Core.all_fixed);
+    ("ibex_lite", row Designs.Stimulus.Ibex Designs.Ibex.iuv_pc Designs.Ibex.build);
+    ("cva6_cache", row Designs.Stimulus.Cache Designs.Cache.iuv_pc Designs.Cache.build);
+    ("gated", row Designs.Stimulus.None Designs.Gated.iuv_pc Designs.Gated.build);
   ]
 
-let build_design = function
-  | "cva6_lite" -> Designs.Core.build Designs.Core.baseline
-  | "cva6_mul" -> Designs.Core.build Designs.Core.cva6_mul
-  | "cva6_op" -> Designs.Core.build Designs.Core.cva6_op
-  | "cva6_fixed" -> Designs.Core.build Designs.Core.all_fixed
-  | "ibex_lite" -> Designs.Ibex.build ()
-  | "cva6_cache" -> Designs.Cache.build ()
-  | "gated" -> Designs.Gated.build ()
-  | d -> failwith ("unknown design " ^ d)
-
-let is_cache d = d = "cva6_cache"
+let design_names = List.map fst builtins
 
 (* --- design resolution -------------------------------------------------- *)
 (* A design is either a built-in name or a path to a Yosys write_json
@@ -58,38 +66,29 @@ let with_admission ~cmd f =
     Printf.eprintf "%s: design rejected at admission\n" cmd;
     exit 2
 
-type design_src =
-  | Builtin of string
-  | Imported of Frontend.Admission.design * string * string
-      (* admission result, netlist path, sidecar path *)
-
+(* Each [build] call returns a fresh meta (Mupath.Synth consumes its meta).
+   An import's first call returns the admitted meta; later calls re-import
+   without µLint, since admission already vetted the design. *)
 let resolve_design ~cmd ?meta d =
   check_design_name ~cmd d;
   if is_json_path d then begin
     let meta_path = Option.value meta ~default:(default_meta_path d) in
-    let a =
+    let load ~lint =
       with_admission ~cmd (fun () ->
-          Frontend.Admission.load ~json_path:d ~meta_path ())
+          Frontend.Admission.load ~lint ~json_path:d ~meta_path ())
     in
-    Imported (a, d, meta_path)
-  end
-  else Builtin d
-
-(* Fresh meta per call (Mupath.Synth consumes its meta).  The admission
-   pass above already vetted the import, so rebuilds skip µLint. *)
-let builder_of ~cmd = function
-  | Builtin d -> fun () -> build_design d
-  | Imported (a, json_path, meta_path) ->
+    let a = load ~lint:true in
     let first = ref (Some a.Frontend.Admission.meta) in
-    fun () -> (
+    let build () =
       match !first with
       | Some m ->
         first := None;
         m
-      | None ->
-        (with_admission ~cmd (fun () ->
-             Frontend.Admission.load ~lint:false ~json_path ~meta_path ()))
-          .Frontend.Admission.meta)
+      | None -> (load ~lint:false).Frontend.Admission.meta
+    in
+    { build; kind = a.Frontend.Admission.stimulus; iuv_pc = a.Frontend.Admission.iuv_pc }
+  end
+  else List.assoc d builtins
 
 (* An unknown --counts label is a harness error too: exit 2 with the
    design's PL-group labels, instead of a harness exception mid-run. *)
@@ -103,26 +102,6 @@ let check_counts ~cmd meta counts =
       meta.Designs.Meta.design_name
       (String.concat ", " labels);
     exit 2
-
-let stim_kind_of = function
-  | Builtin d ->
-    if d = "gated" then `None
-    else if is_cache d then `Cache
-    else if d = "ibex_lite" then `Ibex
-    else `Core
-  | Imported (a, _, _) -> (
-    match a.Frontend.Admission.stimulus with
-    | Frontend.Sidecar.S_none -> `None
-    | Frontend.Sidecar.S_core -> `Core
-    | Frontend.Sidecar.S_ibex -> `Ibex
-    | Frontend.Sidecar.S_cache -> `Cache)
-
-let iuv_pc_of = function
-  | Builtin d ->
-    if is_cache d then Designs.Cache.iuv_pc
-    else if d = "gated" then Designs.Gated.iuv_pc
-    else Designs.Core.iuv_pc
-  | Imported (a, _, _) -> a.Frontend.Admission.iuv_pc
 
 let design_arg =
   let doc =
@@ -327,20 +306,6 @@ let config_term =
   in
   Term.(const config_of $ depth_arg $ episodes_arg $ no_known_bits_arg $ sweep_arg)
 
-(* `None (e.g. the gated demo) means no program-shaped input protocol: the
-   design accepts whatever the random pokes feed it, so it runs without a
-   stimulus. *)
-let stimulus_of src =
-  match stim_kind_of src with
-  | `None -> None
-  | (`Cache | `Ibex | `Core) as k ->
-    Some
-      (fun ~pins ~rotate meta ->
-        match k with
-        | `Cache -> Designs.Stimulus.cache ~pins meta
-        | `Ibex -> Designs.Stimulus.ibex ~pins ~rotate meta
-        | `Core -> Designs.Stimulus.core ~pins ~rotate meta)
-
 (* --- sim -------------------------------------------------------------- *)
 
 let sim_cmd =
@@ -349,58 +314,32 @@ let sim_cmd =
       Printf.eprintf "sim: %s\n" msg;
       exit 2
     in
-    let src = resolve_design ~cmd:"sim" dname in
-    (match stim_kind_of src with
-    | `Cache -> fail "sim drives processor cores; use the cache tests for the cache DUV"
-    | `None -> fail "sim drives processor cores; the gated demo DUV has no program input"
-    | `Core | `Ibex -> ());
-    let meta = builder_of ~cmd:"sim" src () in
+    let d = resolve_design ~cmd:"sim" dname in
+    (match d.kind with
+    | Designs.Stimulus.Cache ->
+      fail "sim drives processor cores; use the cache tests for the cache DUV"
+    | Designs.Stimulus.None ->
+      fail "sim drives processor cores; the gated demo DUV has no program input"
+    | Designs.Stimulus.Core | Designs.Stimulus.Ibex -> ());
+    let meta = d.build () in
     let asm =
       if program_file = "-" then In_channel.input_all In_channel.stdin
       else In_channel.with_open_text program_file In_channel.input_all
     in
-    let program =
-      match Isa.assemble asm with Ok p -> Array.of_list p | Error e -> fail e
-    in
-    let nl = meta.Designs.Meta.nl in
-    let sget n = Option.get (Hdl.Netlist.find_named nl n) in
-    let sim = Sim.create ~seed:1 nl in
-    let fetch_pc = sget "fetch_pc" in
-    let instr_at pc =
-      if pc < Array.length program then Isa.encode program.(pc)
-      else Isa.encode Isa.nop
-    in
-    for c = 0 to cycles - 1 do
-      Sim.eval_cone sim fetch_pc;
-      let pc = Bitvec.to_int (Sim.peek sim fetch_pc) in
-      (match Hdl.Netlist.find_named nl Designs.Core.sig_if_instr_in0 with
-      | Some s0 ->
-        Sim.poke sim s0 (instr_at pc);
-        Sim.poke sim (sget Designs.Core.sig_if_instr_in1) (instr_at (pc + 1))
-      | None -> Sim.poke sim (sget "if_instr_in") (instr_at pc));
-      Sim.eval sim;
+    let program = match Isa.assemble asm with Ok p -> p | Error e -> fail e in
+    let sim = Sim.create ~seed:1 meta.Designs.Meta.nl in
+    let observe sim c =
       let cells =
-        List.filter_map
-          (fun (u : Designs.Meta.ufsm) ->
-            let state =
-              match u.Designs.Meta.vars with
-              | [] -> Bitvec.zero 1
-              | v :: rest ->
-                List.fold_left
-                  (fun acc v' -> Bitvec.concat acc (Sim.peek sim v'))
-                  (Sim.peek sim v) rest
-            in
-            if List.exists (Bitvec.equal state) u.Designs.Meta.idle_states then None
-            else
-              Some
-                (Printf.sprintf "%s[%d]"
-                   (Designs.Meta.state_value meta u state)
-                   (Bitvec.to_int (Sim.peek sim u.Designs.Meta.pcr))))
-          meta.Designs.Meta.ufsms
+        List.map
+          (fun ((u : Designs.Meta.ufsm), state) ->
+            Printf.sprintf "%s[%d]"
+              (Designs.Meta.state_value meta u state)
+              (Bitvec.to_int (Sim.peek sim u.Designs.Meta.pcr)))
+          (Designs.Meta.occupied meta sim)
       in
-      Printf.printf "c%03d: %s\n" c (String.concat " " cells);
-      Sim.step sim
-    done;
+      Printf.printf "c%03d: %s\n" c (String.concat " " cells)
+    in
+    Sim.run sim ~cycles ~stimulus:(Designs.Stimulus.program meta program) ~observe;
     Sim.eval sim;
     List.iteri
       (fun i r ->
@@ -411,7 +350,7 @@ let sim_cmd =
   let program =
     Arg.(value & opt string "-" & info [ "p"; "program" ] ~docv:"FILE" ~doc:"Assembly file ('-' for stdin).")
   in
-  let cycles = Arg.(value & opt int 32 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to simulate.") in
+  let cycles = Arg.(value & opt nonneg_int 32 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to simulate.") in
   Cmd.v
     (Cmd.info "sim" ~doc:"Run a program on a core, printing PL occupancy per cycle")
     Term.(const run $ design_arg $ program $ cycles)
@@ -421,13 +360,15 @@ let sim_cmd =
 let mupath_cmd =
   let run dname meta_path iuv config dot counts shards cache_dir prune trace
       metrics =
-    let src = resolve_design ~cmd:"mupath" ?meta:meta_path dname in
+    let d = resolve_design ~cmd:"mupath" ?meta:meta_path dname in
     with_obs ~trace ~metrics (fun () ->
-        let meta = builder_of ~cmd:"mupath" src () in
+        let meta = d.build () in
         check_counts ~cmd:"mupath" meta counts;
-        let iuv_pc = iuv_pc_of src in
+        let iuv_pc = d.iuv_pc in
         let pins = [ (iuv_pc, iuv) ] in
-        let stim = Option.map (fun f -> f ~pins ~rotate:[] meta) (stimulus_of src) in
+        let stim =
+          Option.map (fun f -> f ~pins ~rotate:[] meta) (Designs.Stimulus.of_kind d.kind)
+        in
         let cache = cache_of cache_dir in
         let r =
           Mupath.Synth.run ?cache ~config ?stimulus:stim
@@ -459,11 +400,11 @@ let mupath_cmd =
 let synthlc_cmd =
   let run dname meta_path instructions transmitters config static jobs
       cache_dir prune imprecise trace metrics =
-    let src = resolve_design ~cmd:"synthlc" ?meta:meta_path dname in
+    let d = resolve_design ~cmd:"synthlc" ?meta:meta_path dname in
     with_obs ~trace ~metrics @@ fun () ->
-    let design = builder_of ~cmd:"synthlc" src in
-    let iuv_pc = iuv_pc_of src in
-    let stimulus = stimulus_of src in
+    let design = d.build in
+    let iuv_pc = d.iuv_pc in
+    let stimulus = Designs.Stimulus.of_kind d.kind in
     let kinds =
       [ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older; Synthlc.Types.Dynamic_younger ]
       @ (if static then [ Synthlc.Types.Static ] else [])
@@ -517,13 +458,20 @@ let synthlc_cmd =
 
 let scsafe_cmd =
   let run program_src secret trials =
-    let program =
-      match Isa.assemble program_src with Ok p -> p | Error e -> failwith e
+    let fail msg =
+      Printf.eprintf "scsafe: %s\n" msg;
+      exit 2
     in
+    let program =
+      match Isa.assemble program_src with Ok p -> p | Error e -> fail e
+    in
+    let meta = Designs.Core.build Designs.Core.baseline in
+    let arf = List.length meta.Designs.Meta.arf in
+    if secret < 0 || secret >= arf then
+      fail (Printf.sprintf "--secret %d is not an ARF index (expected 0..%d)" secret (arf - 1));
     match
-      Synthlc.Scsafe.find_violation ~trials
-        ~design:(fun () -> Designs.Core.build Designs.Core.baseline)
-        ~program ~secret_reg:secret ()
+      Synthlc.Scsafe.find_violation ~trials ~design:(fun () -> meta) ~program
+        ~secret_reg:secret ()
     with
     | Some v ->
       Printf.printf
@@ -540,7 +488,7 @@ let scsafe_cmd =
   let secret =
     Arg.(value & opt int 0 & info [ "secret" ] ~docv:"N" ~doc:"Secret ARF register index (0 = r1).")
   in
-  let trials = Arg.(value & opt int 32 & info [ "trials" ] ~docv:"N" ~doc:"Random trials.") in
+  let trials = Arg.(value & opt nonneg_int 32 & info [ "trials" ] ~docv:"N" ~doc:"Random trials.") in
   Cmd.v
     (Cmd.info "scsafe" ~doc:"Search for a Definition V.1 violation by paired simulation")
     Term.(const run $ program $ secret $ trials)
@@ -621,7 +569,7 @@ let lint_cmd =
       List.map
         (fun dname ->
           if is_json_path dname then lint_imported dname
-          else Lint.Driver.run_design (build_design dname))
+          else Lint.Driver.run_design ((List.assoc dname builtins).build ()))
         names
     in
     if json then print_string (Lint.Diagnostic.to_json reports)
@@ -766,7 +714,7 @@ let import_cmd =
           (Hdl.Netlist.num_nodes nl)
           (List.length (Hdl.Netlist.registers nl))
           (List.length d.Frontend.Admission.meta.Designs.Meta.ufsms)
-          (Frontend.Sidecar.stim_name d.Frontend.Admission.stimulus)
+          (Designs.Stimulus.kind_name d.Frontend.Admission.stimulus)
           d.Frontend.Admission.iuv_pc;
         if sweep then begin
           let meta = d.Frontend.Admission.meta in
@@ -835,21 +783,14 @@ let export_cmd =
         (String.concat ", " design_names);
       exit 2
     end;
-    let meta = build_design dname in
+    let d = List.assoc dname builtins in
+    let meta = d.build () in
     let out =
       match out with Some o -> o | None -> meta.Designs.Meta.design_name ^ ".json"
     in
     let meta_out = Option.value meta_out ~default:(default_meta_path out) in
-    let src = Builtin dname in
-    let stimulus =
-      match stim_kind_of src with
-      | `None -> Frontend.Sidecar.S_none
-      | `Core -> Frontend.Sidecar.S_core
-      | `Ibex -> Frontend.Sidecar.S_ibex
-      | `Cache -> Frontend.Sidecar.S_cache
-    in
     let sidecar =
-      Frontend.Sidecar.of_meta ~stimulus ~iuv_pc:(iuv_pc_of src) meta
+      Frontend.Sidecar.of_meta ~stimulus:d.kind ~iuv_pc:d.iuv_pc meta
     in
     let nl =
       if gate then fst (Hdl.Gateify.run meta.Designs.Meta.nl)
@@ -893,8 +834,8 @@ let export_cmd =
 let designs_cmd =
   let run () =
     List.iter
-      (fun dname ->
-        let meta = build_design dname in
+      (fun (dname, d) ->
+        let meta = d.build () in
         let nl = meta.Designs.Meta.nl in
         Printf.printf "%-11s nodes=%5d regs=%3d inputs=%d uFSMs=%2d PCRs=%2d state-regs=%2d\n"
           dname (Hdl.Netlist.num_nodes nl)
@@ -909,7 +850,7 @@ let designs_cmd =
               (String.concat " "
                  (List.map (fun (_, l) -> l) u.Designs.Meta.state_labels)))
           meta.Designs.Meta.ufsms)
-      design_names
+      builtins
   in
   Cmd.v
     (Cmd.info "designs" ~doc:"Print design inventories and Table II-style annotations")

@@ -13,37 +13,29 @@
 
    Run with: dune exec examples/bug_hunt.exe *)
 
-let saw_exception cfg program arf1 =
+(* Run [program] for 30 cycles on a fresh [cfg] core whose ARF entry [i]
+   holds [arf i], calling [observe] on every cycle. *)
+let run cfg ~seed ~arf program ~observe =
   let meta = Designs.Core.build cfg in
-  let nl = meta.Designs.Meta.nl in
-  let sget n = Option.get (Hdl.Netlist.find_named nl n) in
-  let sim = Sim.create ~seed:5 nl in
+  let sim = Sim.create ~seed meta.Designs.Meta.nl in
   List.iteri
-    (fun i r ->
-      Sim.poke_reg sim r (Bitvec.of_int ~width:Isa.xlen (if i = 0 then arf1 else 0)))
+    (fun i r -> Sim.poke_reg sim r (Bitvec.of_int ~width:Isa.xlen (arf i)))
     meta.Designs.Meta.arf;
   let program =
-    match Isa.assemble program with
-    | Ok p -> Array.of_list p
-    | Error e -> failwith e
+    match Isa.assemble program with Ok p -> p | Error e -> failwith e
   in
-  let instr_at pc =
-    if pc < Array.length program then Isa.encode program.(pc)
-    else Isa.encode Isa.nop
-  in
+  let sget n = Option.get (Hdl.Netlist.find_named meta.Designs.Meta.nl n) in
+  Sim.run sim ~cycles:30 ~stimulus:(Designs.Stimulus.program meta program)
+    ~observe:(fun sim _ -> observe sim sget)
+
+let saw_exception cfg program arf1 =
   let excp = ref false in
-  for _ = 0 to 29 do
-    Sim.eval sim;
-    let pc = Bitvec.to_int (Sim.peek sim (sget "fetch_pc")) in
-    Sim.poke sim (sget Designs.Core.sig_if_instr_in0) (instr_at pc);
-    Sim.poke sim (sget Designs.Core.sig_if_instr_in1) (instr_at (pc + 1));
-    Sim.eval sim;
-    for i = 0 to 3 do
-      if Bitvec.to_int (Sim.peek sim (sget (Printf.sprintf "scb%d_state" i))) = 4
-      then excp := true
-    done;
-    Sim.step sim
-  done;
+  run cfg ~seed:5 ~arf:(fun i -> if i = 0 then arf1 else 0) program
+    ~observe:(fun sim sget ->
+      for i = 0 to 3 do
+        if Bitvec.to_int (Sim.peek sim (sget (Printf.sprintf "scb%d_state" i))) = 4
+        then excp := true
+      done);
   !excp
 
 let buggy = Designs.Core.baseline
@@ -86,34 +78,11 @@ let () =
      one fewer in-flight instruction.  Observe peak occupancy behind a slow
      divider. *)
   let peak_occupancy cfg =
-    let meta = Designs.Core.build cfg in
-    let nl = meta.Designs.Meta.nl in
-    let sget n = Option.get (Hdl.Netlist.find_named nl n) in
-    let sim = Sim.create ~seed:8 nl in
-    List.iteri
-      (fun i r -> Sim.poke_reg sim r (Bitvec.of_int ~width:Isa.xlen (200 + i)))
-      meta.Designs.Meta.arf;
-    let program =
-      match
-        Isa.assemble "divu r3, r1, r2\nadd r1, r2, r2\nsw r2, 0(r2)\nbeq r1, r0, 4\nsw r1, 1(r2)"
-      with
-      | Ok p -> Array.of_list p
-      | Error e -> failwith e
-    in
-    let instr_at pc =
-      if pc < Array.length program then Isa.encode program.(pc)
-      else Isa.encode Isa.nop
-    in
     let peak = ref 0 in
-    for _ = 0 to 29 do
-      Sim.eval sim;
-      let pc = Bitvec.to_int (Sim.peek sim (sget "fetch_pc")) in
-      Sim.poke sim (sget Designs.Core.sig_if_instr_in0) (instr_at pc);
-      Sim.poke sim (sget Designs.Core.sig_if_instr_in1) (instr_at (pc + 1));
-      Sim.eval sim;
-      peak := max !peak (Bitvec.to_int (Sim.peek sim (sget "scb_count")));
-      Sim.step sim
-    done;
+    run cfg ~seed:8 ~arf:(fun i -> 200 + i)
+      "divu r3, r1, r2\nadd r1, r2, r2\nsw r2, 0(r2)\nbeq r1, r0, 4\nsw r1, 1(r2)"
+      ~observe:(fun sim sget ->
+        peak := max !peak (Bitvec.to_int (Sim.peek sim (sget "scb_count"))));
     !peak
   in
   let p_buggy = peak_occupancy buggy and p_fixed = peak_occupancy fixed in

@@ -19,44 +19,23 @@ let () =
       Isa.assemble
         "addi r1, r0, 6\naddi r2, r0, 7\nmul r3, r1, r2\nsw r3, 1(r0)\nlw r2, 1(r0)"
     with
-    | Ok p -> Array.of_list p
+    | Ok p -> p
     | Error e -> failwith e
   in
   let sim = Sim.create ~seed:42 nl in
   let sget n = Option.get (Hdl.Netlist.find_named nl n) in
-  let instr_at pc =
-    if pc < Array.length program then Isa.encode program.(pc)
-    else Isa.encode Isa.nop
-  in
   Printf.printf "\ncycle-by-cycle PL occupancy (instruction PCs in brackets):\n";
-  for c = 0 to 19 do
-    Sim.eval sim;
-    let pc = Bitvec.to_int (Sim.peek sim (sget "fetch_pc")) in
-    Sim.poke sim (sget Designs.Core.sig_if_instr_in0) (instr_at pc);
-    Sim.poke sim (sget Designs.Core.sig_if_instr_in1) (instr_at (pc + 1));
-    Sim.eval sim;
-    let cells =
-      List.filter_map
-        (fun (u : Designs.Meta.ufsm) ->
-          let state =
-            match u.Designs.Meta.vars with
-            | [] -> Bitvec.zero 1
-            | v :: rest ->
-              List.fold_left
-                (fun acc v' -> Bitvec.concat acc (Sim.peek sim v'))
-                (Sim.peek sim v) rest
-          in
-          if List.exists (Bitvec.equal state) u.Designs.Meta.idle_states then None
-          else
-            Some
-              (Printf.sprintf "%s[%d]"
-                 (Designs.Meta.state_value meta u state)
-                 (Bitvec.to_int (Sim.peek sim u.Designs.Meta.pcr))))
-        meta.Designs.Meta.ufsms
-    in
-    Printf.printf "  c%02d: %s\n" c (String.concat " " cells);
-    Sim.step sim
-  done;
+  Sim.run sim ~cycles:20 ~stimulus:(Designs.Stimulus.program meta program)
+    ~observe:(fun sim c ->
+      let cells =
+        List.map
+          (fun ((u : Designs.Meta.ufsm), state) ->
+            Printf.sprintf "%s[%d]"
+              (Designs.Meta.state_value meta u state)
+              (Bitvec.to_int (Sim.peek sim u.Designs.Meta.pcr)))
+          (Designs.Meta.occupied meta sim)
+      in
+      Printf.printf "  c%02d: %s\n" c (String.concat " " cells));
   Sim.eval sim;
   Printf.printf "\nr3 = %d (expect 42), mem[1] = %d\n"
     (Bitvec.to_int (Sim.peek sim (sget "arf3")))

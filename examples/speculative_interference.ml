@@ -36,28 +36,18 @@ let second_store_drain ~ld_addr =
     meta.Designs.Meta.arf;
   let program =
     match Isa.assemble "sw r3, 0(r1)\nsw r1, 0(r3)\nlw r0, 0(r2)" with
-    | Ok p -> Array.of_list p
+    | Ok p -> p
     | Error e -> failwith e
   in
-  let instr_at pc =
-    if pc < Array.length program then Isa.encode program.(pc)
-    else Isa.encode Isa.nop
-  in
   let drain = ref None in
-  for c = 0 to 39 do
-    Sim.eval sim;
-    let pc = Bitvec.to_int (Sim.peek sim (sget "fetch_pc")) in
-    Sim.poke sim (sget Designs.Core.sig_if_instr_in0) (instr_at pc);
-    Sim.poke sim (sget Designs.Core.sig_if_instr_in1) (instr_at (pc + 1));
-    Sim.eval sim;
-    (* watch the memory-request stage for the SECOND store (pc 1) *)
-    if
-      Sim.peek_bool sim (sget "mrq_v")
-      && Bitvec.to_int (Sim.peek sim (sget "mrq_pc")) = 1
-      && !drain = None
-    then drain := Some c;
-    Sim.step sim
-  done;
+  Sim.run sim ~cycles:40 ~stimulus:(Designs.Stimulus.program meta program)
+    ~observe:(fun sim c ->
+      (* watch the memory-request stage for the SECOND store (pc 1) *)
+      if
+        Sim.peek_bool sim (sget "mrq_v")
+        && Bitvec.to_int (Sim.peek sim (sget "mrq_pc")) = 1
+        && !drain = None
+      then drain := Some c);
   Option.get !drain
 
 let () =

@@ -10,9 +10,7 @@
 
 let run_load_latency store_addr =
   let meta = Designs.Core.build Designs.Core.baseline in
-  let nl = meta.Designs.Meta.nl in
-  let sget n = Option.get (Hdl.Netlist.find_named nl n) in
-  let sim = Sim.create ~seed:9 nl in
+  let sim = Sim.create ~seed:9 meta.Designs.Meta.nl in
   (* r1 = store address (the secret), r2 = load address (public). *)
   List.iteri
     (fun i r ->
@@ -21,27 +19,17 @@ let run_load_latency store_addr =
     meta.Designs.Meta.arf;
   let program =
     match Isa.assemble "sw r3, 0(r1)\nsw r3, 0(r1)\nlw r3, 0(r2)" with
-    | Ok p -> Array.of_list p
+    | Ok p -> p
     | Error e -> failwith e
   in
-  let instr_at pc =
-    if pc < Array.length program then Isa.encode program.(pc)
-    else Isa.encode Isa.nop
-  in
   let load_commit = ref None in
-  for c = 0 to 39 do
-    Sim.eval sim;
-    let pc = Bitvec.to_int (Sim.peek sim (sget "fetch_pc")) in
-    Sim.poke sim (sget Designs.Core.sig_if_instr_in0) (instr_at pc);
-    Sim.poke sim (sget Designs.Core.sig_if_instr_in1) (instr_at (pc + 1));
-    Sim.eval sim;
-    if
-      Sim.peek_bool sim (sget "commit")
-      && Bitvec.to_int (Sim.peek sim (sget "commit_pc")) = 2
-      && !load_commit = None
-    then load_commit := Some c;
-    Sim.step sim
-  done;
+  Sim.run sim ~cycles:40 ~stimulus:(Designs.Stimulus.program meta program)
+    ~observe:(fun sim c ->
+      if
+        Sim.peek_bool sim meta.Designs.Meta.commit
+        && Bitvec.to_int (Sim.peek sim meta.Designs.Meta.commit_pc) = 2
+        && !load_commit = None
+      then load_commit := Some c);
   !load_commit
 
 let () =

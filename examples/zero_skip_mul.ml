@@ -11,9 +11,7 @@
 
 let mul_latency ~zero_operand =
   let meta = Designs.Core.build Designs.Core.cva6_mul in
-  let nl = meta.Designs.Meta.nl in
-  let sget n = Option.get (Hdl.Netlist.find_named nl n) in
-  let sim = Sim.create ~seed:3 nl in
+  let sim = Sim.create ~seed:3 meta.Designs.Meta.nl in
   List.iteri
     (fun i r ->
       Sim.poke_reg sim r
@@ -21,28 +19,16 @@ let mul_latency ~zero_operand =
            (if i = 0 then if zero_operand then 0 else 5 else 7)))
     meta.Designs.Meta.arf;
   let program =
-    match Isa.assemble "mul r3, r1, r2" with
-    | Ok p -> Array.of_list p
-    | Error e -> failwith e
-  in
-  let instr_at pc =
-    if pc < Array.length program then Isa.encode program.(pc)
-    else Isa.encode Isa.nop
+    match Isa.assemble "mul r3, r1, r2" with Ok p -> p | Error e -> failwith e
   in
   let commit_cycle = ref None in
-  for c = 0 to 29 do
-    Sim.eval sim;
-    let pc = Bitvec.to_int (Sim.peek sim (sget "fetch_pc")) in
-    Sim.poke sim (sget Designs.Core.sig_if_instr_in0) (instr_at pc);
-    Sim.poke sim (sget Designs.Core.sig_if_instr_in1) (instr_at (pc + 1));
-    Sim.eval sim;
-    if
-      Sim.peek_bool sim (sget "commit")
-      && Bitvec.to_int (Sim.peek sim (sget "commit_pc")) = 0
-      && !commit_cycle = None
-    then commit_cycle := Some c;
-    Sim.step sim
-  done;
+  Sim.run sim ~cycles:30 ~stimulus:(Designs.Stimulus.program meta program)
+    ~observe:(fun sim c ->
+      if
+        Sim.peek_bool sim meta.Designs.Meta.commit
+        && Bitvec.to_int (Sim.peek sim meta.Designs.Meta.commit_pc) = 0
+        && !commit_cycle = None
+      then commit_cycle := Some c);
   Option.get !commit_cycle
 
 let () =

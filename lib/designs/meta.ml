@@ -36,6 +36,21 @@ let state_value _t u v =
   | Some (_, l) -> l
   | None -> Printf.sprintf "%s_s%s" u.ufsm_name (Bitvec.to_hex_string v)
 
+let occupied t sim =
+  List.filter_map
+    (fun u ->
+      let state =
+        match u.vars with
+        | [] -> Bitvec.zero 1
+        | v :: rest ->
+          List.fold_left
+            (fun acc v -> Bitvec.concat acc (Sim.peek sim v))
+            (Sim.peek sim v) rest
+      in
+      if List.exists (Bitvec.equal state) u.idle_states then None
+      else Some (u, state))
+    t.ufsms
+
 let all_state_valuations t u =
   let w = ufsm_state_width t u in
   List.init (1 lsl w) (fun i -> Bitvec.of_int ~width:w i)

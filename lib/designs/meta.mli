@@ -59,6 +59,12 @@ val ufsm_state_width : t -> ufsm -> int
 val state_value : t -> ufsm -> Bitvec.t -> string
 (** The label for a state valuation (falls back to hex). *)
 
+val occupied : t -> Sim.t -> (ufsm * Bitvec.t) list
+(** The µFSMs outside their idle states after the simulator's last
+    {!Sim.eval}, each with its state valuation, in [ufsms] order: the
+    performing locations occupied this cycle, as the R_µPATH receiver sees
+    them (§V-C2). *)
+
 val all_state_valuations : t -> ufsm -> Bitvec.t list
 (** Every constant valuation of the µFSM's state variables, idle included —
     the starting point of PL enumeration (§V-B1). *)

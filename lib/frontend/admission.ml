@@ -6,7 +6,7 @@ module D = Lint.Diagnostic
 type design = {
   meta : Designs.Meta.t;
   iuv_pc : int;
-  stimulus : Sidecar.stim;
+  stimulus : Designs.Stimulus.kind;
   report : D.report;
 }
 

@@ -10,7 +10,7 @@
 type design = {
   meta : Designs.Meta.t;
   iuv_pc : int;
-  stimulus : Sidecar.stim;
+  stimulus : Designs.Stimulus.kind;
   report : Lint.Diagnostic.report;
       (** Admission findings that did not block: frontend warnings plus
           lint warnings/infos. *)

@@ -3,22 +3,7 @@
 module N = Hdl.Netlist
 module M = Designs.Meta
 
-type stim = S_none | S_core | S_ibex | S_cache
-
-type t = { meta : M.t; iuv_pc : int; stimulus : stim }
-
-let stim_name = function
-  | S_none -> "none"
-  | S_core -> "core"
-  | S_ibex -> "ibex"
-  | S_cache -> "cache"
-
-let stim_of_string = function
-  | "none" -> Some S_none
-  | "core" -> Some S_core
-  | "ibex" -> Some S_ibex
-  | "cache" -> Some S_cache
-  | _ -> None
+type t = { meta : M.t; iuv_pc : int; stimulus : Designs.Stimulus.kind }
 
 let resolve nl j =
   let design = N.name nl in
@@ -79,15 +64,15 @@ let resolve nl j =
   | _ -> ());
   let stimulus =
     match Option.bind (Json.member "stimulus" j) Json.to_str with
-    | None -> S_none
+    | None -> Designs.Stimulus.None
     | Some s -> (
-      match stim_of_string s with
-      | Some st -> st
+      match Designs.Stimulus.kind_of_string s with
+      | Some k -> k
       | None ->
         schema "sidecar"
           (Printf.sprintf
              "unknown stimulus %S (expected none, core, ibex, or cache)" s);
-        S_none)
+        Designs.Stimulus.None)
   in
   let iuv_pc = field_int "sidecar" "iuv_pc" j in
   let ifrs =
@@ -254,7 +239,7 @@ let of_meta ~stimulus ~iuv_pc (meta : M.t) =
   Json.Assoc
     [
       ("design", jstr meta.M.design_name);
-      ("stimulus", jstr (stim_name stimulus));
+      ("stimulus", jstr (Designs.Stimulus.kind_name stimulus));
       ("iuv_pc", Json.Int iuv_pc);
       ( "ifrs",
         Json.List

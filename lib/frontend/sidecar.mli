@@ -15,18 +15,13 @@
     and reported together via {!Diag.Rejected}, as are schema errors
     (F511). *)
 
-type stim = S_none | S_core | S_ibex | S_cache
-(** Which built-in constrained-random stimulus family drives the design's
-    fetch interface (the sidecar ["stimulus"] field; default none). *)
-
 type t = {
   meta : Designs.Meta.t;
   iuv_pc : int;  (** IUV program-counter slot (§V-A constraint). *)
-  stimulus : stim;
+  stimulus : Designs.Stimulus.kind;
+      (** The constrained-random family that drives the design (the
+          ["stimulus"] field; default ["none"]). *)
 }
-
-val stim_name : stim -> string
-val stim_of_string : string -> stim option
 
 val resolve : Hdl.Netlist.t -> Json.t -> t
 (** Raises {!Diag.Rejected} with every unresolved name and schema
@@ -34,6 +29,7 @@ val resolve : Hdl.Netlist.t -> Json.t -> t
 
 val resolve_file : Hdl.Netlist.t -> string -> t
 
-val of_meta : stimulus:stim -> iuv_pc:int -> Designs.Meta.t -> Json.t
+val of_meta :
+  stimulus:Designs.Stimulus.kind -> iuv_pc:int -> Designs.Meta.t -> Json.t
 (** Serialize annotations back out (the [synthlc export] path).  Raises
     [Failure] if an annotated signal is unnamed. *)

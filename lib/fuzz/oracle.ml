@@ -68,6 +68,9 @@ let config_of ~depth ~episodes =
     sim_cycles = 44;
   }
 
+(* Every generated pipeline has Ibex-lite's single fetch slot. *)
+let stimulus = Designs.Stimulus.Ibex
+
 (* One Engine.run over the generated design.  Exceptions (including the
    audit tripwires' [failwith]) are turned into [Error msg] so the caller
    can attribute them to the oracle the run serves. *)
@@ -76,7 +79,7 @@ let engine_run ~cache ~depth ~episodes ~jobs ~prune ~sweep cfg =
   try
     Ok
       (Synthlc.Engine.run ~cache ~config ~prune
-         ~stimulus:(fun ~pins ~rotate meta -> Designs.Stimulus.ibex ~pins ~rotate meta)
+         ?stimulus:(Designs.Stimulus.of_kind stimulus)
          ~design:(fun () -> Gen.build cfg)
          ~jobs
          ~instructions:[ Gen.pick_iuv cfg ]
@@ -268,8 +271,7 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
              else
                let sj =
                  Frontend.Json.to_string
-                   (Frontend.Sidecar.of_meta ~stimulus:Frontend.Sidecar.S_ibex
-                      ~iuv_pc:Gen.iuv_pc meta)
+                   (Frontend.Sidecar.of_meta ~stimulus ~iuv_pc:Gen.iuv_pc meta)
                in
                match
                  Frontend.Sidecar.resolve nl (Frontend.Json.parse_string sj)

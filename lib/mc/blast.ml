@@ -8,7 +8,6 @@ type t = {
   g : Lits.t; (* the solver and its gate library *)
   initial : [ `Reset | `Free ];
   assumes : Netlist.signal list;
-  assume_initial : Netlist.signal list;
   mutable steps : Solver.lit array array list; (* reversed: per time, per node, lit array *)
   mutable depth : int;
   known : (Bitvec.t * Bitvec.t) array option;
@@ -102,16 +101,14 @@ let encode_step t =
   t.steps <- step :: t.steps;
   t.depth <- t.depth + 1;
   (* Pin assumptions for this step. *)
-  List.iter (fun a -> Solver.add_clause (solver t) [ step.(a).(0) ]) t.assumes;
-  if time = 0 then
-    List.iter (fun a -> Solver.add_clause (solver t) [ step.(a).(0) ]) t.assume_initial
+  List.iter (fun a -> Solver.add_clause (solver t) [ step.(a).(0) ]) t.assumes
 
 let ensure_depth t k =
   while t.depth <= k do
     encode_step t
   done
 
-let create ?(assume_initial = []) ?known ?cse ~initial ~assumes nl =
+let create ?known ?cse ~initial ~assumes nl =
   Netlist.validate nl;
   let t =
     {
@@ -120,7 +117,6 @@ let create ?(assume_initial = []) ?known ?cse ~initial ~assumes nl =
       g = Lits.create ?cse (Solver.create ());
       initial;
       assumes;
-      assume_initial;
       steps = [];
       depth = 0;
       known;
@@ -129,7 +125,7 @@ let create ?(assume_initial = []) ?known ?cse ~initial ~assumes nl =
   List.iter
     (fun a ->
       if Netlist.width nl a <> 1 then invalid_arg "Blast.create: assume must be 1 bit")
-    (assumes @ assume_initial);
+    assumes;
   ensure_depth t 0;
   t
 

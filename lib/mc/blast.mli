@@ -17,7 +17,6 @@
 type t
 
 val create :
-  ?assume_initial:Hdl.Netlist.signal list ->
   ?known:(Bitvec.t * Bitvec.t) array ->
   ?cse:bool ->
   initial:[ `Reset | `Free ] ->
@@ -25,7 +24,7 @@ val create :
   Hdl.Netlist.t ->
   t
 (** [assumes] are 1-bit signals constrained to 1 at {e every} unrolled time
-    step; [assume_initial] only at time 0.
+    step.
 
     [known] optionally supplies per-signal known-bits invariants
     ({!Hdl.Absint.known_bits} of the same netlist): proven bits encode as

@@ -201,7 +201,6 @@ type t = {
   nl : Netlist.t;
   config : config;
   assumes : Netlist.signal list;
-  assume_initial : Netlist.signal list;
   stimulus : (Sim.t -> int -> unit) option;
   sim : Sim.t Lazy.t;
       (* The pre-pass's one simulator, reset per episode; compiled on the
@@ -243,16 +242,16 @@ let config_key
     induction_max_k induction_conflicts sim_episodes sim_cycles seed known_bits
     (sweep <> Sweep_off)
 
-let make_key_prefix ~salt ~assumes ~assume_initial ~(config : config) nl =
-  Printf.sprintf "%s|a:%s|i:%s|%s|s:%s" (Netlist.digest nl)
+(* The empty [i:] field held initial-state-only assumptions, which no
+   caller had; it stays so that stored keys keep their bytes. *)
+let make_key_prefix ~salt ~assumes ~(config : config) nl =
+  Printf.sprintf "%s|a:%s|i:|%s|s:%s" (Netlist.digest nl)
     (String.concat "," (List.map string_of_int assumes))
-    (String.concat "," (List.map string_of_int assume_initial))
     (config_key config) salt
 
 let identity_map nl = Array.init (Netlist.num_nodes nl) Fun.id
 
-let make_engine ~(config : config) ~assumes ~assume_initial ~sweep_barriers
-    ~swept nl =
+let make_engine ~(config : config) ~assumes ~sweep_barriers ~swept nl =
   let enc_nl, map =
     if swept then begin
       let red, image, st = Hdl.Equiv.reduce ~barriers:sweep_barriers nl in
@@ -274,8 +273,7 @@ let make_engine ~(config : config) ~assumes ~assume_initial ~sweep_barriers
     if config.known_bits then Some (Hdl.Absint.known_bits enc_nl) else None
   in
   let bmc =
-    Blast.create ~assume_initial:(tr assume_initial) ?known ~initial:`Reset
-      ~assumes:enc_assumes enc_nl
+    Blast.create ?known ~initial:`Reset ~assumes:enc_assumes enc_nl
   in
   let induction =
     lazy
@@ -290,7 +288,7 @@ let make_engine ~(config : config) ~assumes ~assume_initial ~sweep_barriers
   { map; bmc; induction }
 
 let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
-    ?(assume_initial = []) ?(sweep_barriers = []) ~assumes nl =
+    ?(sweep_barriers = []) ~assumes nl =
   if config.bmc_depth < 0 then invalid_arg "Checker.create: negative bmc_depth";
   Netlist.validate nl;
   let named =
@@ -301,21 +299,17 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
     |> List.rev
   in
   let swept = config.sweep <> Sweep_off in
-  let eng =
-    make_engine ~config ~assumes ~assume_initial ~sweep_barriers ~swept nl
-  in
+  let eng = make_engine ~config ~assumes ~sweep_barriers ~swept nl in
   let shadow =
     if config.sweep = Sweep_audit then
       Some
-        (make_engine ~config ~assumes ~assume_initial ~sweep_barriers
-           ~swept:false nl)
+        (make_engine ~config ~assumes ~sweep_barriers ~swept:false nl)
     else None
   in
   {
     nl;
     config;
     assumes;
-    assume_initial;
     stimulus;
     sim = lazy (Sim.create nl);
     eng;
@@ -328,7 +322,7 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
       (match cache with
       | None -> ""
       | Some _ ->
-        make_key_prefix ~salt:cache_salt ~assumes ~assume_initial ~config nl);
+        make_key_prefix ~salt:cache_salt ~assumes ~config nl);
   }
 
 let stats t = t.stats
@@ -370,11 +364,7 @@ let sim_episode t cover seed =
     | Some f -> f sim !c
     | None -> Sim.poke_random_inputs sim);
     Sim.eval sim;
-    let assumes_ok =
-      List.for_all (fun a -> Sim.peek_bool sim a) t.assumes
-      && (!c > 0 || List.for_all (fun a -> Sim.peek_bool sim a) t.assume_initial)
-    in
-    if not assumes_ok then ok := false
+    if not (List.for_all (fun a -> Sim.peek_bool sim a) t.assumes) then ok := false
     else begin
       rows := List.map (fun (_, s) -> Sim.peek sim s) t.named :: !rows;
       if cover_holds sim cover then hit := Some !c;

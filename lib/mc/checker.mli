@@ -183,7 +183,6 @@ val create :
   ?cache_salt:string ->
   ?stimulus:(Sim.t -> int -> unit) ->
   ?config:config ->
-  ?assume_initial:Hdl.Netlist.signal list ->
   ?sweep_barriers:Hdl.Netlist.signal list ->
   assumes:Hdl.Netlist.signal list ->
   Hdl.Netlist.t ->

@@ -124,24 +124,19 @@ let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
      discipline the stage counters use.  Shard 0 is the harness checker and
      talks to the shared store directly (its root layer is mutex-safe). *)
   let shard_caches =
-    if shards <= 1 then [||]
-    else
-      Array.init shards (fun k ->
-          if k = 0 then cache else Option.map Vcache.stage cache)
+    Array.init shards (fun k -> if k = 0 then cache else Option.map Vcache.stage cache)
   in
   let shard_checkers =
-    if shards <= 1 then [| chk |]
-    else
-      Array.init shards (fun k ->
-          if k = 0 then chk
-          else
-            let base = Option.value config ~default:Checker.default_config in
-            let cfg =
-              { base with Checker.seed = Pool.derive_seed ~base:base.Checker.seed ~index:k }
-            in
-            Checker.create ?cache:shard_caches.(k) ?stimulus
-              ~config:cfg ~sweep_barriers:(Designs.Meta.signals meta)
-              ~assumes:(Harness.assumes h) nl)
+    Array.init shards (fun k ->
+        if k = 0 then chk
+        else
+          let base = Option.value config ~default:Checker.default_config in
+          let cfg =
+            { base with Checker.seed = Pool.derive_seed ~base:base.Checker.seed ~index:k }
+          in
+          Checker.create ?cache:shard_caches.(k) ?stimulus
+            ~config:cfg ~sweep_barriers:(Designs.Meta.signals meta)
+            ~assumes:(Harness.assumes h) nl)
   in
   let stage names =
     List.map
@@ -174,11 +169,11 @@ let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
     s.presim_hits <- s.presim_hits + 1
   in
   (* [sharded stage items ~f]: evaluate [f ~check ~hit x] for every item,
-     order-preserving.  Unsharded, this is [List.map] on the main checker;
-     sharded, chunk [i mod K] runs on checker K in a pool domain, with
-     per-chunk stage counters merged at the join so the mutable stage
-     records are never touched concurrently.  [f] must route every solver
-     query through the [check] it is handed. *)
+     order-preserving.  Chunk [i mod K] runs on checker K in a pool domain
+     (one shard: all of them, inline, on the main checker), with per-chunk
+     stage counters merged at the join so the mutable stage records are
+     never touched concurrently.  [f] must route every solver query through
+     the [check] it is handed. *)
   let sharded : 'a 'r.
       string ->
       'a list ->
@@ -190,50 +185,42 @@ let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
       'r list =
    fun stage_name items ~f ->
     let go () =
-      match shard_checkers with
-      | [| _ |] ->
-        List.map
-          (f
-             ~check:(fun lits -> check stage_name lits)
-             ~hit:(fun () -> hit stage_name))
-          items
-      | cks ->
-        let k = Array.length cks in
-        let n = List.length items in
-        let chunks = Array.make k [] in
-        List.iteri (fun i x -> chunks.(i mod k) <- (i, x) :: chunks.(i mod k)) items;
-        let results = Array.make n None in
-        let locals =
-          Pool.run pool
-            (List.init k (fun ci () ->
-                 let ck = cks.(ci) in
-                 let props = ref 0 and undet = ref 0 and hits = ref 0 in
-                 let check lits =
-                   incr props;
-                   let o = Checker.check_cover ~name:stage_name ck lits in
-                   (match o with Checker.Undetermined -> incr undet | _ -> ());
-                   o
-                 in
-                 let hit () = incr hits in
-                 List.iter
-                   (fun (i, x) -> results.(i) <- Some (f ~check ~hit x))
-                   (List.rev chunks.(ci));
-                 (!props, !undet, !hits)))
-        in
-        let s = st stage_name in
-        List.iter
-          (fun (p_, u, h_) ->
-            s.props <- s.props + p_;
-            s.undetermined <- s.undetermined + u;
-            s.presim_hits <- s.presim_hits + h_)
-          locals;
-        (* Publish each shard's staged verdicts, in shard order, so later
-           stages (and later runs) see them through the shared store. *)
-        Array.iter (fun c -> Option.iter Vcache.merge c) shard_caches;
-        Array.to_list
-          (Array.map
-             (function Some r -> r | None -> assert false)
-             results)
+      let k = Array.length shard_checkers in
+      let n = List.length items in
+      let chunks = Array.make k [] in
+      List.iteri (fun i x -> chunks.(i mod k) <- (i, x) :: chunks.(i mod k)) items;
+      let results = Array.make n None in
+      let locals =
+        Pool.run pool
+          (List.init k (fun ci () ->
+               let ck = shard_checkers.(ci) in
+               let props = ref 0 and undet = ref 0 and hits = ref 0 in
+               let check lits =
+                 incr props;
+                 let o = Checker.check_cover ~name:stage_name ck lits in
+                 (match o with Checker.Undetermined -> incr undet | _ -> ());
+                 o
+               in
+               let hit () = incr hits in
+               List.iter
+                 (fun (i, x) -> results.(i) <- Some (f ~check ~hit x))
+                 (List.rev chunks.(ci));
+               (!props, !undet, !hits)))
+      in
+      let s = st stage_name in
+      List.iter
+        (fun (p_, u, h_) ->
+          s.props <- s.props + p_;
+          s.undetermined <- s.undetermined + u;
+          s.presim_hits <- s.presim_hits + h_)
+        locals;
+      (* Publish each shard's staged verdicts, in shard order, so later
+         stages (and later runs) see them through the shared store. *)
+      Array.iter (fun c -> Option.iter Vcache.merge c) shard_caches;
+      Array.to_list
+        (Array.map
+           (function Some r -> r | None -> assert false)
+           results)
     in
     if Obs.enabled () then
       Obs.with_span "synth.batch"
@@ -756,12 +743,9 @@ let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
       (* Snapshot, never the live record: the harness checker keeps
          mutating its stats if the caller reuses it, and the result must
          not change under it. *)
-      (match shard_checkers with
-      | [| c |] -> Checker.Stats.copy (Checker.stats c)
-      | cks ->
-        Array.fold_left
-          (fun acc c -> Checker.Stats.merge acc (Checker.stats c))
-          (Checker.Stats.create ()) cks);
+      Array.fold_left
+        (fun acc c -> Checker.Stats.merge acc (Checker.stats c))
+        (Checker.Stats.create ()) shard_checkers;
   }
 
 let pl_of_label instr lbl =

@@ -329,68 +329,10 @@ let step s =
 
 let cycle s = s.cycle_count
 
-module Trace = struct
-  type sim = t
-
-  type t = {
-    nl : Netlist.t;
-    watch : Netlist.signal list;
-    idx : (Netlist.signal, int) Hashtbl.t;
-    mutable rows : Bitvec.t array list; (* reversed *)
-    mutable len : int;
-  }
-
-  let create nl ~watch =
-    let idx = Hashtbl.create 16 in
-    List.iteri (fun i s -> Hashtbl.replace idx s i) watch;
-    { nl; watch; idx; rows = []; len = 0 }
-
-  let record t sim =
-    let row = Array.of_list (List.map (fun s -> peek sim s) t.watch) in
-    t.rows <- row :: t.rows;
-    t.len <- t.len + 1
-
-  let length t = t.len
-
-  let value t sig_ ~cycle =
-    if cycle < 0 || cycle >= t.len then raise Not_found;
-    let i = Hashtbl.find t.idx sig_ in
-    (List.nth t.rows (t.len - 1 - cycle)).(i)
-
-  let value_bool t sig_ ~cycle = not (Bitvec.is_zero (value t sig_ ~cycle))
-  let watched t = t.watch
-
-  let to_vcd t buf =
-    let ident i = Printf.sprintf "s%d" i in
-    Buffer.add_string buf "$timescale 1ns $end\n$scope module dut $end\n";
-    List.iteri
-      (fun i s ->
-        let n = Netlist.node t.nl s in
-        let nm = Option.value n.Netlist.name ~default:(Printf.sprintf "sig%d" s) in
-        Buffer.add_string buf
-          (Printf.sprintf "$var wire %d %s %s $end\n" n.Netlist.width (ident i) nm))
-      t.watch;
-    Buffer.add_string buf "$upscope $end\n$enddefinitions $end\n";
-    let rows = List.rev t.rows in
-    List.iteri
-      (fun c row ->
-        Buffer.add_string buf (Printf.sprintf "#%d\n" c);
-        Array.iteri
-          (fun i v ->
-            if Bitvec.width v = 1 then
-              Buffer.add_string buf
-                (Printf.sprintf "%c%s\n" (if Bitvec.is_zero v then '0' else '1') (ident i))
-            else
-              Buffer.add_string buf
-                (Printf.sprintf "b%s %s\n" (Bitvec.to_binary_string v) (ident i)))
-          row)
-      rows
-end
-
-let run s ~cycles ~stimulus ?trace () =
+let run s ~cycles ~stimulus ~observe =
   for c = 0 to cycles - 1 do
     stimulus s c;
     eval s;
-    (match trace with Some t -> Trace.record t s | None -> ());
+    observe s c;
     step s
   done

@@ -89,33 +89,10 @@ val step : t -> unit
 
 val cycle : t -> int
 
-(** {1 Trace recording} *)
-
-module Trace : sig
-  type sim = t
-
-  type t
-  (** A recorded waveform: for a set of watched signals, one value per
-      recorded cycle. *)
-
-  val create : Hdl.Netlist.t -> watch:Hdl.Netlist.signal list -> t
-  val record : t -> sim -> unit
-  (** Record the watched signals' current values as the next cycle. *)
-
-  val length : t -> int
-
-  val value : t -> Hdl.Netlist.signal -> cycle:int -> Bitvec.t
-  (** Raises [Not_found] if the signal is not watched or cycle out of range. *)
-
-  val value_bool : t -> Hdl.Netlist.signal -> cycle:int -> bool
-  val watched : t -> Hdl.Netlist.signal list
-
-  val to_vcd : t -> Buffer.t -> unit
-  (** Render as a Value Change Dump waveform. *)
-end
-
-val run : t -> cycles:int -> stimulus:(t -> int -> unit) -> ?trace:Trace.t -> unit -> unit
-(** [run sim ~cycles ~stimulus ()] executes [cycles] full clock cycles.  Per
-    cycle: [stimulus sim n] pokes inputs (poke what you need; unpoked inputs
-    keep zero), then logic is evaluated, the optional trace records, and the
-    clock steps. *)
+val run :
+  t -> cycles:int -> stimulus:(t -> int -> unit) -> observe:(t -> int -> unit) -> unit
+(** [run sim ~cycles ~stimulus ~observe] executes [cycles] clock cycles from
+    the current state: the one loop that runs a fixed program.  Per cycle
+    [n]: [stimulus sim n] pokes inputs (an input it does not poke keeps its
+    value, zero after a {!reset}), logic is evaluated, [observe sim n] reads
+    the cycle's values, and the clock steps. *)

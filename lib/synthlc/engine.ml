@@ -4,16 +4,6 @@
 
 module Meta = Designs.Meta
 
-(* Callers supply stimulus as a builder so the engine can pin the IUV slot
-   and rotate random transmitters through the transmitter slot (§V-C1). *)
-type stimulus_builder =
-  pins:(int * Isa.t) list ->
-  rotate:(int * Isa.t list) list ->
-  Meta.t ->
-  Sim.t ->
-  int ->
-  unit
-
 type transponder_report = {
   instr : Isa.t;
   synth : Mupath.Synth.result;
@@ -145,7 +135,7 @@ let assert_inside_grid ~grid (tagged : Types.tagged_decision list) =
 
 let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
     ?(precise = true) ?(prune = `On)
-    ?(stimulus : stimulus_builder option) ?(exclude_sources = []) ?(jobs = 1)
+    ?(stimulus : Designs.Stimulus.factory option) ?(exclude_sources = []) ?(jobs = 1)
     ~(design : unit -> Meta.t) ~(instructions : Isa.t list)
     ~(transmitters : Isa.opcode list) ~(kinds : Types.transmitter_kind list)
     ~(revisit_count_labels : string list) ~iuv_pc () =
@@ -272,10 +262,7 @@ let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
     else go ()
   in
   let jobs = max 1 jobs in
-  let dispatch () =
-    if jobs = 1 then List.mapi analyze instructions
-    else Pool.with_pool ~jobs (fun p -> Pool.mapi p ~f:analyze instructions)
-  in
+  let dispatch () = Pool.with_pool ~jobs (fun p -> Pool.mapi p ~f:analyze instructions) in
   let transponders =
     if Obs.enabled () then
       Obs.with_span "engine.run"

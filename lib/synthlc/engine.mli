@@ -2,16 +2,6 @@
     detection, symbolic-IFT attribution of decisions to typed transmitters,
     and leakage-signature assembly. *)
 
-type stimulus_builder =
-  pins:(int * Isa.t) list ->
-  rotate:(int * Isa.t list) list ->
-  Designs.Meta.t ->
-  Sim.t ->
-  int ->
-  unit
-(** Stimulus factory: the engine pins the IUV slot and rotates random
-    transmitter candidates through the transmitter slot (§V-C1). *)
-
 type transponder_report = {
   instr : Isa.t;
   synth : Mupath.Synth.result;  (** The µPATH synthesis result. *)
@@ -87,7 +77,7 @@ val run :
   ?synth_config:Mc.Checker.config ->
   ?precise:bool ->
   ?prune:Mupath.Prune.mode ->
-  ?stimulus:stimulus_builder ->
+  ?stimulus:Designs.Stimulus.factory ->
   ?exclude_sources:string list ->
   ?jobs:int ->
   design:(unit -> Designs.Meta.t) ->

@@ -21,55 +21,22 @@ type violation = {
   vi_diverge_cycle : int;
 }
 
-(* Run [program] on [sim], an instance compiled from [meta]'s netlist, with
-   the given architectural register values.  [reset ~seed] leaves [sim] as
-   [Sim.create ~seed] would, so microarchitectural state is seeded
-   identically across paired runs. *)
-let observe sim ~(meta : Meta.t) ~(program : Isa.t list)
-    ~(arf_values : Bitvec.t array) ~(cycles : int) ~seed : observation =
-  let nl = meta.Meta.nl in
+(* Run the program [stimulus] drives on [sim], an instance compiled from
+   [meta]'s netlist, with the given architectural register values.
+   [reset ~seed] leaves [sim] as [Sim.create ~seed] would, so
+   microarchitectural state is seeded identically across paired runs. *)
+let observe sim ~(meta : Meta.t) ~stimulus ~(arf_values : Bitvec.t array)
+    ~(cycles : int) ~seed : observation =
   Sim.reset ~seed sim;
   (* Pin architectural registers; memory keeps its seeded contents (it is
      identical across paired runs because the seed is shared). *)
-  List.iteri
-    (fun i r -> if i < Array.length arf_values then Sim.poke_reg sim r arf_values.(i))
-    meta.Meta.arf;
-  let prog = Array.of_list program in
-  let fetch_pc =
-    match Hdl.Netlist.find_named nl "fetch_pc" with
-    | Some s -> s
-    | None -> failwith "Scsafe.observe: design lacks fetch_pc"
-  in
-  let in0 = Option.get (Hdl.Netlist.find_named nl Designs.Core.sig_if_instr_in0) in
-  let in1 = Option.get (Hdl.Netlist.find_named nl Designs.Core.sig_if_instr_in1) in
-  let instr_at pc =
-    if pc < Array.length prog then Isa.encode prog.(pc) else Isa.encode Isa.nop
-  in
+  List.iteri (fun i r -> Sim.poke_reg sim r arf_values.(i)) meta.Meta.arf;
   let obs = ref [] in
-  for _ = 0 to cycles - 1 do
-    Sim.eval_cone sim fetch_pc;
-    let pc = Bitvec.to_int (Sim.peek sim fetch_pc) in
-    Sim.poke sim in0 (instr_at pc);
-    Sim.poke sim in1 (instr_at (pc + 1));
-    Sim.eval sim;
-    let occupied =
-      List.concat_map
-        (fun (u : Meta.ufsm) ->
-          let state =
-            match u.Meta.vars with
-            | [] -> Bitvec.zero 1
-            | v0 :: rest ->
-              List.fold_left
-                (fun acc v -> Bitvec.concat acc (Sim.peek sim v))
-                (Sim.peek sim v0) rest
-          in
-          if List.exists (Bitvec.equal state) u.Meta.idle_states then []
-          else [ Meta.state_value meta u state ])
-        meta.Meta.ufsms
-    in
-    obs := occupied :: !obs;
-    Sim.step sim
-  done;
+  let observe sim _ =
+    let occupied = Meta.occupied meta sim in
+    obs := List.map (fun (u, state) -> Meta.state_value meta u state) occupied :: !obs
+  in
+  Sim.run sim ~cycles ~stimulus ~observe;
   List.rev !obs
 
 (* Search for an Eq. V.1 violation: vary one secret register between two
@@ -78,13 +45,19 @@ let observe sim ~(meta : Meta.t) ~(program : Isa.t list)
 let find_violation ?(trials = 32) ?(cycles = 48) ~(design : unit -> Meta.t)
     ~(program : Isa.t list) ~(secret_reg : int) () =
   let meta = design () in
+  let arf = List.length meta.Meta.arf in
+  if secret_reg < 0 || secret_reg >= arf then
+    invalid_arg
+      (Printf.sprintf "Scsafe.find_violation: secret_reg %d outside the ARF (0..%d)"
+         secret_reg (arf - 1));
   let sim = Sim.create meta.Meta.nl in
+  let stimulus = Designs.Stimulus.program meta program in
   let rng = Random.State.make [| 0x5afe1 |] in
   let rec go trial =
     if trial >= trials then None
     else begin
       let seed = Random.State.int rng 0x3FFFFFF in
-      let base = Array.init 3 (fun _ -> Bitvec.random rng Isa.xlen) in
+      let base = Array.init arf (fun _ -> Bitvec.random rng Isa.xlen) in
       let low = base.(secret_reg) in
       let high = Bitvec.random rng Isa.xlen in
       let with_secret v =
@@ -92,8 +65,8 @@ let find_violation ?(trials = 32) ?(cycles = 48) ~(design : unit -> Meta.t)
         a.(secret_reg) <- v;
         a
       in
-      let o1 = observe sim ~meta ~program ~arf_values:(with_secret low) ~cycles ~seed in
-      let o2 = observe sim ~meta ~program ~arf_values:(with_secret high) ~cycles ~seed in
+      let o1 = observe sim ~meta ~stimulus ~arf_values:(with_secret low) ~cycles ~seed in
+      let o2 = observe sim ~meta ~stimulus ~arf_values:(with_secret high) ~cycles ~seed in
       let rec diff c a b =
         match (a, b) with
         | [], [] -> None

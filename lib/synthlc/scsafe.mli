@@ -25,5 +25,7 @@ val find_violation :
 (** Vary one secret register between random values, hold everything else
     fixed, and diff the observation traces.  [None] means no violation was
     found within the trial budget (not a proof of safety).  [design] is
-    called once, and every observation runs on one compiled simulator,
-    reset with that observation's seed. *)
+    called once, and every observation runs [program] through
+    {!Designs.Stimulus.program} on one compiled simulator, reset with that
+    observation's seed.  Raises [Invalid_argument] if [secret_reg] is not
+    an index into the design's ARF. *)

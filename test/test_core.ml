@@ -7,28 +7,15 @@ module Meta = Designs.Meta
 let run_core ?(cfg = Designs.Core.all_fixed) ?(cycles = 120) ?(seed = 13)
     ~regs program =
   let meta = Designs.Core.build cfg in
-  let nl = meta.Meta.nl in
-  let sget n = Option.get (Hdl.Netlist.find_named nl n) in
-  let sim = Sim.create ~seed nl in
+  let sim = Sim.create ~seed meta.Meta.nl in
   List.iteri
     (fun i r -> if i < Array.length regs - 1 then Sim.poke_reg sim r regs.(i + 1))
     meta.Meta.arf;
   (* Zero memory so it matches the golden model's initial state. *)
   List.iter (fun m -> Sim.poke_reg sim m (Bitvec.zero 8)) meta.Meta.amem;
-  let prog = Array.of_list program in
-  let instr_at pc =
-    if pc < Array.length prog then Isa.encode prog.(pc) else Isa.encode Isa.nop
-  in
   let commits = ref 0 in
-  for _ = 0 to cycles - 1 do
-    Sim.eval sim;
-    let pc = Bitvec.to_int (Sim.peek sim (sget "fetch_pc")) in
-    Sim.poke sim (sget Designs.Core.sig_if_instr_in0) (instr_at pc);
-    Sim.poke sim (sget Designs.Core.sig_if_instr_in1) (instr_at (pc + 1));
-    Sim.eval sim;
-    if Sim.peek_bool sim (sget "commit") then incr commits;
-    Sim.step sim
-  done;
+  Sim.run sim ~cycles ~stimulus:(Designs.Stimulus.program meta program)
+    ~observe:(fun sim _ -> if Sim.peek_bool sim meta.Meta.commit then incr commits);
   Sim.eval sim;
   let regs_out =
     Array.init 4 (fun i ->
@@ -193,35 +180,23 @@ let test_zero_skip_timing () =
      fewer cycles to commit with a zero operand. *)
   let commit_cycle_of zero =
     let meta = Designs.Core.build Designs.Core.cva6_mul in
-    let nl = meta.Meta.nl in
-    let sget n = Option.get (Hdl.Netlist.find_named nl n) in
-    let sim = Sim.create ~seed:4 nl in
+    let sim = Sim.create ~seed:4 meta.Meta.nl in
     List.iteri
       (fun i r ->
         Sim.poke_reg sim r
           (Bitvec.of_int ~width:8 (if i = 0 && zero then 0 else 9)))
       meta.Meta.arf;
     let program =
-      match Isa.assemble "mul r3, r1, r2" with Ok p -> Array.of_list p | Error e -> failwith e
+      match Isa.assemble "mul r3, r1, r2" with Ok p -> p | Error e -> failwith e
     in
     let out = ref None in
-    for c = 0 to 29 do
-      Sim.eval sim;
-      let pc = Bitvec.to_int (Sim.peek sim (sget "fetch_pc")) in
-      let instr_at pc =
-        if pc < Array.length program then Isa.encode program.(pc)
-        else Isa.encode Isa.nop
-      in
-      Sim.poke sim (sget Designs.Core.sig_if_instr_in0) (instr_at pc);
-      Sim.poke sim (sget Designs.Core.sig_if_instr_in1) (instr_at (pc + 1));
-      Sim.eval sim;
-      if
-        Sim.peek_bool sim (sget "commit")
-        && Bitvec.to_int (Sim.peek sim (sget "commit_pc")) = 0
-        && !out = None
-      then out := Some c;
-      Sim.step sim
-    done;
+    Sim.run sim ~cycles:30 ~stimulus:(Designs.Stimulus.program meta program)
+      ~observe:(fun sim c ->
+        if
+          Sim.peek_bool sim meta.Meta.commit
+          && Bitvec.to_int (Sim.peek sim meta.Meta.commit_pc) = 0
+          && !out = None
+        then out := Some c);
     Option.get !out
   in
   Alcotest.(check int) "zero-skip saves 3 cycles" 3

@@ -52,7 +52,7 @@ let test_golden_example () =
   let sc = Frontend.Sidecar.resolve_file nl example_meta in
   Alcotest.(check int) "iuv_pc" 2 sc.Frontend.Sidecar.iuv_pc;
   Alcotest.(check bool) "stimulus ibex" true
-    (sc.Frontend.Sidecar.stimulus = Frontend.Sidecar.S_ibex);
+    (sc.Frontend.Sidecar.stimulus = Designs.Stimulus.Ibex);
   let meta = sc.Frontend.Sidecar.meta in
   Alcotest.(check int) "uFSM count"
     (List.length builtin.Designs.Meta.ufsms)
@@ -304,7 +304,9 @@ let with_program text f =
 
 (* [sim] refuses what it cannot drive with exit 2 and a message, never an
    uncaught exception: a design with no program input, the cache DUV, and
-   a program that does not assemble (the message names the mnemonic). *)
+   a program that does not assemble (the message names the mnemonic).
+   [scsafe] does the same for a bad program or a [--secret] outside the
+   ARF, and both refuse a negative count as a usage error (124). *)
 let test_cli_sim_exit_contract () =
   with_program "add r1, r2, r3\n" (fun prog ->
       List.iter
@@ -318,12 +320,36 @@ let test_cli_sim_exit_contract () =
       let code, text = run_cli (Printf.sprintf "sim -d ibex_lite -p %s" prog) in
       Alcotest.(check int) "sim with bad assembly exits 2" 2 code;
       Alcotest.(check bool) "the error names the mnemonic" true
-        (Test_formats.contains text "\"bogus\""))
+        (Test_formats.contains text "\"bogus\""));
+  List.iter
+    (fun (args, want, needles) ->
+      let code, text = run_cli args in
+      Alcotest.(check int) (args ^ " exit code") want code;
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) (args ^ " names " ^ needle) true
+            (Test_formats.contains text needle))
+        needles)
+    [
+      ("scsafe -p 'bogus r1'", 2, [ "\"bogus\"" ]);
+      ("scsafe --secret=3", 2, [ "--secret"; "0..2" ]);
+      ("scsafe --secret=-1", 2, [ "--secret"; "0..2" ]);
+      ("scsafe --trials=-3", 124, [ "--trials" ]);
+      ("sim -d ibex_lite --cycles=-2", 124, [ "--cycles" ]);
+    ];
+  Alcotest.check_raises "Scsafe.find_violation refuses a secret outside the ARF"
+    (Invalid_argument "Scsafe.find_violation: secret_reg 3 outside the ARF (0..2)")
+    (fun () ->
+      ignore
+        (Synthlc.Scsafe.find_violation ~design:Designs.Ibex.build ~program:[]
+           ~secret_reg:3 ()))
 
 (* The simulator end to end: [sim]'s stdout lists PL occupancy per cycle
    and the final ARF, which the golden-model tests do not check.  Both
    imported examples, word-level and gate-level, print byte-identical
-   output to their built-in. *)
+   output to their built-in.  cva6_op is the one design whose pipeline
+   reads the second fetch slot, so its pin is what catches a slot fed the
+   wrong PC. *)
 let test_cli_sim_pins () =
   with_program
     "add r1, r2, r3\ndiv r3, r1, r2\nlw r2, 4(r1)\nsw r3, 0(r2)\n\
@@ -341,6 +367,8 @@ let test_cli_sim_pins () =
         (md5 "ibex_lite");
       Alcotest.(check string) "cva6_lite output" "ef16c8dea7b6424e3a9ee1c9bebc5fd1"
         (md5 "cva6_lite");
+      Alcotest.(check string) "cva6_op output" "7baf6e5b8d0b863e685c6dc2c0cf3211"
+        (md5 "cva6_op");
       Alcotest.(check string) "imported example prints the built-in's output"
         (out "ibex_lite") (out example_json);
       Alcotest.(check string) "gate-level example prints the built-in's output"

@@ -7,26 +7,14 @@ module Meta = Designs.Meta
 
 let run_ibex ?(cycles = 160) ?(seed = 31) ~regs program =
   let meta = Designs.Ibex.build () in
-  let nl = meta.Meta.nl in
-  let sget n = Option.get (Hdl.Netlist.find_named nl n) in
-  let sim = Sim.create ~seed nl in
+  let sim = Sim.create ~seed meta.Meta.nl in
   List.iteri
     (fun i r -> if i < Array.length regs - 1 then Sim.poke_reg sim r regs.(i + 1))
     meta.Meta.arf;
   List.iter (fun m -> Sim.poke_reg sim m (Bitvec.zero 8)) meta.Meta.amem;
-  let prog = Array.of_list program in
-  let instr_at pc =
-    if pc < Array.length prog then Isa.encode prog.(pc) else Isa.encode Isa.nop
-  in
   let commits = ref 0 in
-  for _ = 0 to cycles - 1 do
-    Sim.eval sim;
-    let pc = Bitvec.to_int (Sim.peek sim (sget "fetch_pc")) in
-    Sim.poke sim (sget "if_instr_in") (instr_at pc);
-    Sim.eval sim;
-    if Sim.peek_bool sim (sget "commit") then incr commits;
-    Sim.step sim
-  done;
+  Sim.run sim ~cycles ~stimulus:(Designs.Stimulus.program meta program)
+    ~observe:(fun sim _ -> if Sim.peek_bool sim meta.Meta.commit then incr commits);
   Sim.eval sim;
   let regs_out =
     Array.init 4 (fun i ->
@@ -112,35 +100,22 @@ let test_div_timing_channel () =
   (* The only intrinsic timing channel: DIV latency tracks |dividend|. *)
   let commit_cycle r1 =
     let meta = Designs.Ibex.build () in
-    let nl = meta.Meta.nl in
-    let sget n = Option.get (Hdl.Netlist.find_named nl n) in
-    let sim = Sim.create ~seed:3 nl in
+    let sim = Sim.create ~seed:3 meta.Meta.nl in
     List.iteri
       (fun i r ->
         Sim.poke_reg sim r (Bitvec.of_int ~width:8 (if i = 0 then r1 else 3)))
       meta.Meta.arf;
     let program =
-      match Isa.assemble "divu r3, r1, r2" with
-      | Ok p -> Array.of_list p
-      | Error e -> failwith e
+      match Isa.assemble "divu r3, r1, r2" with Ok p -> p | Error e -> failwith e
     in
     let out = ref None in
-    for c = 0 to 29 do
-      Sim.eval sim;
-      let pc = Bitvec.to_int (Sim.peek sim (sget "fetch_pc")) in
-      let instr_at pc =
-        if pc < Array.length program then Isa.encode program.(pc)
-        else Isa.encode Isa.nop
-      in
-      Sim.poke sim (sget "if_instr_in") (instr_at pc);
-      Sim.eval sim;
-      if
-        Sim.peek_bool sim (sget "commit")
-        && Bitvec.to_int (Sim.peek sim (sget "commit_pc")) = 0
-        && !out = None
-      then out := Some c;
-      Sim.step sim
-    done;
+    Sim.run sim ~cycles:30 ~stimulus:(Designs.Stimulus.program meta program)
+      ~observe:(fun sim c ->
+        if
+          Sim.peek_bool sim meta.Meta.commit
+          && Bitvec.to_int (Sim.peek sim meta.Meta.commit_pc) = 0
+          && !out = None
+        then out := Some c);
     Option.get !out
   in
   Alcotest.(check bool) "small dividend is faster" true

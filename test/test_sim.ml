@@ -1,5 +1,5 @@
 (* Simulator tests: register/enable semantics, symbolic-init randomization,
-   reset, trace recording and VCD rendering, and the compiled, hash-consed
+   reset, the [run] loop's per-cycle order, and the compiled, hash-consed
    evaluator (full and cone-only) against the reference node semantics
    ([Netlist.eval_node]) on random netlists that mix narrow and wide values
    and repeat their own structure. *)
@@ -75,29 +75,20 @@ let test_poke_reg () =
        false
      with Invalid_argument _ -> true)
 
-let test_trace_and_vcd () =
+(* [Sim.run]'s cycle: the stimulus pokes, logic is evaluated, the observer
+   reads that cycle's values, and only then does the clock step. *)
+let test_run () =
   let nl, en, count = counter_netlist () in
   let sim = Sim.create nl in
-  let trace = Sim.Trace.create nl ~watch:[ en; count ] in
+  let seen = ref [] in
   Sim.run sim ~cycles:4
     ~stimulus:(fun s c -> Sim.poke s en (Bitvec.of_int ~width:1 (c mod 2)))
-    ~trace ();
-  Alcotest.(check int) "trace length" 4 (Sim.Trace.length trace);
-  Alcotest.(check int) "count at cycle 3" 1
-    (Bitvec.to_int (Sim.Trace.value trace count ~cycle:3));
-  Alcotest.(check bool) "en at cycle 1" true (Sim.Trace.value_bool trace en ~cycle:1);
-  let buf = Buffer.create 256 in
-  Sim.Trace.to_vcd trace buf;
-  let vcd = Buffer.contents buf in
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("vcd contains " ^ needle) true (contains vcd needle))
-    [ "$timescale"; "$var wire 8"; "count"; "$enddefinitions"; "#3" ]
+    ~observe:(fun s c ->
+      seen := (c, Sim.peek_bool s en, Bitvec.to_int (Sim.peek s count)) :: !seen);
+  Alcotest.(check (list (triple int bool int)))
+    "cycle, en, count" [ (0, false, 0); (1, true, 0); (2, false, 1); (3, true, 1) ]
+    (List.rev !seen);
+  Alcotest.(check int) "four clock edges" 4 (Sim.cycle sim)
 
 (* --- compiled evaluator vs the reference semantics ------------------------ *)
 
@@ -340,7 +331,7 @@ let suite =
       Alcotest.test_case "counter with enable mux" `Quick test_counter;
       Alcotest.test_case "symbolic init randomization" `Quick test_symbolic_init;
       Alcotest.test_case "poke_reg" `Quick test_poke_reg;
-      Alcotest.test_case "trace and vcd" `Quick test_trace_and_vcd;
+      Alcotest.test_case "run: stimulus, eval, observe, step" `Quick test_run;
       qcheck_differential;
       qcheck_reset_reuse;
     ] )

@@ -42,7 +42,7 @@ let run_gated ~sweep meta =
    with the exported sidecar would resolve them. *)
 let gated_over nl =
   let sidecar =
-    Frontend.Sidecar.of_meta ~stimulus:Frontend.Sidecar.S_none
+    Frontend.Sidecar.of_meta ~stimulus:Designs.Stimulus.None
       ~iuv_pc:Designs.Gated.iuv_pc (Designs.Gated.build ())
   in
   (Frontend.Sidecar.resolve nl sidecar).Frontend.Sidecar.meta
