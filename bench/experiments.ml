@@ -201,7 +201,6 @@ let e4 () =
 (* ------------------------------------------------------------------ *)
 let flow_on_core ?(precise = true) ~transponder ~decisions ~transmitters ~kind
     ~operand () =
-  let design () = Designs.Core.build Designs.Core.baseline in
   let pc_t = Synthlc.Flow.transmitter_pc ~iuv_pc:Designs.Core.iuv_pc kind in
   let tx_candidates =
     List.concat_map
@@ -213,7 +212,8 @@ let flow_on_core ?(precise = true) ~transponder ~decisions ~transmitters ~kind
       ~pins:[ (Designs.Core.iuv_pc, transponder) ]
       ~rotate:[ (pc_t, tx_candidates) ]
   in
-  Synthlc.Flow.analyze ~config ~stimulus ~precise ~design ~transponder
+  Synthlc.Flow.analyze ~config ~stimulus ~precise
+    ~meta:(Designs.Core.build Designs.Core.baseline) ~transponder
     ~decisions ~transmitters ~kind ~operand ~iuv_pc:Designs.Core.iuv_pc ()
 
 let e5 () =

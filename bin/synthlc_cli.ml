@@ -66,27 +66,22 @@ let with_admission ~cmd f =
     Printf.eprintf "%s: design rejected at admission\n" cmd;
     exit 2
 
-(* Each [build] call returns a fresh meta (Mupath.Synth consumes its meta).
-   An import's first call returns the admitted meta; later calls re-import
-   without µLint, since admission already vetted the design. *)
+(* Each [build] call returns a design instance of its own (Mupath.Synth
+   extends the netlist it is given): a built-in elaborates again, and an
+   import is admitted once and copied per call. *)
 let resolve_design ~cmd ?meta d =
   check_design_name ~cmd d;
   if is_json_path d then begin
     let meta_path = Option.value meta ~default:(default_meta_path d) in
-    let load ~lint =
+    let a =
       with_admission ~cmd (fun () ->
-          Frontend.Admission.load ~lint ~json_path:d ~meta_path ())
+          Frontend.Admission.load ~json_path:d ~meta_path ())
     in
-    let a = load ~lint:true in
-    let first = ref (Some a.Frontend.Admission.meta) in
-    let build () =
-      match !first with
-      | Some m ->
-        first := None;
-        m
-      | None -> (load ~lint:false).Frontend.Admission.meta
-    in
-    { build; kind = a.Frontend.Admission.stimulus; iuv_pc = a.Frontend.Admission.iuv_pc }
+    {
+      build = (fun () -> Designs.Meta.copy a.Frontend.Admission.meta);
+      kind = a.Frontend.Admission.stimulus;
+      iuv_pc = a.Frontend.Admission.iuv_pc;
+    }
   end
   else List.assoc d builtins
 
@@ -402,7 +397,9 @@ let synthlc_cmd =
       cache_dir prune imprecise trace metrics =
     let d = resolve_design ~cmd:"synthlc" ?meta:meta_path dname in
     with_obs ~trace ~metrics @@ fun () ->
-    let design = d.build in
+    (* One instance serves the whole run: Engine.run copies it per task
+       and never mutates it. *)
+    let meta = d.build () in
     let iuv_pc = d.iuv_pc in
     let stimulus = Designs.Stimulus.of_kind d.kind in
     let kinds =
@@ -413,14 +410,14 @@ let synthlc_cmd =
     let revisit_count_labels =
       (* Keep only the labels this design actually has (ibex_lite has no
          mulU, the cache DUV has neither). *)
-      let available = List.map fst (Mupath.Harness.pl_groups (design ())) in
+      let available = List.map fst (Mupath.Harness.pl_groups meta) in
       List.filter (fun l -> List.mem l available) [ "divU"; "mulU"; "ID" ]
     in
     let cache = cache_of cache_dir in
     let report =
-      Synthlc.Engine.run ?cache ~config
-        ~precise:(not imprecise) ~prune ?stimulus ~design ~jobs ~instructions
-        ~transmitters ~kinds ~revisit_count_labels ~iuv_pc ()
+      Synthlc.Engine.run ?cache ~config ~precise:(not imprecise) ~prune
+        ?stimulus ~design:(fun () -> meta) ~jobs ~instructions ~transmitters
+        ~kinds ~revisit_count_labels ~iuv_pc ()
     in
     Format.printf "%a@." Synthlc.Engine.pp_report report;
     Printf.printf "report digest: %s\n" (Synthlc.Engine.report_digest report);

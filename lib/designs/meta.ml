@@ -28,6 +28,8 @@ type t = {
   extra_assumes : Hdl.Netlist.signal list;
 }
 
+let copy t = { t with nl = Hdl.Netlist.copy t.nl }
+
 let ufsm_state_width t u =
   List.fold_left (fun acc v -> acc + Hdl.Netlist.width t.nl v) 0 u.vars
 

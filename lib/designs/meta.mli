@@ -53,6 +53,12 @@ type t = {
           model-checked cycle (e.g. well-formed request interfaces). *)
 }
 
+val copy : t -> t
+(** The same design over a {!Hdl.Netlist.copy} of its netlist (every other
+    field is immutable and shared).  Consumers that extend the netlist with
+    monitors ({!Mupath.Synth.run}, {!Synthlc.Flow.analyze}) each take a
+    copy, so one elaboration serves a whole run. *)
+
 val ufsm_state_width : t -> ufsm -> int
 (** Total width of a µFSM's concatenated state variables. *)
 

@@ -5,15 +5,26 @@ let find nl name =
   | Some s -> s
   | None -> failwith ("Stimulus: missing signal " ^ name)
 
+let fetch_slots nl =
+  let has name = Hdl.Netlist.find_named nl name <> None in
+  if not (has "fetch_pc") then []
+  else if has Core.sig_if_instr_in0 && has Core.sig_if_instr_in1 then
+    [ Core.sig_if_instr_in0; Core.sig_if_instr_in1 ]
+  else if has "if_instr_in" then [ "if_instr_in" ]
+  else []
+
 (* The fetch protocol, found once per design: [drive sim instr] reads the
    fetch PC through its cone and pokes slot [k] with [instr (pc + k)]. *)
 let fetch (meta : Meta.t) =
   let nl = meta.Meta.nl in
   let fetch_pc = find nl "fetch_pc" in
   let slots =
-    match Hdl.Netlist.find_named nl Core.sig_if_instr_in0 with
-    | Some in0 -> [| in0; find nl Core.sig_if_instr_in1 |]
-    | None -> [| find nl "if_instr_in" |]
+    match fetch_slots nl with
+    | [] ->
+      failwith
+        "Stimulus: missing fetch slots (if_instr_in, or if_instr_in0 and \
+         if_instr_in1)"
+    | names -> Array.of_list (List.map (find nl) names)
   in
   fun sim instr ->
     Sim.eval_cone sim fetch_pc;

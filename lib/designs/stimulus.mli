@@ -14,6 +14,12 @@
 
     The cache DUV takes requests instead ({!cache}). *)
 
+val fetch_slots : Hdl.Netlist.t -> string list
+(** The names of a design's fetch slots in slot order: both
+    [if_instr_in0] and [if_instr_in1], else [if_instr_in], when the
+    netlist also has a [fetch_pc]; [[]] for a design without a program
+    input. *)
+
 type t = Sim.t -> int -> unit
 (** A stimulus, called with the cycle number once per cycle before the
     caller evaluates the netlist. *)

@@ -5,7 +5,10 @@
     sidecar ({!Sidecar}), then run µLint (L/T/A-series) as the mandatory
     admission filter.  Any error-severity finding — frontend (F5xx) or
     lint — raises {!Diag.Rejected} with the combined report; no checker
-    ever sees an unvetted design. *)
+    ever sees an unvetted design.  A sidecar whose stimulus is [none] (or
+    absent) for a netlist with a [fetch_pc] and fetch slots
+    ({!Designs.Stimulus.fetch_slots}) draws warning F513: no stimulus
+    would pin the IUV into those slots. *)
 
 type design = {
   meta : Designs.Meta.t;
@@ -20,6 +23,7 @@ val load :
   ?top:string -> ?lint:bool -> json_path:string -> meta_path:string -> unit ->
   design
 (** Raises {!Diag.Rejected} on any admission error.  [lint] defaults to
-    [true]; pass [false] only when re-building a design that already
-    passed admission this run (e.g. the per-task rebuild thunk —
-    {!Mupath.Synth} consumes its meta). *)
+    [true]; [false] skips µLint, for timing the import alone or loading a
+    design that already passed admission.  A run that needs several
+    instances of an admitted design takes a {!Designs.Meta.copy} of its
+    [meta] per instance rather than loading it again. *)

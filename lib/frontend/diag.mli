@@ -32,4 +32,5 @@ val info : ?signal_name:string -> code:string -> string -> Lint.Diagnostic.t
     - F509 netname not representable word-level
     - F510 sidecar names an unknown signal
     - F511 malformed sidecar
-    - F512 malformed cell connection or parameter *)
+    - F512 malformed cell connection or parameter
+    - F513 fetch slots with no stimulus to pin the IUV (warning) *)

@@ -41,6 +41,26 @@ let create netlist_name =
 
 let name t = t.netlist_name
 
+(* Reg and Wire records carry the only mutable node fields, so they are the
+   records a copy must not share; every other node is immutable.  The match
+   names every kind, so a kind added with mutable fields fails the build
+   here until it is copied too. *)
+let copy t =
+  let fresh n =
+    match n.kind with
+    | Reg { init; next; enable } -> { n with kind = Reg { init; next; enable } }
+    | Wire { driver } -> { n with kind = Wire { driver } }
+    | Input | Const _ | Not _ | Op2 _ | Mux _ | Extract _ | Concat _ | ReduceOr _
+    | ReduceAnd _ ->
+      n
+  in
+  {
+    t with
+    nodes = Array.mapi (fun i n -> if i < t.count then fresh n else n) t.nodes;
+    names = Hashtbl.copy t.names;
+    digest_cache = None;
+  }
+
 let node t s =
   if s < 0 || s >= t.count then
     invalid_arg

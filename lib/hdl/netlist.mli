@@ -55,6 +55,13 @@ type t
 
 val create : string -> t
 val name : t -> string
+
+val copy : t -> t
+(** A deep copy: fresh register and wire records, a copied name table and
+    the same node ids, so the copy has the same {!digest}.  Extending or
+    connecting the copy leaves the original untouched, and copying is far
+    cheaper than elaborating or importing the design again. *)
+
 val node : t -> signal -> node
 val width : t -> signal -> int
 val num_nodes : t -> int

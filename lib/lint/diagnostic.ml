@@ -94,6 +94,7 @@ let rule_summary = function
   | "F510" -> "sidecar names an unknown signal"
   | "F511" -> "malformed metadata sidecar"
   | "F512" -> "malformed cell connection or parameter"
+  | "F513" -> "fetch slots with no stimulus to pin the IUV"
   | _ -> "unknown rule"
 
 let where d =

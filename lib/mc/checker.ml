@@ -206,8 +206,12 @@ type t = {
       (* The pre-pass's one simulator, reset per episode; compiled on the
          first episode, so a run whose covers all hit the cache never
          compiles it. *)
-  eng : engine;  (* swept when config.sweep is on/audit *)
-  shadow : engine option;  (* unswept cross-check engine (audit mode) *)
+  eng : engine Lazy.t;
+      (* Swept when config.sweep is on/audit.  Built on the first cover that
+         reaches the SAT phases, so a run whose covers all hit the cache
+         (or that the sim pre-pass decides) never sweeps, computes known
+         bits or blasts. *)
+  shadow : engine Lazy.t option;  (* unswept cross-check engine (audit mode) *)
   stats : Stats.t;
   named : (string * Netlist.signal) list;
   rng : Random.State.t;
@@ -299,11 +303,10 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
     |> List.rev
   in
   let swept = config.sweep <> Sweep_off in
-  let eng = make_engine ~config ~assumes ~sweep_barriers ~swept nl in
+  let eng = lazy (make_engine ~config ~assumes ~sweep_barriers ~swept nl) in
   let shadow =
     if config.sweep = Sweep_audit then
-      Some
-        (make_engine ~config ~assumes ~sweep_barriers ~swept:false nl)
+      Some (lazy (make_engine ~config ~assumes ~sweep_barriers ~swept:false nl))
     else None
   in
   {
@@ -708,11 +711,11 @@ let compute_cover t cover =
   match sim_result with
   | Some cex, draws -> (Reachable cex, true, draws)
   | None, draws ->
-    let outcome = compute_sat t t.eng cover in
+    let outcome = compute_sat t (Lazy.force t.eng) cover in
     (match t.shadow with
     | None -> ()
     | Some shadow ->
-      let unswept = compute_sat t shadow cover in
+      let unswept = compute_sat t (Lazy.force shadow) cover in
       let divergence =
         match (outcome, unswept) with
         | Reachable a, Reachable b ->
@@ -733,18 +736,26 @@ let compute_cover t cover =
       | None -> ()));
     (outcome, false, draws)
 
+(* The main engine, if a cover has built it. *)
+let built_engine t = if Lazy.is_val t.eng then Some (Lazy.force t.eng) else None
+
 let check_cover ?name t cover =
   let t0 = Obs.now_ns () in
   (* Snapshots for the per-property sat.* metrics: deltas over the shared
-     BMC solver, and sat.ind_* deltas over the shared induction solver
-     (which this cover may be the first to build). *)
-  let bmc_s = Blast.solver t.eng.bmc in
-  let c0 = Solver.num_conflicts bmc_s in
-  let p0 = Solver.num_propagations bmc_s in
-  let r0 = Solver.num_reduces bmc_s in
-  let h0, l0 = Blast.cse_stats t.eng.bmc in
+     BMC solver, and sat.ind_* deltas over the shared induction solver.
+     This cover may be the first to build either; an engine not built yet
+     counts as zeros, and one no cover has built is never read. *)
+  let bmc_counts () =
+    match built_engine t with
+    | Some e ->
+      let s = Blast.solver e.bmc in
+      let h, l = Blast.cse_stats e.bmc in
+      (Solver.num_conflicts s, Solver.num_propagations s, Solver.num_reduces s, h, l)
+    | None -> (0, 0, 0, 0, 0)
+  in
+  let c0, p0, r0, h0, l0 = bmc_counts () in
   let ind_counts () =
-    match induction_solver t.eng with
+    match Option.bind (built_engine t) induction_solver with
     | Some s -> (Solver.num_conflicts s, Solver.num_propagations s)
     | None -> (0, 0)
   in
@@ -776,21 +787,22 @@ let check_cover ?name t cover =
       | Some true -> Obs.Metrics.incr "cache.hits"
       | Some false -> Obs.Metrics.incr "cache.misses");
       Obs.Metrics.observe "checker.check_time_s" elapsed;
-      Obs.Metrics.observe "sat.conflicts"
-        (float_of_int (Solver.num_conflicts bmc_s - c0));
-      Obs.Metrics.observe "sat.propagations"
-        (float_of_int (Solver.num_propagations bmc_s - p0));
+      let c, p, r, h, l = bmc_counts () in
+      Obs.Metrics.observe "sat.conflicts" (float_of_int (c - c0));
+      Obs.Metrics.observe "sat.propagations" (float_of_int (p - p0));
       let ic, ip = ind_counts () in
       Obs.Metrics.observe "sat.ind_conflicts" (float_of_int (ic - ic0));
       Obs.Metrics.observe "sat.ind_propagations" (float_of_int (ip - ip0));
-      Obs.Metrics.gauge "sat.learnt_db" (float_of_int (Solver.num_learnts bmc_s));
-      Obs.Metrics.gauge "sat.learnt_peak"
-        (float_of_int (Solver.learnt_peak bmc_s));
-      Obs.Metrics.gauge "sat.vars" (float_of_int (Solver.nvars bmc_s));
-      Obs.Metrics.incr "sat.reduce_events" ~by:(Solver.num_reduces bmc_s - r0);
-      let hits, lookups = Blast.cse_stats t.eng.bmc in
-      Obs.Metrics.incr "sat.cse_hits" ~by:(hits - h0);
-      Obs.Metrics.incr "sat.cse_lookups" ~by:(lookups - l0)
+      Option.iter
+        (fun e ->
+          let s = Blast.solver e.bmc in
+          Obs.Metrics.gauge "sat.learnt_db" (float_of_int (Solver.num_learnts s));
+          Obs.Metrics.gauge "sat.learnt_peak" (float_of_int (Solver.learnt_peak s));
+          Obs.Metrics.gauge "sat.vars" (float_of_int (Solver.nvars s)))
+        (built_engine t);
+      Obs.Metrics.incr "sat.reduce_events" ~by:(r - r0);
+      Obs.Metrics.incr "sat.cse_hits" ~by:(h - h0);
+      Obs.Metrics.incr "sat.cse_lookups" ~by:(l - l0)
     end;
     if debug then
       Printf.eprintf "[checker] %-12s %-24s %.2fs%s\n%!"

@@ -212,7 +212,14 @@ val create :
     of those signals being named.  Ignored when [config.sweep] is
     {!Sweep_off}.
 
-    Raises [Invalid_argument] when [config.bmc_depth] is negative. *)
+    [create] only validates: it raises [Invalid_argument] when
+    [config.bmc_depth] is negative and [Failure] when the netlist does not
+    {!Hdl.Netlist.validate}.  The SAT engine (the sweep, the known-bits
+    fixpoint and the BMC encoding) and the audit shadow are built by the
+    first {!check_cover} that reaches the SAT phases, so a checker whose
+    covers all hit the cache never builds them, and an error in the sweep,
+    known bits or encoding surfaces from that first miss.  The netlist
+    must not change after [create]. *)
 
 val check_cover : ?name:string -> t -> (Hdl.Netlist.signal * bool) list -> outcome
 (** [check_cover t lits] searches for a cycle where every [(signal,

@@ -77,7 +77,7 @@ val run :
   unit ->
   result
 (** Note: [meta] is consumed — the harness extends its netlist with monitor
-    state, so build a fresh design per call.
+    state, so pass a {!Designs.Meta.copy} per call.
 
     [static_prune] (default [true]) and [absint] (default [`On]) set the
     {!Prune.mode} of the two static reachability pre-passes.  The first

@@ -78,11 +78,11 @@ let signatures_of_tagged (transponder : Isa.t)
           })
     sources
 
-(* The static leakage grid, recomputed from scratch (fresh design, fresh
-   analysis) so it is independent of the instance Flow pruned against: per
-   operand, the PL labels whose member µFSMs the operand's taint may reach. *)
-let static_leakage_grid ~precise (design : unit -> Meta.t) =
-  let m = design () in
+(* The static leakage grid, recomputed from scratch (its own design
+   instance, fresh analysis) so it is independent of the instances Flow
+   pruned against: per operand, the PL labels whose member µFSMs the
+   operand's taint may reach.  It only reads the design. *)
+let static_leakage_grid ~precise (m : Meta.t) =
   let groups = Mupath.Harness.pl_groups m in
   let blocked = m.Meta.arf @ m.Meta.amem in
   List.filter_map
@@ -140,12 +140,19 @@ let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
     ~(transmitters : Isa.opcode list) ~(kinds : Types.transmitter_kind list)
     ~(revisit_count_labels : string list) ~iuv_pc () =
   let t0 = Obs.now_ns () in
-  let design_name = (design ()).Meta.design_name in
+  (* One elaboration (or import) per run.  Each task gets its own
+     [Meta.copy], made here in the calling domain, so no worker domain
+     ever reads the pristine design; inside a task, every consumer that
+     extends the netlist (synthesis, each IFT query) takes a copy of the
+     task's, and the static grid reads the task's copy itself. *)
+  let pristine = design () in
+  let design_name = pristine.Meta.design_name in
+  let task_designs = List.map (fun _ -> Meta.copy pristine) instructions in
   let synth_config = Option.value synth_config ~default:config in
   (* Per-task configs carry a seed derived from (base seed, task index) —
      a pure function of the input position, so any jobs count (including 1)
-     produces bit-identical reports.  Each task builds its own design and
-     checker; nothing is shared across domains. *)
+     produces bit-identical reports.  Each task has its own design copies
+     and checkers; nothing is shared across domains. *)
   let reseed index (c : Mc.Checker.config) =
     { c with Mc.Checker.seed = Pool.derive_seed ~base:c.Mc.Checker.seed ~index }
   in
@@ -170,12 +177,13 @@ let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
   in
   let analyze index instr =
     let cache = List.nth task_caches index in
+    let base = List.nth task_designs index in
     let config = reseed index config in
     let pins = [ (iuv_pc, instr) ] in
     let go () =
       let t0 = Obs.now_ns () in
-      (* Stage 1: µPATH synthesis on a fresh design instance. *)
-      let meta = design () in
+      (* Stage 1: µPATH synthesis on a copy of the task's design. *)
+      let meta = Meta.copy base in
       let synth =
         Mupath.Synth.run ?cache ~config:(reseed index synth_config)
           ?stimulus:(Option.map (fun f -> f ~pins ~rotate:[] meta) stimulus)
@@ -208,8 +216,9 @@ let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
           flow_time = Obs.seconds_since t0;
         }
       else begin
-        (* Stage 2: symbolic IFT per (kind, operand); Flow binds the
-           stimulus to the fresh design instance it builds. *)
+        (* Stage 2: symbolic IFT per (kind, operand), each on a copy of
+           the task's design; Flow binds the stimulus to its copy once it
+           is instrumented. *)
         let all =
           List.map
             (fun (kind, operand) ->
@@ -218,7 +227,7 @@ let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
               in
               Flow.analyze ?cache ~config
                 ?stimulus:(Option.map (fun f -> f ~pins ~rotate) stimulus)
-                ~precise ~prune ~design ~transponder:instr
+                ~precise ~prune ~meta:(Meta.copy base) ~transponder:instr
                 ~decisions:multi_decisions ~transmitters ~kind ~operand
                 ~iuv_pc ())
             pairs
@@ -236,7 +245,7 @@ let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
         let flow_pruned_ai =
           List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_pruned_absint) 0 all
         in
-        let grid = static_leakage_grid ~precise design in
+        let grid = static_leakage_grid ~precise base in
         assert_inside_grid ~grid tagged;
         {
           instr;

@@ -62,14 +62,12 @@ val signatures_of_tagged :
     destinations per source (the paper's footnote 3). *)
 
 val static_leakage_grid :
-  precise:bool ->
-  (unit -> Designs.Meta.t) ->
-  (Types.operand * string list) list
+  precise:bool -> Designs.Meta.t -> (Types.operand * string list) list
 (** The static leakage-grid over-approximation for a design: per operand
     register, the PL labels whose member µFSM state (PCR or vars) the
     operand's taint may reach under {!Hdl.Analysis.taint_reach} with the
     ARF/AMEM blocked.  Any decision destination outside the grid can never
-    be tagged by a sound flow analysis. *)
+    be tagged by a sound flow analysis.  Only reads the design. *)
 
 val run :
   ?cache:Vcache.t ->
@@ -91,21 +89,25 @@ val run :
 (** SynthLC over [instructions]: µPATH synthesis per instruction, then the
     IFT stage for every candidate transponder.
 
+    [design] is called exactly once.  The run never mutates the design it
+    returns: each task works on its own {!Designs.Meta.copy}, and every
+    stage that extends the netlist with monitors takes a copy of that.
+
     [config] (default {!Mc.Checker.default_config}) configures the IFT
     stage's checkers, [synth_config] (default [config]) the µPATH
     synthesis stage's.
 
     [stimulus] drives each stage's simulation pre-pass.  The synthesis
-    stage pins the IUV slot and applies it to its own design instance;
-    each IFT query also rotates the transmitter candidates through its
-    transmitter slot, and {!Flow.analyze} applies it to the design
-    instance it builds.
+    stage pins the IUV slot and applies it to its own design copy; each
+    IFT query also rotates the transmitter candidates through its
+    transmitter slot, and {!Flow.analyze} applies it to its own copy once
+    instrumented.
 
     [exclude_sources] skips the listed decision-source PLs during the IFT
     stage — a cost-control knob, not a semantic one.
 
-    [jobs] fans the instructions out across that many domains (one fresh
-    design + checker per instruction) on a pool created for the run.
+    [jobs] fans the instructions out across that many domains (one design
+    copy and its checkers per instruction) on a pool created for the run.
     Every task's checker seed is derived deterministically from
     [(config.seed, task index)], so the report is bit-identical for every
     [jobs] value, including 1.

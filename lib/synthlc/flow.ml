@@ -1,7 +1,7 @@
 (* Symbolic information-flow queries (§V-C1).
 
    For one transponder P and one (transmitter-kind, operand) pair, [analyze]
-   builds a fresh copy of the design, instruments it with CellIFT-style
+   takes its own copy of the design, instruments it with CellIFT-style
    taint logic whose single taint source is the chosen operand register while
    the transmitter's PC occupies the operand-read stage (Fig. 7), adds the
    transmitter-typing monitors (in-flight / gone) implementing Assumptions
@@ -30,14 +30,13 @@ let transmitter_pc ~iuv_pc = function
   | Types.Static -> iuv_pc - 2
 
 let analyze ?cache ?config ?stimulus ?(precise = true) ?(prune = `On)
-    ~(design : unit -> Meta.t) ~(transponder : Isa.t)
+    ~(meta : Meta.t) ~(transponder : Isa.t)
     ~(decisions : (string * string list list) list)
     ~(transmitters : Isa.opcode list) ~(kind : Types.transmitter_kind)
     ~(operand : Types.operand) ~iuv_pc () =
   Obs.with_span "flow.analyze"
     ~args:[ ("transponder", Isa.to_string transponder) ]
   @@ fun () ->
-  let meta = design () in
   let nl = meta.Meta.nl in
   let module D = Hdl.Dsl.Make (struct
     let nl = nl

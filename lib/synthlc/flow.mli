@@ -1,7 +1,7 @@
 (** Symbolic information-flow queries (§V-C1).
 
     For one transponder and one (transmitter-kind, operand) pair, {!analyze}
-    builds a fresh copy of the design, instruments it with CellIFT-style
+    takes its own copy of the design, instruments it with CellIFT-style
     taint logic whose single source is the chosen operand register while the
     transmitter's PC occupies the operand-read stage (Fig. 7), adds the
     transmitter-typing monitors implementing Assumptions 1/2a/2b/3, and
@@ -37,7 +37,7 @@ val analyze :
   ?stimulus:(Designs.Meta.t -> Sim.t -> int -> unit) ->
   ?precise:bool ->
   ?prune:Mupath.Prune.mode ->
-  design:(unit -> Designs.Meta.t) ->
+  meta:Designs.Meta.t ->
   transponder:Isa.t ->
   decisions:(string * string list list) list ->
   transmitters:Isa.opcode list ->
@@ -58,8 +58,10 @@ val analyze :
     ({!Hdl.Absint}), which counts only covers the plain cone left alive.
     Their dead covers never enter the main checker stream; under [`Audit]
     they are re-checked after it (taint cone first) and a [Reachable]
-    verdict raises [Failure].  [design] must build a fresh metadata
-    instance per call; [stimulus] is applied to that instance once it is
-    instrumented, so it may look its signals up by name.  Imprecise runs
-    pass the salt ["|ift:imprecise"] to {!Mupath.Harness.create}, so the
-    two precisions never share cached verdicts. *)
+    verdict raises [Failure].  [meta] is consumed: the analysis extends its
+    netlist with monitors and taint logic, so pass a {!Designs.Meta.copy}
+    per call, as {!Engine.run} does.  [stimulus] is applied to that
+    instance once it is instrumented, so it may look its signals up by
+    name.  Imprecise runs pass the salt ["|ift:imprecise"] to
+    {!Mupath.Harness.create}, so the two precisions never share cached
+    verdicts. *)

@@ -297,8 +297,9 @@ let test_cli_unknown_design_agreement () =
       "sim -d no_such_design";
     ]
 
-let with_program text f =
-  let path = Filename.temp_file "synthlc_prog" ".s" in
+(* [f path] for a temporary file holding [text]. *)
+let with_file text f =
+  let path = Filename.temp_file "synthlc_test" ".tmp" in
   Out_channel.with_open_text path (fun oc -> output_string oc text);
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
@@ -308,7 +309,7 @@ let with_program text f =
    [scsafe] does the same for a bad program or a [--secret] outside the
    ARF, and both refuse a negative count as a usage error (124). *)
 let test_cli_sim_exit_contract () =
-  with_program "add r1, r2, r3\n" (fun prog ->
+  with_file "add r1, r2, r3\n" (fun prog ->
       List.iter
         (fun (d, needle) ->
           let code, text = run_cli (Printf.sprintf "sim -d %s -p %s" d prog) in
@@ -316,7 +317,7 @@ let test_cli_sim_exit_contract () =
           Alcotest.(check bool) ("sim -d " ^ d ^ " says why") true
             (Test_formats.contains text needle))
         [ ("gated", "no program input"); ("cva6_cache", "cache DUV") ]);
-  with_program "add r1, r2, r3\nbogus r1\n" (fun prog ->
+  with_file "add r1, r2, r3\nbogus r1\n" (fun prog ->
       let code, text = run_cli (Printf.sprintf "sim -d ibex_lite -p %s" prog) in
       Alcotest.(check int) "sim with bad assembly exits 2" 2 code;
       Alcotest.(check bool) "the error names the mnemonic" true
@@ -351,7 +352,7 @@ let test_cli_sim_exit_contract () =
    reads the second fetch slot, so its pin is what catches a slot fed the
    wrong PC. *)
 let test_cli_sim_pins () =
-  with_program
+  with_file
     "add r1, r2, r3\ndiv r3, r1, r2\nlw r2, 4(r1)\nsw r3, 0(r2)\n\
      mul r1, r3, r2\nbeq r1, r2, 8\nadd r2, r2, r1\n"
     (fun prog ->
@@ -450,6 +451,68 @@ let test_cli_import_contract () =
   Alcotest.(check int) "import of a missing file exits 2" 2
     (exit_of (Printf.sprintf "%s import no_such_file.json" cli))
 
+(* A sidecar with no stimulus (["none"], or the field left out) over a
+   netlist with fetch slots leaves the IUV unpinned: admission warns with
+   F513 naming the slots, and [import] exits 1.  Designs that carry their
+   stimulus, or have no program input, draw no F513. *)
+let f513 ~json_path ~meta_path =
+  let d = Frontend.Admission.load ~lint:false ~json_path ~meta_path () in
+  List.filter
+    (fun (x : D.t) -> x.D.code = "F513")
+    d.Frontend.Admission.report.D.diags
+
+let test_unpinned_fetch_is_f513 () =
+  let fields = Option.get (J.to_assoc (J.parse_file example_meta)) in
+  let none =
+    List.map (function "stimulus", _ -> ("stimulus", J.String "none") | f -> f)
+  in
+  List.iter
+    (fun (what, fields) ->
+      with_file (J.to_string (J.Assoc fields)) @@ fun meta_path ->
+      (match f513 ~json_path:example_json ~meta_path with
+      | [ w ] ->
+        Alcotest.(check bool) (what ^ ": F513 is a warning") true
+          (w.D.severity = D.Warning);
+        Alcotest.(check bool) (what ^ ": F513 names the slot") true
+          (Test_formats.contains w.D.message "if_instr_in")
+      | l -> Alcotest.failf "%s: %d F513 findings, expected 1" what (List.length l));
+      let code, text =
+        run_cli (Printf.sprintf "import %s --meta %s" example_json meta_path)
+      in
+      Alcotest.(check int) (what ^ ": import exits 1") 1 code;
+      Alcotest.(check bool) (what ^ ": import prints F513") true
+        (Test_formats.contains text "F513"))
+    [
+      ("stimulus none", none fields);
+      ("stimulus absent", List.filter (fun (k, _) -> k <> "stimulus") fields);
+    ];
+  List.iter
+    (fun (json_path, meta_path) ->
+      Alcotest.(check int) (json_path ^ ": no F513") 0
+        (List.length (f513 ~json_path ~meta_path)))
+    [
+      (example_json, example_meta);
+      ("../examples/ibex_lite_gl.json", "../examples/ibex_lite_gl.meta.json");
+    ];
+  (* The DUVs without a program input have no fetch slots, so their
+     exports admit without F513 even under ["stimulus": "none"]. *)
+  List.iter
+    (fun (name, (meta : Designs.Meta.t)) ->
+      Alcotest.(check (list string)) (name ^ " fetch slots") []
+        (Designs.Stimulus.fetch_slots meta.Designs.Meta.nl);
+      let sidecar =
+        Frontend.Sidecar.of_meta ~stimulus:Designs.Stimulus.None ~iuv_pc:2 meta
+      in
+      with_file (Y.export_string meta.Designs.Meta.nl) @@ fun json_path ->
+      with_file (J.to_string sidecar) @@ fun meta_path ->
+      Alcotest.(check int) (name ^ ": no F513") 0
+        (List.length (f513 ~json_path ~meta_path)))
+    [ ("gated", Designs.Gated.build ()); ("cva6_cache", Designs.Cache.build ()) ];
+  Alcotest.(check (list string)) "cva6_lite fetch slots"
+    [ "if_instr_in0"; "if_instr_in1" ]
+    (Designs.Stimulus.fetch_slots
+       (Designs.Core.build Designs.Core.baseline).Designs.Meta.nl)
+
 let suite =
   ( "frontend",
     [
@@ -483,6 +546,8 @@ let suite =
         test_cli_unknown_design_agreement;
       Alcotest.test_case "import CLI exit contract" `Quick
         test_cli_import_contract;
+      Alcotest.test_case "unpinned fetch slots are F513" `Quick
+        test_unpinned_fetch_is_f513;
       Alcotest.test_case "unknown -t mnemonic and --counts label rejected"
         `Quick test_cli_unknown_names;
       Alcotest.test_case "negative --depth/--episodes rejected" `Quick

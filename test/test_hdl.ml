@@ -1,6 +1,7 @@
 (* Netlist IR and DSL tests: construction invariants, validation errors,
-   topological ordering, combinational-cone analysis, and a differential
-   qcheck of DSL operators against Bitvec via the simulator. *)
+   topological ordering, combinational-cone analysis, a differential
+   qcheck of DSL operators against Bitvec via the simulator, and deep
+   copies of every design. *)
 
 module N = Hdl.Netlist
 
@@ -253,6 +254,83 @@ let test_dsl_vs_bitvec () =
       named
   done
 
+(* --- copies ---------------------------------------------------------------- *)
+
+let designs =
+  let import json () =
+    let meta_path = Filename.remove_extension json ^ ".meta.json" in
+    (Frontend.Admission.load ~lint:false ~json_path:json ~meta_path ())
+      .Frontend.Admission.meta
+  in
+  [
+    ("cva6_lite", fun () -> Designs.Core.build Designs.Core.baseline);
+    ("cva6_mul", fun () -> Designs.Core.build Designs.Core.cva6_mul);
+    ("cva6_op", fun () -> Designs.Core.build Designs.Core.cva6_op);
+    ("cva6_fixed", fun () -> Designs.Core.build Designs.Core.all_fixed);
+    ("ibex_lite", Designs.Ibex.build);
+    ("cva6_cache", Designs.Cache.build);
+    ("gated", Designs.Gated.build);
+    ("ibex_lite.json", import "../examples/ibex_lite.json");
+    ("ibex_lite_gl.json", import "../examples/ibex_lite_gl.json");
+  ]
+
+(* A copy computes its own digest, and it equals the original's. *)
+let test_copy_digest () =
+  List.iter
+    (fun (name, build) ->
+      let nl = (build ()).Designs.Meta.nl in
+      let copied = N.digest (N.copy nl) in
+      Alcotest.(check string) (name ^ ": copy digest") (N.digest nl) copied)
+    designs
+
+(* Extending, renaming or connecting a copy never reaches the original.
+   Each original's digest is first computed after its copies changed, and
+   compared with a twin built the same way, so no memoized digest can hide
+   a shared node. *)
+let test_copy_independent () =
+  let orig = Designs.Ibex.build () and twin = Designs.Ibex.build () in
+  let nl = orig.Designs.Meta.nl in
+  let n0 = N.num_nodes nl in
+  let harnessed = Designs.Meta.copy orig in
+  ignore
+    (Mupath.Harness.create ~meta:harnessed ~iuv:(Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD)
+       ~iuv_pc:Designs.Ibex.iuv_pc ());
+  let instrumented = Designs.Meta.copy orig in
+  ignore (Ift.instrument instrumented.Designs.Meta.nl);
+  let renamed = N.copy nl in
+  let pc = Option.get (N.find_named nl "fetch_pc") in
+  N.set_name renamed pc "renamed_pc";
+  List.iter
+    (fun (what, (c : N.t)) ->
+      Alcotest.(check bool) (what ^ " grew the copy") true (N.num_nodes c > n0))
+    [ ("harness", harnessed.Designs.Meta.nl); ("IFT", instrumented.Designs.Meta.nl) ];
+  Alcotest.(check int) "original node count" n0 (N.num_nodes nl);
+  Alcotest.(check (option int)) "original keeps fetch_pc" (Some pc)
+    (N.find_named nl "fetch_pc");
+  Alcotest.(check (option int)) "original has no renamed_pc" None
+    (N.find_named nl "renamed_pc");
+  Alcotest.(check (option int)) "copy renamed fetch_pc" (Some pc)
+    (N.find_named renamed "renamed_pc");
+  Alcotest.(check string) "original digest" (N.digest twin.Designs.Meta.nl)
+    (N.digest nl);
+  (* Connecting a copy's register and wire leaves the original's open. *)
+  let partial () =
+    let nl = fresh "partial" in
+    let r = N.reg nl ~name:"r" ~init:(N.Init_value (Bitvec.zero 4)) ~width:4 () in
+    (nl, r, N.wire nl ~name:"w" 4)
+  in
+  let p, r, w = partial () and p_twin, _, _ = partial () in
+  let c = N.copy p in
+  N.connect_wire c w r;
+  N.connect_reg c r (N.not_ c w);
+  N.validate c;
+  Alcotest.(check int) "original node count" 2 (N.num_nodes p);
+  Alcotest.(check bool) "original register and wire still open" true
+    (match ((N.node p r).N.kind, (N.node p w).N.kind) with
+    | N.Reg { next = None; _ }, N.Wire { driver = None } -> true
+    | _ -> false);
+  Alcotest.(check string) "original digest" (N.digest p_twin) (N.digest p)
+
 let suite =
   ( "hdl",
     [
@@ -268,4 +346,7 @@ let suite =
       Alcotest.test_case "topological order" `Quick test_comb_order;
       Alcotest.test_case "combinational cone" `Quick test_comb_cone;
       Alcotest.test_case "dsl vs bitvec semantics" `Quick test_dsl_vs_bitvec;
+      Alcotest.test_case "copy digests like its original" `Quick test_copy_digest;
+      Alcotest.test_case "extending a copy leaves the original" `Quick
+        test_copy_independent;
     ] )

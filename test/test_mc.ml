@@ -1,7 +1,7 @@
 (* Model-checker tests on small hand-built designs where ground truth is
    obvious: BMC witnesses, k-induction proofs, bounded verdicts, assumption
-   handling, literal-conjunction covers, and budget-driven undetermined
-   outcomes. *)
+   handling, literal-conjunction covers, budget-driven undetermined
+   outcomes, and SAT engines built on the first cache miss. *)
 
 module N = Hdl.Netlist
 module C = Mc.Checker
@@ -244,6 +244,52 @@ let test_induction_overruns_counted () =
   Alcotest.(check (pair string (option (float 0.))))
     "no conflicts allowed" ("unreachable(bounded 10)", Some 1.) (run 0)
 
+(* --- engines built on the first cache miss ---------------------------------- *)
+
+(* Traced [f ()], with the metric snapshot it left. *)
+let traced f =
+  Test_obs.with_obs (fun () ->
+      let r = f () in
+      (r, Obs.Metrics.snapshot ()))
+
+(* A swept checker builds its engine (sweep, known bits, BMC unrolling) on
+   the first cover that reaches SAT.  A fresh checker whose covers all hit
+   the store therefore sweeps and blasts nothing, and its first miss builds
+   the engine and answers as a checker that never saw the store. *)
+let test_engine_built_on_first_miss () =
+  let nl, _, at5, at200, odd = counter_design () in
+  let config = { no_sim_config with C.sweep = C.Sweep_on } in
+  let store = Vcache.create () in
+  let checker ?cache () = C.create ?cache ~config ~assumes:[] nl in
+  let covers =
+    [ [ (at5, true) ]; [ (at200, true) ]; [ (odd, true) ]; [ (at5, true); (odd, false) ] ]
+  in
+  let check_all chk = List.map (C.check_cover chk) covers in
+  let cold, cold_metrics = traced (fun () -> check_all (checker ~cache:store ())) in
+  let metric m snapshot = Option.value (List.assoc_opt m snapshot) ~default:0. in
+  Alcotest.(check bool) "cold pass sweeps with SAT queries" true
+    (metric "equiv.sat_queries" cold_metrics > 0.);
+  let warm = checker ~cache:store () in
+  let outcomes, warm_metrics = traced (fun () -> check_all warm) in
+  Alcotest.(check int) "every warm cover hits" (List.length covers)
+    (C.stats warm).C.Stats.n_cache_hits;
+  Alcotest.(check bool) "warm outcomes equal cold" true
+    (List.for_all2 same_outcome cold outcomes);
+  Alcotest.(check (list string)) "all-hit checker: no sweep, no SAT variables" []
+    (List.filter_map
+       (fun (k, _) ->
+         if String.starts_with ~prefix:"equiv." k || k = "sat.vars" then Some k else None)
+       warm_metrics);
+  (* The first miss after the hits. *)
+  let cover = [ (at5, true); (odd, true) ] in
+  let first_miss, miss_metrics = traced (fun () -> C.check_cover warm cover) in
+  Alcotest.(check bool) "the first miss builds the swept engine" true
+    (metric "equiv.sat_queries" miss_metrics > 0.);
+  let uncached = C.check_cover (checker ()) cover in
+  Alcotest.(check string) "first miss: reachable" "reachable" (C.outcome_tag first_miss);
+  Alcotest.(check bool) "first miss: same outcome and witness as uncached" true
+    (same_outcome first_miss uncached)
+
 (* Small random assume-free designs: a few registers (reset or symbolic
    init, some with enables) over one or two narrow inputs, and named 1-bit
    covers.  [max_free] bounds the symbolic-init bits plus the input bits of
@@ -476,6 +522,8 @@ let suite =
         test_shared_induction_assumes;
       Alcotest.test_case "induction overruns counted" `Quick
         test_induction_overruns_counted;
+      Alcotest.test_case "engine built on the first cache miss" `Quick
+        test_engine_built_on_first_miss;
       qcheck_shared_matches_fresh;
       qcheck_canonical_witness_oracle;
     ] )

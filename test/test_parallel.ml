@@ -4,8 +4,9 @@
    property outcome counts) as the sequential run — the per-task seed
    derivation exists precisely for this — tracing must not change the
    report digest, and a warm rerun from the verdict store the sequential
-   run filled must replay its report.  Also: property sharding on the toy
-   DUV finds the same µPATH set as the single-checker run. *)
+   run filled must replay its report.  Every one of those runs calls its
+   design thunk once.  Also: property sharding on the toy DUV finds the
+   same µPATH set as the single-checker run. *)
 
 module Engine = Synthlc.Engine
 
@@ -20,18 +21,27 @@ let light_config =
   }
 
 let run_ibex_engine ?cache jobs =
-  let design () = Designs.Ibex.build () in
+  let calls = ref 0 in
+  let design () =
+    incr calls;
+    Designs.Ibex.build ()
+  in
   let stimulus ~pins ~rotate meta = Designs.Stimulus.ibex ~pins ~rotate meta in
   (* Only the -j 1 arm names the synthesis config; the -j 4 arm leaves it
      to its default, [config], so the equal-report check below pins that
      default too. *)
   let synth_config = if jobs = 1 then Some light_config else None in
-  Engine.run ?cache ~config:light_config ?synth_config ~stimulus ~design ~jobs
-    ~instructions:
-      [ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD; Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
-    ~transmitters:[ Isa.DIV; Isa.ADD ]
-    ~kinds:[ Synthlc.Types.Intrinsic ]
-    ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
+  let r =
+    Engine.run ?cache ~config:light_config ?synth_config ~stimulus ~design ~jobs
+      ~instructions:
+        [ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD; Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV ]
+      ~transmitters:[ Isa.DIV; Isa.ADD ]
+      ~kinds:[ Synthlc.Types.Intrinsic ]
+      ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Core.iuv_pc ()
+  in
+  Alcotest.(check int) (Printf.sprintf "-j %d calls the design thunk once" jobs) 1
+    !calls;
+  r
 
 (* The -j 1 arm also runs traced and fills a fresh verdict store, so the
    one pair of runs checks the digest-exclusion rule and the cache too: the

@@ -103,7 +103,7 @@ let test_flow_intrinsic_on_toy () =
   (* Intrinsic rs1 taint: the A-decision is steered by bit 0 of the token's
      own operand, so it must be tagged. *)
   let a =
-    Flow.analyze ~config:Test_mupath.toy_config ~design
+    Flow.analyze ~config:Test_mupath.toy_config ~meta:(design ())
       ~transponder:(Isa.make Isa.ADD) ~decisions ~transmitters:[ Isa.ADD ]
       ~kind:Types.Intrinsic ~operand:Types.Rs1 ~iuv_pc:2 ()
   in

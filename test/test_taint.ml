@@ -196,7 +196,7 @@ let test_imprecise_cache_namespaced () =
     let cache = Vcache.create ~dir () in
     let a =
       Synthlc.Flow.analyze ~cache ~config:Test_mupath.toy_config ~precise
-        ~design ~transponder:(Isa.make Isa.ADD) ~decisions
+        ~meta:(design ()) ~transponder:(Isa.make Isa.ADD) ~decisions
         ~transmitters:[ Isa.ADD ] ~kind:Synthlc.Types.Intrinsic
         ~operand:Synthlc.Types.Rs1 ~iuv_pc:2 ()
     in
@@ -225,8 +225,7 @@ let test_imprecise_cache_namespaced () =
 
 let test_ibex_grid () =
   let grid =
-    Synthlc.Engine.static_leakage_grid ~precise:true (fun () ->
-        Designs.Ibex.build ())
+    Synthlc.Engine.static_leakage_grid ~precise:true (Designs.Ibex.build ())
   in
   Alcotest.(check int) "both operands analysed" 2 (List.length grid);
   List.iter
