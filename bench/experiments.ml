@@ -113,7 +113,7 @@ let e1 () =
     (List.exists
        (fun p ->
          match List.assoc_opt "mulU" p.Mupath.Synth.pl_set with
-         | Some (Uhb.Revisit.Consecutive | Uhb.Revisit.Both) -> true
+         | Some (Mupath.Synth.Consecutive | Mupath.Synth.Both) -> true
          | _ -> false)
        r.Mupath.Synth.paths)
 

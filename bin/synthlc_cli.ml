@@ -68,7 +68,10 @@ let with_admission ~cmd f =
 
 (* Each [build] call returns a design instance of its own (Mupath.Synth
    extends the netlist it is given): a built-in elaborates again, and an
-   import is admitted once and copied per call. *)
+   import is admitted once and copied per call.  The admission's frontend
+   warnings (F513: an unpinned IUV) go to stderr; µLint's findings are
+   [import]'s and [lint]'s to print, as the gate-level example alone
+   carries hundreds of L004 warnings. *)
 let resolve_design ~cmd ?meta d =
   check_design_name ~cmd d;
   if is_json_path d then begin
@@ -77,6 +80,17 @@ let resolve_design ~cmd ?meta d =
       with_admission ~cmd (fun () ->
           Frontend.Admission.load ~json_path:d ~meta_path ())
     in
+    let report = a.Frontend.Admission.report in
+    (match
+       List.filter
+         (fun (x : Lint.Diagnostic.t) ->
+           x.severity = Lint.Diagnostic.Warning
+           && String.starts_with ~prefix:"F" x.code)
+         report.Lint.Diagnostic.diags
+     with
+    | [] -> ()
+    | diags ->
+      Format.eprintf "%a@." Lint.Diagnostic.pp_report { report with diags });
     {
       build = (fun () -> Designs.Meta.copy a.Frontend.Admission.meta);
       kind = a.Frontend.Admission.stimulus;
@@ -314,7 +328,11 @@ let sim_cmd =
     | Designs.Stimulus.Cache ->
       fail "sim drives processor cores; use the cache tests for the cache DUV"
     | Designs.Stimulus.None ->
-      fail "sim drives processor cores; the gated demo DUV has no program input"
+      fail
+        (Printf.sprintf
+           "sim drives processor cores; design %s has stimulus kind %s, so \
+            no program input drives it (core or ibex expected)"
+           dname (Designs.Stimulus.kind_name d.kind))
     | Designs.Stimulus.Core | Designs.Stimulus.Ibex -> ());
     let meta = d.build () in
     let asm =
@@ -375,9 +393,8 @@ let mupath_cmd =
         print_cache_counters cache;
         if dot then
           List.iteri
-            (fun i p ->
-              Printf.printf "--- uPATH %d DOT ---\n%s" i (Uhb.Dot.of_path p))
-            (Mupath.Synth.to_uhb_paths r))
+            (fun i d -> Printf.printf "--- uPATH %d DOT ---\n%s" i d)
+            (Mupath.Synth.to_dot r))
   in
   let dot = Arg.(value & flag & info [ "dot" ] ~doc:"Emit DOT for each uPATH.") in
   let counts =
@@ -533,18 +550,17 @@ let cache_cmd =
 (* --- lint ------------------------------------------------------------- *)
 
 let lint_cmd =
-  (* Lint a .json import without the fail-fast admission wrapper: frontend
-     warnings and the lint findings land in one printable report, and a
-     rejected import contributes its error report (exit 2 via the shared
-     exit-code computation) instead of aborting the other designs. *)
+  (* Lint a .json import through the admission [import] runs, without the
+     fail-fast wrapper: frontend warnings and the lint findings land in one
+     printable report, and a rejected import contributes its error report
+     (exit 2 via the shared exit-code computation) instead of aborting the
+     other designs. *)
   let lint_imported path =
     match
-      let { Frontend.Yosys.nl; warnings } = Frontend.Yosys.import_file path in
-      let sc = Frontend.Sidecar.resolve_file nl (default_meta_path path) in
-      let r = Lint.Driver.run_design sc.Frontend.Sidecar.meta in
-      { r with Lint.Diagnostic.diags = warnings @ r.Lint.Diagnostic.diags }
+      Frontend.Admission.load ~json_path:path
+        ~meta_path:(default_meta_path path) ()
     with
-    | r -> r
+    | d -> d.Frontend.Admission.report
     | exception Frontend.Diag.Rejected r -> r
   in
   let run json names =

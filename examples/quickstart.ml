@@ -58,8 +58,7 @@ let () =
   Format.printf "%a@." Mupath.Synth.pp_result r;
   (* 4. Render the µPATHs as DOT for graphviz. *)
   List.iteri
-    (fun i p ->
-      let dot = Uhb.Dot.of_path p in
+    (fun i dot ->
       Printf.printf "uPATH %d as DOT (%d bytes) -- pipe to `dot -Tpng`\n" i
         (String.length dot))
-    (Mupath.Synth.to_uhb_paths r)
+    (Mupath.Synth.to_dot r)

@@ -1,8 +1,18 @@
 module Checker = Mc.Checker
 module SS = Set.Make (String)
 
+type revisit = Once | Consecutive | Non_consecutive | Both
+
+let pp_revisit fmt r =
+  Format.pp_print_string fmt
+    (match r with
+    | Once -> "once"
+    | Consecutive -> "consecutive"
+    | Non_consecutive -> "non-consecutive"
+    | Both -> "both")
+
 type path = {
-  pl_set : (string * Uhb.Revisit.t) list;
+  pl_set : (string * revisit) list;
   hb_edges : (string * string) list;
 }
 
@@ -628,10 +638,10 @@ let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
               in
               let r =
                 match (cons, reent) with
-                | false, false -> Uhb.Revisit.Once
-                | true, false -> Uhb.Revisit.Consecutive
-                | false, true -> Uhb.Revisit.Non_consecutive
-                | true, true -> Uhb.Revisit.Both
+                | false, false -> Once
+                | true, false -> Consecutive
+                | false, true -> Non_consecutive
+                | true, true -> Both
               in
               (lbl, r))
             (SS.elements s)
@@ -748,48 +758,39 @@ let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
         (Checker.Stats.create ()) shard_checkers;
   }
 
-let pl_of_label instr lbl =
-  ignore instr;
-  Uhb.Pl.make ~ufsm:"grp" ~label:lbl ~state:(Bitvec.zero 1)
-
-let to_uhb_paths r =
+(* Observations of distinct executions can compose into a happens-before
+   cycle, which a drawing cannot show as a partial order: the edges are
+   taken in order, and one whose target already reaches its source through
+   the edges drawn so far (a self-loop included) is left out.  The drawn
+   edges therefore stay acyclic, so [reaches] terminates. *)
+let to_dot r =
+  let node lbl = String.map (fun c -> if c = '.' then '_' else c) ("grp." ^ lbl) in
+  let rec reaches edges a b =
+    a = b || List.exists (fun (x, y) -> x = a && reaches edges y b) edges
+  in
   List.map
     (fun p ->
-      let pls =
-        List.map (fun (lbl, rv) -> (pl_of_label r.instr lbl, rv)) p.pl_set
+      let buf = Buffer.create 256 in
+      Printf.bprintf buf "digraph \"%s\" {\n  rankdir=TB;\n" (Isa.to_string r.instr);
+      List.iter
+        (fun (lbl, rv) ->
+          Printf.bprintf buf "  %s [label=\"grp.%s\",shape=%s];\n" (node lbl) lbl
+            (match rv with
+            | Once -> "ellipse"
+            | Consecutive -> "box"
+            | Non_consecutive | Both -> "doubleoctagon"))
+        p.pl_set;
+      let drawn =
+        List.fold_left
+          (fun drawn (a, b) -> if reaches drawn b a then drawn else (a, b) :: drawn)
+          [] p.hb_edges
       in
-      let edges =
-        List.map
-          (fun (a, b) -> (pl_of_label r.instr a, pl_of_label r.instr b))
-          p.hb_edges
-      in
-      (* Drop edges that would make the HB relation cyclic (observations of
-         distinct executions can compose into cycles; keep a consistent
-         prefix). *)
-      let rec keep_acyclic acc = function
-        | [] -> List.rev acc
-        | e :: rest ->
-          let cand =
-            Uhb.Path.make ~instr:(Isa.to_string r.instr) ~pls
-              ~edges:(List.rev (e :: acc))
-          in
-          if Uhb.Path.check_acyclic cand then keep_acyclic (e :: acc) rest
-          else keep_acyclic acc rest
-      in
-      let edges = keep_acyclic [] edges in
-      Uhb.Path.make ~instr:(Isa.to_string r.instr) ~pls ~edges)
+      List.iter
+        (fun (a, b) -> Printf.bprintf buf "  %s -> %s;\n" (node a) (node b))
+        (List.rev drawn);
+      Buffer.add_string buf "}\n";
+      Buffer.contents buf)
     r.paths
-
-let to_uhb_decisions r =
-  List.concat_map
-    (fun (src, dsts) ->
-      List.map
-        (fun dst ->
-          Uhb.Decision.make
-            ~src:(pl_of_label r.instr src)
-            ~dsts:(List.map (pl_of_label r.instr) dst))
-        dsts)
-    r.decisions
 
 (* Semantic fields only: stage_stats and checker_stats are observability
    (they vary with prune modes, cache warmth, and shard count), so two runs
@@ -825,7 +826,7 @@ let pp_result fmt r =
       Format.fprintf fmt "uPATH %d: {%s}@," i
         (String.concat ", "
            (List.map
-              (fun (lbl, rv) -> Format.asprintf "%s[%a]" lbl Uhb.Revisit.pp rv)
+              (fun (lbl, rv) -> Format.asprintf "%s[%a]" lbl pp_revisit rv)
               p.pl_set));
       Format.fprintf fmt "  edges: %s@,"
         (String.concat " "

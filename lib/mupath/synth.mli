@@ -19,8 +19,24 @@
     Per-stage property counts and outcome statistics are recorded — they
     regenerate the paper's §VII-B3 numbers. *)
 
+(** How one µPATH may revisit a PL (§III-B, §V-B4).  The constructor order
+    is part of {!result_digest}, which marshals them by index. *)
+type revisit =
+  | Once  (** Visited exactly once. *)
+  | Consecutive
+      (** Occupied for a run of consecutive cycles — the paper's
+          Row(1)…Row(l) folding. *)
+  | Non_consecutive  (** Re-entered after leaving. *)
+  | Both  (** Both of the above. *)
+
+val pp_revisit : Format.formatter -> revisit -> unit
+(** ["once"], ["consecutive"], ["non-consecutive"] or ["both"]. *)
+
+(** A µPATH (§III): performing locations (PLs), each named by its PL-group
+    label and annotated with how it may be revisited, plus happens-before
+    edges between them. *)
 type path = {
-  pl_set : (string * Uhb.Revisit.t) list;
+  pl_set : (string * revisit) list;
       (** The reachable PL set with aggregated revisit classification. *)
   hb_edges : (string * string) list;
       (** Confirmed one-cycle happens-before edges between first visits. *)
@@ -115,8 +131,16 @@ val run :
     from the unsharded run — the µPATH set itself is engine-independent.
     For a fixed [shards] value results are deterministic. *)
 
-val to_uhb_paths : result -> Uhb.Path.t list
-val to_uhb_decisions : result -> Uhb.Decision.t list
+val to_dot : result -> string list
+(** One graphviz digraph per µPATH, in [paths] order, titled with the IUV.
+    A PL with label [l] is the node [grp_l] (every ['.'] as ['_']) labelled
+    ["grp.l"]; its shape is [ellipse] for {!Once}, [box] for {!Consecutive}
+    and [doubleoctagon] for a non-consecutive revisit.  Edges follow
+    [hb_edges] order, except that one whose target already reaches its
+    source through the edges drawn before it (a self-loop included) is left
+    out: observations of distinct executions can compose into a cycle,
+    which a partial order cannot show. *)
+
 val pp_result : Format.formatter -> result -> unit
 
 val result_digest : result -> string

@@ -8,16 +8,15 @@ let () =
       Test_equiv.suite;
       Test_sim.suite;
       Test_isa.suite;
-      Test_uhb.suite;
       Test_mc.suite;
       Test_blast.suite;
       Test_harness.suite;
-      Test_formats.suite;
       Test_ift.suite;
       Test_core.suite;
       Test_cache.suite;
       Test_ibex.suite;
       Test_mupath.suite;
+      Test_mupath.uhb_suite;
       Test_synthlc.suite;
       Test_pool.suite;
       Test_parallel.suite;

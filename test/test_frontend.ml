@@ -16,6 +16,11 @@ let example_json = "../examples/ibex_lite.json"
 let example_meta = "../examples/ibex_lite.meta.json"
 let cli = "../bin/synthlc_cli.exe"
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 (* --- Json --------------------------------------------------------------- *)
 
 let test_json_basics () =
@@ -315,13 +320,17 @@ let test_cli_sim_exit_contract () =
           let code, text = run_cli (Printf.sprintf "sim -d %s -p %s" d prog) in
           Alcotest.(check int) ("sim -d " ^ d ^ " exits 2") 2 code;
           Alcotest.(check bool) ("sim -d " ^ d ^ " says why") true
-            (Test_formats.contains text needle))
-        [ ("gated", "no program input"); ("cva6_cache", "cache DUV") ]);
+            (contains text needle))
+        [
+          ("gated", "no program input");
+          ("gated", "gated has stimulus kind none");
+          ("cva6_cache", "cache DUV");
+        ]);
   with_file "add r1, r2, r3\nbogus r1\n" (fun prog ->
       let code, text = run_cli (Printf.sprintf "sim -d ibex_lite -p %s" prog) in
       Alcotest.(check int) "sim with bad assembly exits 2" 2 code;
       Alcotest.(check bool) "the error names the mnemonic" true
-        (Test_formats.contains text "\"bogus\""));
+        (contains text "\"bogus\""));
   List.iter
     (fun (args, want, needles) ->
       let code, text = run_cli args in
@@ -329,7 +338,7 @@ let test_cli_sim_exit_contract () =
       List.iter
         (fun needle ->
           Alcotest.(check bool) (args ^ " names " ^ needle) true
-            (Test_formats.contains text needle))
+            (contains text needle))
         needles)
     [
       ("scsafe -p 'bogus r1'", 2, [ "\"bogus\"" ]);
@@ -400,14 +409,14 @@ let test_cli_unknown_names () =
   in
   Alcotest.(check int) "synthlc -t with an unknown mnemonic exits 124" 124 code;
   Alcotest.(check bool) "the usage error names the mnemonic" true
-    (Test_formats.contains text "\"dvi\"");
+    (contains text "\"dvi\"");
   let code, text =
     run_cli "mupath -d gated -i 'add r1, r2, r3' --counts bogus"
   in
   Alcotest.(check int) "mupath --counts with an unknown label exits 2" 2 code;
   Alcotest.(check bool) "the error names the label and the design's labels"
     true
-    (Test_formats.contains text "bogus" && Test_formats.contains text "A, B, G1")
+    (contains text "bogus" && contains text "A, B, G1")
 
 (* A negative --depth or --episodes is refused before any work, naming the
    flag: a usage error (124) for mupath and synthlc, fuzz's bad-usage exit
@@ -419,7 +428,7 @@ let test_cli_negative_counts () =
       let code, text = run_cli args in
       Alcotest.(check int) (args ^ " exits 124") 124 code;
       Alcotest.(check bool) (args ^ " names " ^ flag) true
-        (Test_formats.contains text flag))
+        (contains text flag))
     [
       ("mupath -d ibex_lite --depth=-3", "--depth");
       ("synthlc -d ibex_lite --depth=-3", "--depth");
@@ -431,7 +440,7 @@ let test_cli_negative_counts () =
       let code, text = run_cli (args ^ " --out /dev/null") in
       Alcotest.(check int) (args ^ " exits 2") 2 code;
       Alcotest.(check bool) (args ^ " names " ^ flag) true
-        (Test_formats.contains text flag))
+        (contains text flag))
     [ ("fuzz --depth=-2 --count 1", "--depth"); ("fuzz --episodes=-1 --count 1", "--episodes") ];
   Alcotest.(check int) "mupath --depth=0 exits 0" 0
     (exit_of
@@ -453,13 +462,28 @@ let test_cli_import_contract () =
 
 (* A sidecar with no stimulus (["none"], or the field left out) over a
    netlist with fetch slots leaves the IUV unpinned: admission warns with
-   F513 naming the slots, and [import] exits 1.  Designs that carry their
-   stimulus, or have no program input, draw no F513. *)
+   F513 naming the slots, [import] and [lint] exit 1, and [mupath] runs but
+   prints the warning.  Designs that carry their stimulus, or have no
+   program input, draw no F513. *)
 let f513 ~json_path ~meta_path =
   let d = Frontend.Admission.load ~lint:false ~json_path ~meta_path () in
   List.filter
     (fun (x : D.t) -> x.D.code = "F513")
     d.Frontend.Admission.report.D.diags
+
+(* [f json_path meta_path] for a temporary copy of the committed example
+   whose sidecar, at the default path next to it, holds [sidecar]. *)
+let with_example_copy sidecar f =
+  let json_path = Filename.temp_file "synthlc_test" ".json" in
+  let meta_path = Filename.remove_extension json_path ^ ".meta.json" in
+  let netlist = In_channel.with_open_bin example_json In_channel.input_all in
+  Out_channel.with_open_bin json_path (fun oc -> output_string oc netlist);
+  Out_channel.with_open_text meta_path (fun oc -> output_string oc sidecar);
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove json_path;
+      Sys.remove meta_path)
+    (fun () -> f json_path meta_path)
 
 let test_unpinned_fetch_is_f513 () =
   let fields = Option.get (J.to_assoc (J.parse_file example_meta)) in
@@ -468,20 +492,36 @@ let test_unpinned_fetch_is_f513 () =
   in
   List.iter
     (fun (what, fields) ->
-      with_file (J.to_string (J.Assoc fields)) @@ fun meta_path ->
-      (match f513 ~json_path:example_json ~meta_path with
+      with_example_copy (J.to_string (J.Assoc fields))
+      @@ fun json_path meta_path ->
+      (match f513 ~json_path ~meta_path with
       | [ w ] ->
         Alcotest.(check bool) (what ^ ": F513 is a warning") true
           (w.D.severity = D.Warning);
         Alcotest.(check bool) (what ^ ": F513 names the slot") true
-          (Test_formats.contains w.D.message "if_instr_in")
+          (contains w.D.message "if_instr_in")
       | l -> Alcotest.failf "%s: %d F513 findings, expected 1" what (List.length l));
+      List.iter
+        (fun (cmd, args, want) ->
+          let code, text = run_cli (cmd ^ " " ^ args) in
+          Alcotest.(check int) (Printf.sprintf "%s: %s exits %d" what cmd want)
+            want code;
+          Alcotest.(check bool) (what ^ ": " ^ cmd ^ " prints F513") true
+            (contains text "F513"))
+        [
+          ("import", json_path, 1);
+          ("lint", json_path, 1);
+          ( "mupath",
+            "-d " ^ json_path ^ " --depth 8 --episodes 4 -i 'add r1, r2, r3'",
+            0 );
+        ];
       let code, text =
-        run_cli (Printf.sprintf "import %s --meta %s" example_json meta_path)
+        run_cli (Printf.sprintf "sim -d %s --cycles 4 < /dev/null" json_path)
       in
-      Alcotest.(check int) (what ^ ": import exits 1") 1 code;
-      Alcotest.(check bool) (what ^ ": import prints F513") true
-        (Test_formats.contains text "F513"))
+      Alcotest.(check int) (what ^ ": sim exits 2") 2 code;
+      Alcotest.(check bool) (what ^ ": sim names the stimulus kind") true
+        (contains text "stimulus kind none"
+        && contains text "no program input"))
     [
       ("stimulus none", none fields);
       ("stimulus absent", List.filter (fun (k, _) -> k <> "stimulus") fields);

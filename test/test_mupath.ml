@@ -137,7 +137,7 @@ let test_toy_paths () =
   in
   Alcotest.(check bool) "C consecutive" true
     (match List.assoc "C" c_path.Mupath.Synth.pl_set with
-    | Uhb.Revisit.Consecutive | Uhb.Revisit.Both -> true
+    | Mupath.Synth.Consecutive | Mupath.Synth.Both -> true
     | _ -> false);
   (* HB edges. *)
   Alcotest.(check bool) "A->C edge" true
@@ -151,15 +151,76 @@ let test_toy_paths () =
   Alcotest.(check bool) "A -> {B}" true (List.mem [ "B" ] a_dsts);
   Alcotest.(check bool) "A -> {C}" true (List.mem [ "C" ] a_dsts)
 
+(* [--dot] draws each µPATH as a µhb (happens-before) graph. The toy ADD's
+   two µPATHs convert to these bytes. *)
 let test_uhb_conversion () =
   let r = run_toy (Isa.make Isa.ADD) in
-  let paths = Mupath.Synth.to_uhb_paths r in
-  Alcotest.(check int) "uhb paths" 2 (List.length paths);
-  List.iter
-    (fun p -> Alcotest.(check bool) "acyclic" true (Uhb.Path.check_acyclic p))
-    paths;
-  let ds = Mupath.Synth.to_uhb_decisions r in
-  Alcotest.(check bool) "decisions nonempty" true (List.length ds >= 2)
+  Alcotest.(check (list string)) "toy ADD"
+    [
+      "digraph \"add r0, r0, r0\" {\n  rankdir=TB;\n\
+      \  grp_A [label=\"grp.A\",shape=ellipse];\n\
+      \  grp_C [label=\"grp.C\",shape=box];\n\
+      \  grp_A -> grp_C;\n}\n";
+      "digraph \"add r0, r0, r0\" {\n  rankdir=TB;\n\
+      \  grp_A [label=\"grp.A\",shape=ellipse];\n\
+      \  grp_B [label=\"grp.B\",shape=ellipse];\n\
+      \  grp_A -> grp_B;\n}\n";
+    ]
+    (Mupath.Synth.to_dot r)
+
+(* A hand-made µPATH drawn in place of the toy ADD's. *)
+let dot_of_path path =
+  let r = run_toy (Isa.make Isa.ADD) in
+  Mupath.Synth.to_dot { r with Mupath.Synth.paths = [ path ] }
+
+(* One PL of each revisit shape, and the edges in [hb_edges] order. *)
+let test_dot_rendering () =
+  Alcotest.(check (list string)) "shapes and edges"
+    [
+      "digraph \"add r0, r0, r0\" {\n  rankdir=TB;\n\
+      \  grp_A [label=\"grp.A\",shape=ellipse];\n\
+      \  grp_B [label=\"grp.B\",shape=box];\n\
+      \  grp_s_C [label=\"grp.s.C\",shape=doubleoctagon];\n\
+      \  grp_D [label=\"grp.D\",shape=doubleoctagon];\n\
+      \  grp_B -> grp_s_C;\n\
+      \  grp_A -> grp_B;\n\
+      \  grp_A -> grp_D;\n}\n";
+    ]
+    (dot_of_path
+       {
+         Mupath.Synth.pl_set =
+           [
+             ("A", Mupath.Synth.Once);
+             ("B", Mupath.Synth.Consecutive);
+             ("s.C", Mupath.Synth.Non_consecutive);
+             ("D", Mupath.Synth.Both);
+           ];
+         hb_edges = [ ("B", "s.C"); ("A", "B"); ("A", "D") ];
+       })
+
+(* Edges that close a two-cycle (B->A), a self-loop (A->A) and a
+   three-cycle (s.C->A) are not drawn. *)
+let test_cyclic_rejected () =
+  Alcotest.(check (list string)) "cycle-closing edges left out"
+    [
+      "digraph \"add r0, r0, r0\" {\n  rankdir=TB;\n\
+      \  grp_A [label=\"grp.A\",shape=ellipse];\n\
+      \  grp_B [label=\"grp.B\",shape=box];\n\
+      \  grp_s_C [label=\"grp.s.C\",shape=doubleoctagon];\n\
+      \  grp_A -> grp_B;\n\
+      \  grp_B -> grp_s_C;\n}\n";
+    ]
+    (dot_of_path
+       {
+         Mupath.Synth.pl_set =
+           [
+             ("A", Mupath.Synth.Once);
+             ("B", Mupath.Synth.Consecutive);
+             ("s.C", Mupath.Synth.Non_consecutive);
+           ];
+         hb_edges =
+           [ ("A", "B"); ("B", "A"); ("A", "A"); ("B", "s.C"); ("s.C", "A") ];
+       })
 
 let test_stats_recorded () =
   let r = run_toy (Isa.make Isa.ADD) in
@@ -177,4 +238,12 @@ let suite =
       Alcotest.test_case "toy paths" `Quick test_toy_paths;
       Alcotest.test_case "uhb conversion" `Quick test_uhb_conversion;
       Alcotest.test_case "stats recorded" `Quick test_stats_recorded;
+    ] )
+
+(* The µhb graph drawing, on hand-made µPATHs. *)
+let uhb_suite =
+  ( "uhb",
+    [
+      Alcotest.test_case "cyclic paths rejected" `Quick test_cyclic_rejected;
+      Alcotest.test_case "dot rendering" `Quick test_dot_rendering;
     ] )
