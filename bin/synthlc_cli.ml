@@ -127,15 +127,18 @@ let meta_arg =
   in
   Arg.(value & opt (some string) None & info [ "meta" ] ~docv:"FILE" ~doc)
 
-(* A negative count is a usage error naming its flag (exit 124), not an
-   exception from deep inside the checker. *)
-let nonneg_int =
+(* A count out of range is a usage error naming its flag (exit 124), not
+   an exception from deep inside the checker or a silent clamp. *)
+let int_from least what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a non-negative integer, got %S" s))
+    | Some n when n >= least -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s integer, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let nonneg_int = int_from 0 "a non-negative"
+let pos_int = int_from 1 "a positive"
 
 let depth_arg =
   Arg.(value & opt nonneg_int 12 & info [ "depth" ] ~docv:"N" ~doc:"BMC unrolling depth.")
@@ -149,7 +152,7 @@ let jobs_arg =
      resolves to $(b,SYNTHLC_JOBS) if set, else the recommended domain \
      count.  Results are bit-identical for every value."
   in
-  Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt nonneg_int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let resolve_jobs j = if j >= 1 then j else Pool.default_jobs ()
 
@@ -159,7 +162,7 @@ let shards_arg =
      (trades shared learned clauses for cores; 1 = single incremental \
      solver)."
   in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
+  Arg.(value & opt pos_int 1 & info [ "shards" ] ~docv:"K" ~doc)
 
 let cache_dir_arg =
   let env = Cmd.Env.info "SYNTHLC_CACHE" ~doc:"Default directory for $(b,--cache-dir)." in
@@ -692,9 +695,7 @@ let fuzz_cmd =
                µLint admission, elaboration determinism, Yosys-JSON round \
                trip, -j1 vs -j2 digest equality, cold vs warm verdict-cache \
                bit-identity, digest identity with all four static \
-               pre-passes audited, sweep on/audit digest identity, and \
-               static leakage-grid containment of every dynamically tagged \
-               flow.";
+               pre-passes audited, and sweep on/audit digest identity.";
            `P "On a failure the config is shrunk along its parameter \
                lattice (the shrunk config must reproduce the same oracle \
                failure class) and a one-line reproducer is printed: \

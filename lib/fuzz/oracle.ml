@@ -10,7 +10,6 @@ type oracle =
   | O_cache_warm
   | O_prune_audit
   | O_sweep
-  | O_grid
 
 type verdict = Pass | Fail of string | Skipped
 
@@ -38,7 +37,6 @@ let all_oracles =
     O_cache_warm;
     O_prune_audit;
     O_sweep;
-    O_grid;
   ]
 
 let oracle_name = function
@@ -51,7 +49,6 @@ let oracle_name = function
   | O_cache_warm -> "cache-warm"
   | O_prune_audit -> "prune-audit"
   | O_sweep -> "sweep"
-  | O_grid -> "grid"
 
 let failure o =
   List.find_map
@@ -89,32 +86,6 @@ let engine_run ~cache ~depth ~episodes ~jobs ~prune ~sweep cfg =
   with
   | Failure m -> Error m
   | Invalid_argument m -> Error ("invalid argument: " ^ m)
-
-let grid_violations (report : Synthlc.Engine.report) =
-  List.concat_map
-    (fun (t : Synthlc.Engine.transponder_report) ->
-      List.concat_map
-        (fun (d : Synthlc.Types.tagged_decision) ->
-          let live =
-            match
-              List.assoc_opt d.Synthlc.Types.input.Synthlc.Types.unsafe_operand
-                t.Synthlc.Engine.static_flow_live
-            with
-            | Some l -> l
-            | None -> []
-          in
-          List.filter_map
-            (fun lbl ->
-              if List.mem lbl live then None
-              else
-                Some
-                  (Printf.sprintf "tagged dst %s (src %s, operand %s) outside static grid"
-                     lbl d.Synthlc.Types.src
-                     (Synthlc.Types.operand_name
-                        d.Synthlc.Types.input.Synthlc.Types.unsafe_operand)))
-            d.Synthlc.Types.dst)
-        t.Synthlc.Engine.tagged)
-    report.Synthlc.Engine.transponders
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -340,7 +311,7 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
      audit's swept-vs-unswept cross-check, whose divergence tripwire
      raises Failure into this step) must reproduce the unswept baseline
      digest bit-for-bit. *)
-  let continue =
+  let _ =
     continue
     && step O_sweep (fun () ->
            match
@@ -353,19 +324,6 @@ let run ?(depth = 6) ?(episodes = 3) ?workdir cfg =
              check_engine ~sweep:Mc.Checker.Sweep_audit ~jobs:1
                ~judge:(fun _cache r -> digest_equal "--sweep audit" r)
                ())
-  in
-  let _ =
-    continue
-    && step O_grid (fun () ->
-           match !report with
-           | None -> Some "no baseline report"
-           | Some r -> (
-             match grid_violations r with
-             | [] -> None
-             | v :: rest ->
-               Some
-                 (if rest = [] then v
-                  else Printf.sprintf "%s (+%d more)" v (List.length rest))))
   in
   rm_rf cache_dir;
   let verdicts =

@@ -25,10 +25,7 @@
       reproduces the pruned run's digest;
     - [O_sweep]: equivalence-swept runs ([config.sweep] on, then audit —
       the audit re-running every SAT-resolved cover unswept with its
-      divergence tripwire armed) reproduce the unswept digest;
-    - [O_grid]: every dynamically tagged decision destination lies inside
-      the static leakage grid of its operand (taint-grid vs dynamic IFT
-      containment).
+      divergence tripwire armed) reproduce the unswept digest.
 
     The battery stops at the first failing oracle (later ones report
     [Skipped]); exceptions escaping the battery itself — as opposed to a
@@ -45,7 +42,6 @@ type oracle =
   | O_cache_warm
   | O_prune_audit
   | O_sweep
-  | O_grid
 
 type verdict = Pass | Fail of string | Skipped
 

@@ -140,37 +140,30 @@ let dead_cells t ~roots =
 
 (* --- static taint dataflow ---------------------------------------------- *)
 
-(* Word-level may-taint masks to a sequential fixpoint.  The combinational
-   rules mirror [Ift.instrument]'s cell rules with runtime values replaced
-   by static constants where [const_values] knows them and by all-ones
-   (taint may pass) where it does not, so the per-signal mask always
-   over-approximates the dynamic shadow the instrumented design computes —
-   in the matching [precise] mode.  (The precise static rules are *not*
-   sound against the imprecise dynamic rules: a constant-0 AND operand
-   stops taint statically but the union rule propagates it dynamically, so
-   callers must analyze with the same precision they instrument with.)
+let taint_reaches masks s = not (Bitvec.is_zero masks.(s))
 
-   [known] optionally supplies per-signal known-bits invariants
-   ([Absint.known_bits] of the same netlist): the precise rules then use
-   the bit-level envelope (a bit proven 0 cannot pass taint through an AND,
-   a partially-known mux select with a proven-1 bit kills the false arm)
-   instead of only whole-word constants.  Sound for the same reason the
-   constant map is: every runtime value of the instrumented design lies
-   inside the invariant envelope.  Ignored when [precise] is false — the
-   imprecise dynamic rules are plain unions, so value reasoning would
-   under-approximate them. *)
+(* Word-level may-taint masks to a sequential fixpoint, by [Taint]'s cell
+   rules over masks.  Their value facts read a per-signal (known, value)
+   envelope — the caller's [known], or [const_values] lifted to fully-known
+   words — that contains every runtime value, so each mask
+   over-approximates the shadow [Ift.instrument] builds by the same rules
+   in the same [precise] mode (analysis.mli says why the modes must
+   match).  The imprecise rules read no value facts, so they build none. *)
 let taint_reach ?(precise = true) ?known ?(blocked = []) ~sources t =
   let n = N.num_nodes t in
-  let kb = if precise then known else None in
-  let consts =
-    if precise && kb = None then const_values t else [||]
-  in
-  let cval s =
-    match kb with
-    | Some k ->
-      let kn, v = k.(s) in
-      if Bitvec.is_ones kn then Some v else None
-    | None -> if precise then consts.(s) else None
+  let env =
+    match known with
+    | _ when not precise -> [||]
+    | Some k -> k
+    | None ->
+      let consts = const_values t in
+      Array.init n (fun s ->
+          let w = N.width t s in
+          match consts.(s) with
+          | Some v -> (Bitvec.ones w, v)
+          | None ->
+            let z = Bitvec.zero w in
+            (z, z))
   in
   let masks = Array.init n (fun s -> Bitvec.zero (N.width t s)) in
   let is_source = Array.make (max n 1) false in
@@ -181,106 +174,37 @@ let taint_reach ?(precise = true) ?known ?(blocked = []) ~sources t =
   List.iter (fun s -> if not is_source.(s) then is_blocked.(s) <- true) blocked;
   List.iter (fun s -> masks.(s) <- Bitvec.ones (N.width t s)) sources;
   let order = N.comb_order t in
-  (* Bits that may be 1 / may be 0 at runtime: with known-bits this is the
-     per-bit envelope; with only the constant map it degrades to all-ones
-     for non-constant signals. *)
-  let val_or_ones s =
-    match kb with
-    | Some k ->
-      let kn, v = k.(s) in
-      Bitvec.logor v (Bitvec.lognot kn)
-    | None -> (
-      match cval s with Some v -> v | None -> Bitvec.ones (N.width t s))
-  in
-  let nval_or_ones s =
-    match kb with
-    | Some k ->
-      let kn, v = k.(s) in
-      Bitvec.lognot (Bitvec.logand kn v)
-    | None -> (
-      match cval s with
-      | Some v -> Bitvec.lognot v
-      | None -> Bitvec.ones (N.width t s))
-  in
-  (* Bits where the two mux arms may disagree at runtime. *)
-  let may_differ a b =
-    match kb with
-    | Some k ->
-      let ka, va = k.(a) and kbm, vb = k.(b) in
-      let agree =
-        Bitvec.logand (Bitvec.logand ka kbm)
-          (Bitvec.lognot (Bitvec.logxor va vb))
-      in
-      Bitvec.lognot agree
-    | None -> (
-      match (cval a, cval b) with
-      | Some va, Some vb -> Bitvec.logxor va vb
-      | _ -> Bitvec.ones (N.width t a))
-  in
-  (* A select with any proven-1 bit is nonzero at runtime: the mux always
-     takes its true arm. *)
-  let sel_known_nonzero s =
-    match kb with
-    | Some k ->
-      let kn, v = k.(s) in
-      not (Bitvec.is_zero (Bitvec.logand kn v))
-    | None -> false
-  in
-  let repl1 b w = if b then Bitvec.ones w else Bitvec.zero w in
-  let any m = not (Bitvec.is_zero m) in
-  let comb_mask id =
-    let w = N.width t id in
-    match (N.node t id).N.kind with
-    | N.Input | N.Const _ | N.Reg _ -> masks.(id)
-    | N.Wire { driver = Some d } -> masks.(d)
-    | N.Wire { driver = None } -> Bitvec.zero w
-    | N.Not a -> masks.(a)
-    | N.Op2 (N.And, a, b) ->
-      if precise then
-        (* an output bit flips only where a controlling input is tainted *)
-        Bitvec.logor
-          (Bitvec.logand masks.(a) (Bitvec.logor (val_or_ones b) masks.(b)))
-          (Bitvec.logand masks.(b) (val_or_ones a))
-      else Bitvec.logor masks.(a) masks.(b)
-    | N.Op2 (N.Or, a, b) ->
-      if precise then
-        Bitvec.logor
-          (Bitvec.logand masks.(a) (Bitvec.logor (nval_or_ones b) masks.(b)))
-          (Bitvec.logand masks.(b) (nval_or_ones a))
-      else Bitvec.logor masks.(a) masks.(b)
-    | N.Op2 (N.Xor, a, b) -> Bitvec.logor masks.(a) masks.(b)
-    | N.Op2 ((N.Add | N.Sub | N.Mul), a, b) ->
-      (* conservative: any tainted input bit taints the whole word *)
-      repl1 (any (Bitvec.logor masks.(a) masks.(b))) w
-    | N.Op2 ((N.Eq | N.Ult | N.Slt), a, b) ->
-      Bitvec.of_bool (any (Bitvec.logor masks.(a) masks.(b)))
-    | N.Mux { sel; on_true; on_false } ->
-      let tt = masks.(on_true) and tf = masks.(on_false) in
-      let tsel = any masks.(sel) in
-      if precise then begin
-        let base =
-          if sel_known_nonzero sel then tt
-          else
-            match cval sel with
-            | Some v -> if Bitvec.is_zero v then tf else tt
-            | None -> Bitvec.logor tt tf
-        in
-        let differ =
-          if not tsel then Bitvec.zero w
-          else
-            Bitvec.logor (may_differ on_true on_false) (Bitvec.logor tt tf)
-        in
-        Bitvec.logor base differ
-      end
-      else Bitvec.logor (Bitvec.logor tt tf) (repl1 tsel w)
-    | N.Extract { hi; lo; arg } -> Bitvec.extract masks.(arg) ~hi ~lo
-    | N.Concat parts -> (
-      match parts with
-      | [] -> Bitvec.zero w
-      | p :: rest ->
-        List.fold_left (fun acc p' -> Bitvec.concat acc masks.(p')) masks.(p) rest)
-    | N.ReduceOr a | N.ReduceAnd a -> Bitvec.of_bool (any masks.(a))
-  in
+  let module Rules = Taint.Make (struct
+    type t = Bitvec.t
+
+    let logor = Bitvec.logor
+    let logand = Bitvec.logand
+    let any m = Bitvec.of_bool (not (Bitvec.is_zero m))
+    let replicate b w = if Bitvec.is_zero b then Bitvec.zero w else Bitvec.ones w
+    let extract ~hi ~lo m = Bitvec.extract m ~hi ~lo
+    let concat ms = List.fold_left Bitvec.concat (List.hd ms) (List.tl ms)
+
+    let may_be_one s =
+      let k, v = env.(s) in
+      Bitvec.logor v (Bitvec.lognot k)
+
+    let may_be_zero s =
+      let k, v = env.(s) in
+      Bitvec.lognot (Bitvec.logand k v)
+
+    let may_differ a b =
+      let ka, va = env.(a) and kb, vb = env.(b) in
+      Bitvec.lognot
+        (Bitvec.logand (Bitvec.logand ka kb) (Bitvec.lognot (Bitvec.logxor va vb)))
+
+    (* A select with a proven-1 bit is nonzero: the mux takes its true arm. *)
+    let choose ~sel tt tf =
+      let k, v = env.(sel) in
+      if not (Bitvec.is_zero (Bitvec.logand k v)) then tt
+      else if Bitvec.is_ones k then tf
+      else Bitvec.logor tt tf
+  end) in
+  let taint s = masks.(s) in
   (* Alternate combinational and sequential passes until the register masks
      stop growing.  Every rule is monotone in its input masks and register
      masks only accumulate, so the loop terminates within (total register
@@ -290,11 +214,10 @@ let taint_reach ?(precise = true) ?known ?(blocked = []) ~sources t =
     changed := false;
     Array.iter
       (fun id ->
-        match (N.node t id).N.kind with
-        | N.Reg _ | N.Input | N.Const _ -> ()
-        | _ ->
-          if not (is_source.(id) || is_blocked.(id)) then
-            masks.(id) <- comb_mask id)
+        if not (is_source.(id) || is_blocked.(id)) then
+          match Rules.comb ~precise ~width:(N.width t id) taint (N.node t id).N.kind with
+          | Some m -> masks.(id) <- m
+          | None -> ())
       order;
     N.iter_nodes t (fun node ->
         match node.N.kind with
@@ -306,7 +229,7 @@ let taint_reach ?(precise = true) ?known ?(blocked = []) ~sources t =
                rejects enables outright; the static rule stays sound for
                designs it cannot instrument.) *)
             match enable with
-            | Some en when any masks.(en) -> Bitvec.ones node.N.width
+            | Some en when taint_reaches masks en -> Bitvec.ones node.N.width
             | _ -> (
               match next with
               | Some nxt -> masks.(nxt)
@@ -320,8 +243,6 @@ let taint_reach ?(precise = true) ?known ?(blocked = []) ~sources t =
         | _ -> ())
   done;
   masks
-
-let taint_reaches masks s = not (Bitvec.is_zero masks.(s))
 
 (* --- abstract µFSM reachability ----------------------------------------- *)
 

@@ -37,15 +37,14 @@ val taint_reach :
   Bitvec.t array
 (** Over-approximate word-level taint dataflow on the un-instrumented
     netlist: seed every [sources] register all-tainted, propagate per-bit
-    may-taint masks through the combinational cones with cell rules
-    mirroring [Ift.instrument]'s (value-aware AND/OR/MUX when [precise],
-    taint-union otherwise; whole-word conservative for arithmetic and
-    comparisons) and across register steps to a fixpoint.  [blocked]
-    registers are kill sites — their masks are pinned to zero (unless also
-    a source; injection wins, as in [Ift]) — and a register behind an
-    enable whose mask is nonzero degrades to all-tainted ([Ift] rejects
-    enables; the static rule stays sound for designs it cannot
-    instrument).
+    may-taint masks through the combinational cones by the cell rules of
+    {!Taint}, the ones [Ift.instrument] builds (value-aware AND/OR/MUX when
+    [precise], taint-union otherwise), and across register steps to a
+    fixpoint.  [blocked] registers are kill sites — their masks are pinned
+    to zero (unless also a source; injection wins, as in [Ift]) — and a
+    register behind an enable whose mask is nonzero degrades to
+    all-tainted ([Ift] rejects enables; the static rule stays sound for
+    designs it cannot instrument).
 
     Returns one mask per signal, indexed by signal id: bit [i] set means
     taint {e may} reach bit [i] of that signal on some cycle of some
@@ -59,12 +58,12 @@ val taint_reach :
     is zero can never become tainted, so IFT covers requiring its taint may
     be discharged as unreachable without the model checker.
 
-    [known] optionally refines the precise rules with per-signal known-bits
-    invariants ({!Absint.known_bits} of the same netlist): the value-aware
-    AND/OR/MUX rules then use the bit-level envelope instead of only
-    whole-word constants, killing more propagation paths while remaining an
-    over-approximation of the dynamic shadow (runtime values always lie
-    inside the invariant envelope).  Ignored when [precise] is false. *)
+    The precise rules read what each signal may hold from a per-bit
+    envelope: [known] ({!Absint.known_bits} of the same netlist) when
+    given, else {!const_values} lifted to fully-known words.  Every runtime
+    value lies inside either, so the masks stay an over-approximation;
+    [known] kills more propagation paths.  Ignored when [precise] is
+    false. *)
 
 val taint_reaches : Bitvec.t array -> Netlist.signal -> bool
 (** [taint_reaches (taint_reach ...) s]: some bit of [s] may carry taint. *)

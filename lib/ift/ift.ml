@@ -21,14 +21,6 @@ let instrument ?(precise = true) ?(inject = []) ?(blocked = []) ?flush ?(persist
   let order = comb_order nl in
   let zero w = const nl (Bitvec.zero w) in
   let ones w = const nl (Bitvec.ones w) in
-  let band a b = op2 nl And a b in
-  let bor a b = op2 nl Or a b in
-  let bnot a = not_ nl a in
-  let repl1 b w =
-    (* replicate a 1-bit signal across w bits *)
-    if w = 1 then b else concat nl (List.init w (fun _ -> b))
-  in
-  let any s = reduce_or nl s in
   let tn s = Hashtbl.find t.taint s in
 
   (* Phase 1: shadow registers (so feedback taints resolve). *)
@@ -74,45 +66,34 @@ let instrument ?(precise = true) ?(inject = []) ?(blocked = []) ?flush ?(persist
       Hashtbl.replace t.taint r (op2 nl Or sh now))
     inject;
 
-  (* Phase 2: combinational taint in dependency order. *)
+  (* Phase 2: combinational taint in dependency order, by the cell rules
+     of [Hdl.Taint] with every taint word a shadow signal built here. *)
+  let module Rules = Hdl.Taint.Make (struct
+    type t = signal
+
+    let logor = op2 nl Or
+    let logand = op2 nl And
+    let any = reduce_or nl
+    let replicate b w = if w = 1 then b else concat nl (List.init w (fun _ -> b))
+    let extract = extract nl
+    let concat = concat nl
+    let may_be_one s = s
+    let may_be_zero = not_ nl
+    let may_differ = op2 nl Xor
+    let choose ~sel a b = mux nl ~sel ~on_true:a ~on_false:b
+  end) in
   Array.iter
     (fun id ->
       if id < n0 && not (Hashtbl.mem t.taint id) then begin
         let w = width nl id in
+        let kind = (node nl id).kind in
         let ts =
-          match (node nl id).kind with
-          | Reg _ -> assert false
-          | Input -> zero w
-          | Const _ -> zero w
-          | Wire { driver = Some d } -> tn d
-          | Wire { driver = None } -> failwith "Ift.instrument: unconnected wire"
-          | Not a -> tn a
-          | Op2 (And, a_, b_) ->
-            if precise then
-              (* out bit flips only if a controlling input is tainted *)
-              bor (band (tn a_) (bor b_ (tn b_))) (band (tn b_) a_)
-            else bor (tn a_) (tn b_)
-          | Op2 (Or, a_, b_) ->
-            if precise then
-              bor (band (tn a_) (bor (bnot b_) (tn b_))) (band (tn b_) (bnot a_))
-            else bor (tn a_) (tn b_)
-          | Op2 (Xor, a_, b_) -> bor (tn a_) (tn b_)
-          | Op2 ((Add | Sub | Mul), a_, b_) ->
-            (* conservative: any tainted input bit taints the whole word *)
-            repl1 (any (bor (tn a_) (tn b_))) w
-          | Op2 ((Eq | Ult | Slt), a_, b_) -> any (bor (tn a_) (tn b_))
-          | Mux { sel; on_true; on_false } ->
-            let tsel = tn sel in
-            if precise then
-              let base = mux nl ~sel ~on_true:(tn on_true) ~on_false:(tn on_false) in
-              let differ =
-                bor (op2 nl Xor on_true on_false) (bor (tn on_true) (tn on_false))
-              in
-              bor base (band (repl1 tsel w) differ)
-            else bor (bor (tn on_true) (tn on_false)) (repl1 tsel w)
-          | Extract { hi; lo; arg } -> extract nl ~hi ~lo (tn arg)
-          | Concat parts -> concat nl (List.map tn parts)
-          | ReduceOr a | ReduceAnd a -> any (tn a)
+          match Rules.comb ~precise ~width:w tn kind with
+          | Some ts -> ts
+          | None -> (
+            match kind with
+            | Wire _ -> failwith "Ift.instrument: unconnected wire"
+            | _ -> zero w (* inputs and constants; registers read their shadows *))
         in
         Hashtbl.replace t.taint id ts
       end)

@@ -2,11 +2,8 @@
     (§V-C1).
 
     [instrument] extends a netlist in place with one shadow taint bit per
-    data bit: each combinational cell gets a taint-propagation cell
-    (precise for inverters, muxes and bitwise logic; conservative —
-    any-tainted-input-taints-every-output-bit — for arithmetic and
-    comparisons, which reproduces the paper's §VII-B1 over-taint false
-    positives), and each register gets a shadow taint register.
+    data bit: each combinational cell gets the shadow logic of its
+    {!Hdl.Taint} rule, and each register a shadow taint register.
 
     Three knobs mirror SynthLC's usage:
     - [inject]: (register, 1-bit condition) pairs — while the condition
@@ -38,7 +35,9 @@ val instrument :
     [Invalid_argument] naming the register.  [precise] (default true)
     selects the value-aware rules for AND/OR/MUX cells; [false] degrades
     them to taint-union — the ablation knob for measuring how cell-level
-    precision controls §VII-B1 false positives. *)
+    precision controls §VII-B1 false positives.  {!Hdl.Analysis.taint_reach}
+    over-approximates the shadow built here only when run with the same
+    [precise]. *)
 
 val taint_of : t -> Hdl.Netlist.signal -> Hdl.Netlist.signal
 (** The shadow signal carrying a node's per-bit taint. *)

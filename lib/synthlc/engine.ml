@@ -17,10 +17,6 @@ type transponder_report = {
   flow_pruned_absint : int;
       (* Covers discharged only by the known-bits-refined pre-pass; same
          digest-exclusion rule as flow_pruned_static. *)
-  static_flow_live : (Types.operand * string list) list;
-      (* The static leakage grid: per operand, the PL labels its taint may
-         reach.  Recomputed independently of Flow's pre-pass and used as a
-         standing tripwire; excluded from report_digest (observability). *)
   flow_time : float;
 }
 
@@ -78,61 +74,6 @@ let signatures_of_tagged (transponder : Isa.t)
           })
     sources
 
-(* The static leakage grid, recomputed from scratch (its own design
-   instance, fresh analysis) so it is independent of the instances Flow
-   pruned against: per operand, the PL labels whose member µFSMs the
-   operand's taint may reach.  It only reads the design. *)
-let static_leakage_grid ~precise (m : Meta.t) =
-  let groups = Mupath.Harness.pl_groups m in
-  let blocked = m.Meta.arf @ m.Meta.amem in
-  List.filter_map
-    (fun op ->
-      match List.assoc_opt (Types.operand_name op) m.Meta.operand_regs with
-      | None -> None
-      | Some r ->
-        let masks =
-          Hdl.Analysis.taint_reach ~precise ~blocked ~sources:[ r ] m.Meta.nl
-        in
-        let live =
-          List.filter_map
-            (fun (label, members) ->
-              if
-                List.exists
-                  (fun ((u : Meta.ufsm), _) ->
-                    List.exists
-                      (Hdl.Analysis.taint_reaches masks)
-                      (u.Meta.pcr :: u.Meta.vars))
-                  members
-              then Some label
-              else None)
-            groups
-        in
-        Some (op, live))
-    [ Types.Rs1; Types.Rs2 ]
-
-(* Standing soundness tripwire: every checker-tagged decision must lie
-   inside the static grid. *)
-let assert_inside_grid ~grid (tagged : Types.tagged_decision list) =
-  List.iter
-    (fun (d : Types.tagged_decision) ->
-      let live =
-        match List.assoc_opt d.Types.input.Types.unsafe_operand grid with
-        | Some l -> l
-        | None -> []
-      in
-      if not (List.exists (fun lbl -> List.mem lbl live) d.Types.dst) then
-        failwith
-          (Printf.sprintf
-             "Engine: static leakage grid violated: tagged decision %s -> \
-              {%s} (%s.%s) lies outside the static taint cone {%s}"
-             d.Types.src
-             (String.concat ", " d.Types.dst)
-             (Isa.mnemonic d.Types.input.Types.transmitter)
-             (Types.operand_name d.Types.input.Types.unsafe_operand)
-             (String.concat ", "
-                (List.concat_map snd grid |> List.sort_uniq compare))))
-    tagged
-
 let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
     ?(precise = true) ?(prune = `On)
     ?(stimulus : Designs.Stimulus.factory option) ?(exclude_sources = []) ?(jobs = 1)
@@ -144,7 +85,7 @@ let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
      [Meta.copy], made here in the calling domain, so no worker domain
      ever reads the pristine design; inside a task, every consumer that
      extends the netlist (synthesis, each IFT query) takes a copy of the
-     task's, and the static grid reads the task's copy itself. *)
+     task's. *)
   let pristine = design () in
   let design_name = pristine.Meta.design_name in
   let task_designs = List.map (fun _ -> Meta.copy pristine) instructions in
@@ -212,7 +153,6 @@ let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
           flow_undetermined = 0;
           flow_pruned_static = 0;
           flow_pruned_absint = 0;
-          static_flow_live = [];
           flow_time = Obs.seconds_since t0;
         }
       else begin
@@ -245,8 +185,6 @@ let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
         let flow_pruned_ai =
           List.fold_left (fun acc a -> acc + a.Flow.stats.Flow.q_pruned_absint) 0 all
         in
-        let grid = static_leakage_grid ~precise base in
-        assert_inside_grid ~grid tagged;
         {
           instr;
           synth;
@@ -256,7 +194,6 @@ let run ?cache ?(config = Mc.Checker.default_config) ?synth_config
           flow_undetermined = flow_undet;
           flow_pruned_static = flow_pruned;
           flow_pruned_absint = flow_pruned_ai;
-          static_flow_live = grid;
           flow_time = Obs.seconds_since t0;
         }
       end
@@ -355,7 +292,6 @@ let equal_transponder (a : transponder_report) (b : transponder_report) =
   && a.flow_undetermined = b.flow_undetermined
   && a.flow_pruned_static = b.flow_pruned_static
   && a.flow_pruned_absint = b.flow_pruned_absint
-  && a.static_flow_live = b.static_flow_live
 
 let equal_report a b =
   a.design_name = b.design_name

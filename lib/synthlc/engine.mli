@@ -17,11 +17,6 @@ type transponder_report = {
       (** IFT covers discharged {e only} by the known-bits-refined pre-pass
           ({!Hdl.Absint}) — dead refined, live under the base pre-pass.
           Same digest-exclusion rule as [flow_pruned_static]. *)
-  static_flow_live : (Types.operand * string list) list;
-      (** The static leakage grid: per operand register, the PL labels whose
-          µFSMs the operand's taint may reach.  Recomputed independently of
-          the Flow pre-pass; every tagged decision is asserted to lie inside
-          it.  Excluded from the digest. *)
   flow_time : float;
 }
 
@@ -60,14 +55,6 @@ val signatures_of_tagged :
   Types.signature list
 (** Assemble signatures per decision source; requires at least two tagged
     destinations per source (the paper's footnote 3). *)
-
-val static_leakage_grid :
-  precise:bool -> Designs.Meta.t -> (Types.operand * string list) list
-(** The static leakage-grid over-approximation for a design: per operand
-    register, the PL labels whose member µFSM state (PCR or vars) the
-    operand's taint may reach under {!Hdl.Analysis.taint_reach} with the
-    ARF/AMEM blocked.  Any decision destination outside the grid can never
-    be tagged by a sound flow analysis.  Only reads the design. *)
 
 val run :
   ?cache:Vcache.t ->
@@ -126,8 +113,7 @@ val run :
     {!Flow.analyze}.  [`Audit] re-checks every statically-dead cover after
     the main stream and fails on a [Reachable] verdict; {!report_digest}
     is bit-identical across modes whenever the abstractions are sound.
-    Every tagged decision is also asserted to lie inside
-    {!static_leakage_grid}.  [precise] (default [true]) selects the IFT
+    [precise] (default [true]) selects the IFT
     cell-rule precision, is threaded identically into the instrumentation
     and the static pre-pass, and namespaces the verdict cache when
     imprecise. *)

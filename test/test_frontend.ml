@@ -418,10 +418,11 @@ let test_cli_unknown_names () =
     true
     (contains text "bogus" && contains text "A, B, G1")
 
-(* A negative --depth or --episodes is refused before any work, naming the
-   flag: a usage error (124) for mupath and synthlc, fuzz's bad-usage exit
-   2 (as for --count 0).  Depth 0 stays valid, and the checker itself
-   refuses a negative depth by name. *)
+(* A negative --depth or --episodes, a --shards below 1 and a negative -j
+   are refused before any work, naming the flag: a usage error (124) for
+   mupath and synthlc, fuzz's bad-usage exit 2 (as for --count 0).  Depth
+   0 stays valid, and the checker itself refuses a negative depth by
+   name. *)
 let test_cli_negative_counts () =
   List.iter
     (fun (args, flag) ->
@@ -434,6 +435,9 @@ let test_cli_negative_counts () =
       ("synthlc -d ibex_lite --depth=-3", "--depth");
       ("mupath --depth=-1 --episodes=0", "--depth");
       ("synthlc -d gated --episodes=-1", "--episodes");
+      ("mupath -d ibex_lite --shards 0", "--shards");
+      ("mupath -d ibex_lite --shards=-2", "--shards");
+      ("synthlc -d ibex_lite -j-1", "option '-j'");
     ];
   List.iter
     (fun (args, flag) ->

@@ -4,7 +4,7 @@
    caught by the lint oracle, and shrinking is sound — a shrunk config
    still reproduces the original oracle failure class (qcheck over the
    parameter lattice).  One engine-level battery on the minimal config
-   keeps the expensive oracles (jobs/cache/prune/sweep/grid) covered
+   keeps the expensive oracles (jobs/cache/prune/sweep) covered
    without ballooning tier-1 runtime. *)
 
 module G = Fuzz.Gen
@@ -172,7 +172,7 @@ let test_campaign_defect_path () =
 
 (* One engine-level battery: the minimal config through every oracle
    (validate/absint/lint/determinism/roundtrip/jobs/cache-warm/
-   prune-audit/sweep/grid), every verdict Pass. *)
+   prune-audit/sweep), every verdict Pass. *)
 let test_minimal_battery_green () =
   let outcome = O.run ~depth:5 ~episodes:2 G.minimal in
   List.iter

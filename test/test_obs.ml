@@ -3,8 +3,9 @@
    Chrome trace-event / metrics JSON export well-formedness, pool
    integration (nested submission under tracing, derive_seed golden
    stability).  The digest-exclusion rule end to end (engine reports
-   bit-identical with tracing on vs. off) is checked by [parallel]'s
-   "engine -j 4 deterministic (ibex)", whose -j 1 arm runs traced. *)
+   bit-identical with tracing on vs. off) is checked by [pins]' "engine
+   workload cold, warm and audited", whose cold run is traced and whose
+   -j 4 run is not. *)
 
 (* Every test starts from a known-clean, enabled layer and leaves the
    layer disabled for whoever runs next (other suites assume the

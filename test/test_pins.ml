@@ -1,33 +1,54 @@
 (* Absolute pins on two workloads no other test runs whole.
 
    The quick SynthLC engine workload: ADD, DIV, LW and BEQ on ibex_lite,
-   transmitters DIV and ADD, at [Test_parallel.light_config] (perfbench's
-   [synthlc_config] at seed 1).  It runs three times: cold and traced into
-   an empty verdict store, warm from that store, and warm again with every
-   static pre-pass audited.  The DIV cover batch runs µPATH synthesis at
-   depth 20 with both simulations off, so the SAT path decides every
-   cover.  A change that moves a verdict, a witness, a prune count, a cache
-   counter or the span count fails here and names the value it moved. *)
+   transmitters DIV and ADD, at [light_config] (perfbench's
+   [synthlc_config] at seed 1).  It runs four times: cold and traced into
+   an empty verdict store, warm from that store, warm again with every
+   static pre-pass audited, and untraced and uncached on four domains,
+   which must reproduce the -j 1 report (the per-task seed derivation
+   exists for this).  The DIV cover batch runs µPATH synthesis at depth 20
+   with both simulations off, so the SAT path decides every cover.  A
+   change that moves a verdict, a witness, a prune count, a cache counter
+   or the span count fails here and names the value it moved. *)
 
 module Engine = Synthlc.Engine
 module Synth = Mupath.Synth
 
-let run_engine ?cache ~prune () =
-  Engine.run ?cache ~config:Test_parallel.light_config ~prune
-    ~stimulus:(fun ~pins ~rotate meta ->
-      Designs.Stimulus.ibex ~pins ~rotate meta)
-    ~design:(fun () -> Designs.Ibex.build ())
-    ~jobs:1 ~exclude_sources:[ "IF"; "scbCmt" ]
-    ~instructions:
-      [
-        Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD;
-        Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV;
-        Isa.make ~rd:3 ~rs1:2 Isa.LW;
-        Isa.make ~rs1:1 ~rs2:2 ~imm:8 Isa.BEQ;
-      ]
-    ~transmitters:[ Isa.DIV; Isa.ADD ]
-    ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
-    ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Ibex.iuv_pc ()
+let light_config =
+  {
+    Mc.Checker.default_config with
+    Mc.Checker.bmc_depth = 8;
+    bmc_conflicts = 30_000;
+    induction_max_k = 2;
+    sim_episodes = 8;
+    sim_cycles = 36;
+  }
+
+let run_engine ?cache ?(jobs = 1) ~prune () =
+  let calls = ref 0 in
+  let design () =
+    incr calls;
+    Designs.Ibex.build ()
+  in
+  let r =
+    Engine.run ?cache ~config:light_config ~prune
+      ~stimulus:(fun ~pins ~rotate meta ->
+        Designs.Stimulus.ibex ~pins ~rotate meta)
+      ~design ~jobs ~exclude_sources:[ "IF"; "scbCmt" ]
+      ~instructions:
+        [
+          Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD;
+          Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV;
+          Isa.make ~rd:3 ~rs1:2 Isa.LW;
+          Isa.make ~rs1:1 ~rs2:2 ~imm:8 Isa.BEQ;
+        ]
+      ~transmitters:[ Isa.DIV; Isa.ADD ]
+      ~kinds:[ Synthlc.Types.Intrinsic; Synthlc.Types.Dynamic_older ]
+      ~revisit_count_labels:[ "divU" ] ~iuv_pc:Designs.Ibex.iuv_pc ()
+  in
+  Alcotest.(check int) (Printf.sprintf "-j %d calls the design thunk once" jobs) 1
+    !calls;
+  r
 
 (* [f] of each transponder's duv_pl stage. *)
 let duv_pl_each f (r : Engine.report) =
@@ -65,6 +86,8 @@ let test_engine_workload () =
   Alcotest.check counters "cold hits/misses/stores" (0, 101, 101)
     (Vcache.counters cold_store);
   Alcotest.(check int) "trace events" 267 events;
+  Alcotest.(check bool) "traced report carries engine.elapsed_s" true
+    (List.mem_assoc "engine.elapsed_s" cold.Engine.metrics);
   Alcotest.(check int) "duv_pl covers pruned statically" 12
     (duv_pl (fun s -> s.Synth.pruned_static) cold);
   (* ibex_lite has no register-level known bits: the refinement discharges
@@ -85,6 +108,8 @@ let test_engine_workload () =
   Alcotest.(check bool) "warm report equals cold" true
     (Engine.equal_report cold warm);
   Alcotest.(check string) "warm report digest" digest (d warm);
+  Alcotest.(check (float 0.)) "warm synthesis-stage hit rate" 1.
+    (Mc.Checker.Stats.hit_rate warm.Engine.checker_totals);
   (* The audit re-checks the 22 pruned covers after the main stream; the
      101 others replay from the store. *)
   let audit_store = Vcache.create ~dir () in
@@ -106,12 +131,18 @@ let test_engine_workload () =
       all_stages (fun s -> s.Synth.pruned_absint) audit );
   Alcotest.(check int) "audited flow props" 20 audit.Engine.total_flow_props;
   Alcotest.(check (pair int int)) "audit prunes no flow cover" (0, 0)
-    (audit.Engine.total_flow_pruned_static, audit.Engine.total_flow_pruned_absint)
+    (audit.Engine.total_flow_pruned_static, audit.Engine.total_flow_pruned_absint);
+  let par = run_engine ~jobs:4 ~prune:`On () in
+  Alcotest.(check string) "-j 4 report digest" digest (d par);
+  Alcotest.(check bool) "-j 4 report equals cold" true (Engine.equal_report cold par);
+  Alcotest.(check int) "jobs recorded" 4 par.Engine.jobs;
+  Alcotest.(check (list (pair string (float 0.))))
+    "untraced report carries no metrics" [] par.Engine.metrics
 
 let test_div_batch () =
   let config =
     {
-      Test_parallel.light_config with
+      light_config with
       Mc.Checker.sim_episodes = 0;
       bmc_depth = 20;
     }

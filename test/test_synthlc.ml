@@ -156,7 +156,6 @@ let test_grid () =
       flow_undetermined = 0;
       flow_pruned_static = 0;
       flow_pruned_absint = 0;
-      static_flow_live = [];
       flow_time = 0.1;
     }
   in
