@@ -140,8 +140,6 @@ let to_int v =
   end
   else Int64.to_int v.limbs.(0)
 
-let to_int64_trunc v = v.limbs.(0)
-
 let to_signed_int v =
   if msb v then
     let m = (* -(2^width - value) *)
@@ -242,8 +240,6 @@ let slt a b =
   | true, false -> true
   | false, true -> false
   | _ -> ult a b
-
-let sle a b = slt a b || equal a b
 
 (* Unsigned long division, restoring, bit-serial. *)
 let udivmod a b =

@@ -44,9 +44,6 @@ val to_int : t -> int
 (** Value as a non-negative OCaml [int].  Raises [Invalid_argument] if the
     value does not fit in 62 bits. *)
 
-val to_int64_trunc : t -> int64
-(** Low 64 bits of the value. *)
-
 val bit : t -> int -> bool
 (** [bit v i] is bit [i] (0 = LSB).  Raises if [i] is out of range. *)
 
@@ -106,8 +103,6 @@ val ult : t -> t -> bool
 val ule : t -> t -> bool
 val slt : t -> t -> bool
 (** Signed less-than. *)
-
-val sle : t -> t -> bool
 
 (** {1 Structure} *)
 

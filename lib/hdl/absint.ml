@@ -220,6 +220,3 @@ let stuck_value kb s =
 let known_zero kb s =
   let known, value = kb.(s) in
   Bitvec.is_ones known && Bitvec.is_zero value
-
-let known_count kb =
-  Array.fold_left (fun a (known, _) -> a + Bitvec.popcount known) 0 kb

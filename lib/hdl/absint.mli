@@ -55,6 +55,3 @@ val stuck_value : (Bitvec.t * Bitvec.t) array -> Netlist.signal -> Bitvec.t opti
 
 val known_zero : (Bitvec.t * Bitvec.t) array -> Netlist.signal -> bool
 (** True when the signal is proven identically zero. *)
-
-val known_count : (Bitvec.t * Bitvec.t) array -> int
-(** Total number of proven bits across all signals (a precision metric). *)

@@ -251,8 +251,12 @@ let is_comb (k : Netlist.kind) =
   | Input | Const _ | Reg _ | Wire _ -> false
   | Not _ | Op2 _ | Mux _ | Extract _ | Concat _ | ReduceOr _ | ReduceAnd _ -> true
 
-let analyze_internal ?(patterns = 64) ?(max_conflicts = 10_000) ?(barriers = [])
-    nl =
+(* Random patterns simulated before the first miter query, and each
+   query's conflict budget (an exhausted query merges nothing). *)
+let initial_patterns = 64
+let max_conflicts = 10_000
+
+let analyze_internal ?(barriers = []) nl =
   Netlist.validate nl;
   let n = Netlist.num_nodes nl in
   let order = Netlist.comb_order nl in
@@ -275,7 +279,7 @@ let analyze_internal ?(patterns = 64) ?(max_conflicts = 10_000) ?(barriers = [])
   (* Traces: random patterns, one draw per source, simulated by block. *)
   let tr = make_traces nl order in
   let rng = Random.State.make [| 0x53eeb; n |] in
-  for _ = 1 to max 1 patterns do
+  for _ = 1 to initial_patterns do
     push tr (fun s -> Bitvec.bit (Bitvec.random rng (Netlist.width nl s)))
   done;
   (* SAT side. *)
@@ -435,8 +439,8 @@ let stats_of_analysis a ~classes ~merged ~complement_merged ~const_merged ~vetoe
     patterns = a.a_patterns;
   }
 
-let analyze ?patterns ?max_conflicts ?barriers nl =
-  let a = analyze_internal ?patterns ?max_conflicts ?barriers nl in
+let analyze ?barriers nl =
+  let a = analyze_internal ?barriers nl in
   (* Pre-veto would-be merge counts. *)
   let classes = ref 0
   and merged = ref 0
@@ -469,8 +473,8 @@ let analyze ?patterns ?max_conflicts ?barriers nl =
 
 type merge = { m_rep : int; m_phase : bool; m_const : Bitvec.t option }
 
-let reduce ?patterns ?max_conflicts ?(barriers = []) nl =
-  let a = analyze_internal ?patterns ?max_conflicts ~barriers nl in
+let reduce ?(barriers = []) nl =
+  let a = analyze_internal ~barriers nl in
   let n = Netlist.num_nodes nl in
   let cand = a.a_candidate in
   let merge_to : merge option array = Array.make n None in

@@ -66,20 +66,16 @@ type stats = {
 }
 
 val analyze :
-  ?patterns:int ->
-  ?max_conflicts:int ->
   ?barriers:Netlist.signal list ->
   Netlist.t ->
   cls list * stats
 (** Prove equivalence classes without rewriting the netlist (the µLint
-    client).  [patterns] (default 64) is the initial random-pattern count;
-    [max_conflicts] (default 10_000) bounds each miter query; [barriers]
-    adds extra merge barriers on top of the built-in rule.  Classes are
-    sorted by representative id.  The netlist must validate. *)
+    client).  64 random patterns seed the classes, and 10,000 conflicts
+    bound each miter query; [barriers] adds extra merge barriers on top of
+    the built-in rule.  Classes are sorted by representative id.  The
+    netlist must validate. *)
 
 val reduce :
-  ?patterns:int ->
-  ?max_conflicts:int ->
   ?barriers:Netlist.signal list ->
   Netlist.t ->
   Netlist.t * Netlist.signal array * stats

@@ -15,7 +15,9 @@ type monitors = {
   m_visited : Netlist.signal;
   m_cons : Netlist.signal;
   m_reenter : Netlist.signal;
-  m_maxrun_eq : Netlist.signal array; (* index 1..max_run_limit; empty if not tracked *)
+  m_maxrun : (Netlist.signal * Netlist.signal array) option;
+      (* the longest-run register and its comparators [= 1..max_run_limit],
+         for tracked labels *)
 }
 
 type t = {
@@ -59,12 +61,16 @@ let edge_flag t e =
   | Some s -> s
   | None -> invalid_arg "Harness.edge_flag: not a candidate edge"
 
+let tracked t lbl =
+  match (mon t lbl).m_maxrun with
+  | Some m -> m
+  | None -> invalid_arg ("Harness: longest run not tracked: " ^ lbl)
+
+let maxrun t lbl = fst (tracked t lbl)
+
 let maxrun_eq t lbl n =
-  let m = mon t lbl in
-  if Array.length m.m_maxrun_eq = 0 then
-    invalid_arg ("Harness.maxrun_eq: label not tracked: " ^ lbl)
-  else if n < 1 || n > max_run_limit then invalid_arg "Harness.maxrun_eq: bad n"
-  else m.m_maxrun_eq.(n - 1)
+  if n < 1 || n > max_run_limit then invalid_arg "Harness.maxrun_eq: bad n"
+  else (snd (tracked t lbl)).(n - 1)
 
 (* Collect labelled PL groups from the metadata: states sharing a label
    across µFSMs (e.g. all four scoreboard entries' "scbIss") form one
@@ -166,8 +172,8 @@ let create ?cache ?cache_salt ?config ?stimulus ?(revisit_count_labels = [])
       let () = left <== freeze_keep left (vis &: ~:oi) in
       let reenter = reg ~name:(nm "reenter" lbl) ~width:1 () in
       let () = reenter <== freeze_keep reenter (left &: oi) in
-      let maxrun_eq =
-        if not (List.mem lbl revisit_count_labels) then [||]
+      let maxrun =
+        if not (List.mem lbl revisit_count_labels) then None
         else begin
           let cur = reg ~name:(nm "run" lbl) ~width:4 () in
           let maxr = reg ~name:(nm "maxrun" lbl) ~width:4 () in
@@ -179,7 +185,7 @@ let create ?cache ?cache_salt ?config ?stimulus ?(revisit_count_labels = [])
           let () =
             maxr <== mux frozen maxr (mux (maxr <: cur_next) cur_next maxr)
           in
-          Array.init max_run_limit (fun i -> maxr ==: of_int 4 (i + 1))
+          Some (maxr, Array.init max_run_limit (fun i -> maxr ==: of_int 4 (i + 1)))
         end
       in
       (* Name the occupancy wires so they appear in witness traces. *)
@@ -195,7 +201,7 @@ let create ?cache ?cache_salt ?config ?stimulus ?(revisit_count_labels = [])
           m_visited = vis;
           m_cons = cons;
           m_reenter = reenter;
-          m_maxrun_eq = maxrun_eq;
+          m_maxrun = maxrun;
         })
     occs;
 

@@ -20,7 +20,10 @@
       the IUV's PC to the IUV's encoding.
 
     All monitors are materialized {e before} checker creation so that every
-    later property is a conjunction of existing 1-bit literals. *)
+    later property is a conjunction of existing 1-bit literals.  Every
+    monitor a trace reader needs (occupancies, [gone], the sticky flags,
+    edge flags and {!maxrun}) is a named signal, so a checker witness
+    ({!Mc.Checker.Cex}) carries its value on every cycle. *)
 
 type t
 
@@ -92,8 +95,12 @@ val unlabeled_state_info :
 (** Like {!unlabeled_states}, with the defining (µFSM, valuation) pair —
     what the static reachability pre-pass of {!Synth} keys its pruning on. *)
 
-val maxrun_eq : t -> string -> int -> Hdl.Netlist.signal
-(** 1-bit: the IUV's longest consecutive run in the group equals [n]
-    (only for labels passed in [revisit_count_labels]; saturates at 15). *)
+val maxrun : t -> string -> Hdl.Netlist.signal
+(** The named 4-bit register [mon_maxrun_<label>]: the IUV's longest
+    consecutive run in the group so far, frozen once the IUV is gone and
+    saturating at 15 (only for labels passed in [revisit_count_labels]).
+    A trace reader reads it at the trace's last cycle. *)
 
-val max_run_limit : int
+val maxrun_eq : t -> string -> int -> Hdl.Netlist.signal
+(** 1-bit: {!maxrun} equals [n], for [1 <= n <= 15] — what a revisit-count
+    cover asks for. *)

@@ -40,7 +40,8 @@ type result = {
   checker_stats : Mc.Checker.Stats.t;
 }
 
-(* One completed (or partial) random episode's monitor snapshot. *)
+(* What the observer read from one trace: a presim episode, or a checker
+   witness up to the cycle the IUV leaves in. *)
 type episode = {
   completed : bool;
   occ_any_seen : SS.t;
@@ -241,85 +242,96 @@ let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
   in
 
   (* ------------------------------------------------------------------ *)
+  (* The one observer of the harness monitors (§IV-B, DESIGN §7).         *)
+  (* ------------------------------------------------------------------ *)
+  let flagged read f =
+    List.fold_left
+      (fun acc lbl -> if read (f h lbl) then SS.add lbl acc else acc)
+      SS.empty labels
+  in
+  (* [observer ()] reads one trace.  [cycle read] reads one cycle's
+     occupancies through [read], records the transition from the previous
+     cycle's IUV set to this one's (the cycle the IUV becomes gone
+     included: it leaves to the empty set) and returns whether the IUV is
+     gone.  [finish ~completed read value] reads the sticky flags at the
+     last cycle read, each longest run through [value]. *)
+  let observer () =
+    let occ_any_seen = ref SS.empty and occ_iuv_seen = ref SS.empty in
+    let prev = ref SS.empty and decision_obs = ref [] in
+    let cycle read =
+      let now = flagged read Harness.occ_iuv in
+      List.iter
+        (fun lbl ->
+          if read (Harness.occ_any h lbl) then occ_any_seen := SS.add lbl !occ_any_seen)
+        labels;
+      occ_iuv_seen := SS.union now !occ_iuv_seen;
+      SS.iter (fun src -> decision_obs := (src, now) :: !decision_obs) !prev;
+      prev := now;
+      read (Harness.gone h)
+    in
+    let finish ~completed read value =
+      {
+        completed;
+        occ_any_seen = !occ_any_seen;
+        occ_iuv_seen = !occ_iuv_seen;
+        final_visited = flagged read Harness.visited;
+        cons_seen = flagged read Harness.cons_flag;
+        reenter_seen = flagged read Harness.reenter_flag;
+        edges_seen =
+          List.filter (fun e -> read (Harness.edge_flag h e)) (Harness.edge_candidates h);
+        maxruns =
+          List.map (fun lbl -> (lbl, value (Harness.maxrun h lbl))) revisit_count_labels;
+        decision_obs = !decision_obs;
+      }
+    in
+    (cycle, finish)
+  in
+  (* A witness, read from cycle 0 up to and including the first cycle the
+     IUV is gone; a monitor's value is found through its node name. *)
+  let observe_cex cex =
+    let value c s =
+      Checker.Cex.value_exn cex
+        (Option.get (Hdl.Netlist.node nl s).Hdl.Netlist.name)
+        ~cycle:c
+    in
+    let read c s = not (Bitvec.is_zero (value c s)) in
+    let cycle, finish = observer () in
+    let rec go c =
+      let gone = cycle (read c) in
+      if gone || c + 1 = Checker.Cex.length cex then (c, gone) else go (c + 1)
+    in
+    let last, completed = go 0 in
+    finish ~completed (read last) (fun s -> Bitvec.to_int (value last s))
+  in
+
+  (* ------------------------------------------------------------------ *)
   (* Simulation pre-pass: harvest completed executions.                   *)
   (* ------------------------------------------------------------------ *)
   let episode_assumes = Harness.assumes h in
+  (* An episode ends at the cycle the IUV is gone, after [presim_cycles]
+     cycles, or (dropped) at the first broken assumption. *)
   let run_episode sim seed =
     Sim.reset ~seed sim;
-    let gone_cycle = ref None in
-    let occ_any_seen = ref SS.empty in
-    let occ_iuv_seen = ref SS.empty in
-    let decision_obs = ref [] in
-    let prev_set = ref None in
-    let aborted = ref false in
-    let c = ref 0 in
-    while (not !aborted) && !gone_cycle = None && !c < presim_cycles do
+    let cycle, finish = observer () in
+    let rec go c =
       (match stimulus with
-      | Some f -> f sim !c
+      | Some f -> f sim c
       | None -> Sim.poke_random_inputs sim);
       Sim.eval sim;
       (* The IUV-encoding assumption is enforced by construction of the
          stimulus; design environment assumptions must hold too. *)
-      if not (List.for_all (fun a -> Sim.peek_bool sim a) episode_assumes) then
-        aborted := true
+      if not (List.for_all (Sim.peek_bool sim) episode_assumes) then None
+      else if cycle (Sim.peek_bool sim) then Some true
+      else if c + 1 = presim_cycles then Some false
       else begin
-        let occ_now =
-          List.fold_left
-            (fun acc lbl ->
-              if Sim.peek_bool sim (Harness.occ_iuv h lbl) then SS.add lbl acc
-              else acc)
-            SS.empty labels
-        in
-        List.iter
-          (fun lbl ->
-            if Sim.peek_bool sim (Harness.occ_any h lbl) then
-              occ_any_seen := SS.add lbl !occ_any_seen)
-          labels;
-        occ_iuv_seen := SS.union occ_now !occ_iuv_seen;
-        (match !prev_set with
-        | Some prev when not (SS.is_empty prev) ->
-          SS.iter (fun src -> decision_obs := (src, occ_now) :: !decision_obs) prev
-        | _ -> ());
-        prev_set := Some occ_now;
-        if Sim.peek_bool sim (Harness.gone h) then gone_cycle := Some !c;
         Sim.step sim;
-        incr c
+        go (c + 1)
       end
-    done;
-    if !aborted then None
-    else begin
-      Sim.eval sim;
-      let flagged f =
-        List.fold_left
-          (fun acc lbl -> if Sim.peek_bool sim (f h lbl) then SS.add lbl acc else acc)
-          SS.empty labels
-      in
-      let completed = !gone_cycle <> None in
-      Some
-        {
-          completed;
-          occ_any_seen = !occ_any_seen;
-          occ_iuv_seen = !occ_iuv_seen;
-          final_visited = flagged Harness.visited;
-          cons_seen = flagged Harness.cons_flag;
-          reenter_seen = flagged Harness.reenter_flag;
-          edges_seen =
-            List.filter
-              (fun e -> Sim.peek_bool sim (Harness.edge_flag h e))
-              (Harness.edge_candidates h);
-          maxruns =
-            List.filter_map
-              (fun lbl ->
-                let rec find n =
-                  if n > Harness.max_run_limit then None
-                  else if Sim.peek_bool sim (Harness.maxrun_eq h lbl n) then Some n
-                  else find (n + 1)
-                in
-                Option.map (fun n -> (lbl, n)) (find 1))
-              revisit_count_labels;
-          decision_obs = !decision_obs;
-        }
-    end
+    in
+    Option.map
+      (fun completed ->
+        finish ~completed (Sim.peek_bool sim) (fun s -> Bitvec.to_int (Sim.peek sim s)))
+      (go 0)
   in
   let episodes =
     let go () =
@@ -522,34 +534,6 @@ let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
       iuv_pls
   in
   let decision_obs_all = ref (List.concat_map (fun e -> e.decision_obs) completed_eps) in
-  let cex_occ cex lbl cyc =
-    not
-      (Bitvec.is_zero (Checker.Cex.value_exn cex ("mon_occ_" ^ lbl) ~cycle:cyc))
-  in
-  let cex_bool cex name cyc =
-    not (Bitvec.is_zero (Checker.Cex.value_exn cex name ~cycle:cyc))
-  in
-  let harvest_cex_into acc cex =
-    (* Extract decision observations from a witness trace, up to the cycle
-       the IUV disappears. *)
-    let len = Checker.Cex.length cex in
-    let prev = ref SS.empty in
-    (try
-       for c = 0 to len - 1 do
-         if cex_bool cex "mon_gone" c then raise Exit;
-         let now =
-           List.fold_left
-             (fun acc lbl -> if cex_occ cex lbl c then SS.add lbl acc else acc)
-             SS.empty labels
-         in
-         if not (SS.is_empty !prev) then
-           SS.iter (fun src -> acc := (src, now) :: !acc) !prev;
-         prev := now
-       done
-     with Exit -> ());
-    ()
-  in
-  let harvest_cex cex = harvest_cex_into decision_obs_all cex in
   let reachable_sets =
     (* Sharded tasks return any harvested observations instead of touching
        the shared accumulator; the merge happens at the (sequential) join. *)
@@ -565,36 +549,8 @@ let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
           else
             match check (gone_lit :: set_pattern s) with
             | Checker.Reachable cex ->
-              let harvested = ref [] in
-              harvest_cex_into harvested cex;
-              (* Synthesize an episode-like record from the witness tail. *)
-              let last = Checker.Cex.length cex - 1 in
-              let flags name =
-                List.fold_left
-                  (fun acc lbl ->
-                    if cex_bool cex ("mon_" ^ name ^ "_" ^ lbl) last then
-                      SS.add lbl acc
-                    else acc)
-                  SS.empty labels
-              in
-              let ep =
-                {
-                  completed = true;
-                  occ_any_seen = SS.empty;
-                  occ_iuv_seen = s;
-                  final_visited = s;
-                  cons_seen = flags "cons";
-                  reenter_seen = flags "reenter";
-                  edges_seen =
-                    List.filter
-                      (fun (a, b) ->
-                        cex_bool cex (Printf.sprintf "mon_edge_%s__%s" a b) last)
-                      (Harness.edge_candidates h);
-                  maxruns = [];
-                  decision_obs = [];
-                }
-              in
-              Some (s, [ ep ], !harvested)
+              let ep = observe_cex cex in
+              Some (s, [ ep ], ep.decision_obs)
             | Checker.Unreachable _ | Checker.Undetermined -> None)
     in
     List.filter_map
@@ -619,7 +575,7 @@ let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
           else
             match check stage_name (gone_lit :: (flag_sig, true) :: pattern) with
             | Checker.Reachable cex ->
-              harvest_cex cex;
+              decision_obs_all := (observe_cex cex).decision_obs @ !decision_obs_all;
               true
             | Checker.Unreachable _ | Checker.Undetermined -> false
         in

@@ -13,11 +13,16 @@
       confirmed per reachable set (§V-B5);
     + {b revisit cycle counts} for selected PLs (§V-B6 mode (i)).
 
-    A constrained-random simulation pre-pass discharges most reachable
-    facts cheaply (witnessed executions also seed the decision extraction
-    of §IV-B); unreachability verdicts always come from the model checker.
-    Per-stage property counts and outcome statistics are recorded — they
-    regenerate the paper's §VII-B3 numbers. *)
+    A constrained-random simulation pre-pass (presim) discharges most
+    reachable facts cheaply; unreachability verdicts always come from the
+    model checker.  Decisions (§IV-B) are read from traces: presim's
+    completed episodes and the witnesses of the PL-set, revisit and
+    happens-before covers.  One observer reads both kinds — an episode
+    through the simulator, a witness through its monitor values up to and
+    including the first cycle the IUV is gone — and records, per cycle,
+    the transition from the previous cycle's IUV PL set, the exit to the
+    empty set included.  Per-stage property counts and outcome statistics
+    are recorded — they regenerate the paper's §VII-B3 numbers. *)
 
 (** How one µPATH may revisit a PL (§III-B, §V-B4).  The constructor order
     is part of {!result_digest}, which marshals them by index. *)
@@ -71,7 +76,8 @@ type result = {
   candidate_sets : int;  (** Sets surviving dominates/exclusive pruning. *)
   paths : path list;
   decisions : (string * string list list) list;
-      (** Per decision source: the observed destination PL sets (§IV-B). *)
+      (** Per decision source: the observed destination PL sets (§IV-B);
+          [[]] is the exit, in the cycle the IUV becomes gone. *)
   revisit_counts : (string * int list) list;
       (** Possible consecutive-run lengths for tracked PLs (§V-B6). *)
   stage_stats : (string * stage_stats) list;

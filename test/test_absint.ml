@@ -307,7 +307,7 @@ let test_absint_prune_digest_identical () =
   let on = run_gated `On in
   let audit = run_gated `Audit in
   let d = Synthlc.Engine.report_digest in
-  Alcotest.(check string) "report digest" "407476c861c08db76f42de782827b0f5"
+  Alcotest.(check string) "report digest" "9c1f324cd1f6193cb9b45fba5438ca1d"
     (d on);
   Alcotest.(check string) "digest on = audit" (d audit) (d on);
   (* Every discharged cover sits in duv_pl: the sums over all stages equal

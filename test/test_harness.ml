@@ -89,6 +89,8 @@ let test_maxrun_counter () =
     drive sim meta ~word:enc ~operand:(if c < 4 then 1 else 0)
   done;
   Sim.eval sim;
+  Alcotest.(check int) "maxrun register C" 2
+    (Bitvec.to_int (Sim.peek sim (Mupath.Harness.maxrun h "C")));
   Alcotest.(check bool) "maxrun C = 2" true
     (Sim.peek_bool sim (Mupath.Harness.maxrun_eq h "C" 2));
   Alcotest.(check bool) "maxrun C <> 1" false

@@ -1,8 +1,9 @@
 (* RTL2MµPATH tests on a purpose-built toy DUV small enough for exhaustive
    reasoning: a one-token pipeline where a token visits A, then either B
    (1 cycle) or C (2 cycles) depending on bit 0 of its operand, then
-   retires.  Ground truth: exactly two µPATHs, one decision source (A) with
-   two destinations, C consecutively revisited, and HB edges A->B / A->C. *)
+   retires.  Ground truth: exactly two µPATHs, two decision sources with
+   two destinations each (A to B or C; C stays in C or leaves), C
+   consecutively revisited, and HB edges A->B / A->C. *)
 
 module Meta = Designs.Meta
 module N = Hdl.Netlist
@@ -149,7 +150,10 @@ let test_toy_paths () =
   let a_dsts = List.assoc "A" r.Mupath.Synth.decisions in
   Alcotest.(check bool) "A has >=2 destinations" true (List.length a_dsts >= 2);
   Alcotest.(check bool) "A -> {B}" true (List.mem [ "B" ] a_dsts);
-  Alcotest.(check bool) "A -> {C}" true (List.mem [ "C" ] a_dsts)
+  Alcotest.(check bool) "A -> {C}" true (List.mem [ "C" ] a_dsts);
+  (* Decision at C: stay, or leave in the cycle the IUV is gone. *)
+  Alcotest.(check (list (list string))) "C -> {} or {C}" [ []; [ "C" ] ]
+    (List.assoc "C" r.Mupath.Synth.decisions)
 
 (* [--dot] draws each µPATH as a µhb (happens-before) graph. The toy ADD's
    two µPATHs convert to these bytes. *)

@@ -1,4 +1,4 @@
-(* Absolute pins on two workloads no other test runs whole.
+(* Absolute pins on the workloads no other test runs whole.
 
    The quick SynthLC engine workload: ADD, DIV, LW and BEQ on ibex_lite,
    transmitters DIV and ADD, at [light_config] (perfbench's
@@ -9,7 +9,12 @@
    exists for this).  The DIV cover batch runs µPATH synthesis at depth 20
    with both simulations off, so the SAT path decides every cover.  A
    change that moves a verdict, a witness, a prune count, a cache counter
-   or the span count fails here and names the value it moved. *)
+   or the span count fails here and names the value it moved.
+
+   µPATH synthesis with no presim episodes, where the checker's depth
+   suffices, reproduces the report presim gives: witnesses and episodes
+   are read by one observer, so the decisions (§IV-B) do not depend on
+   which of the two saw an execution. *)
 
 module Engine = Synthlc.Engine
 module Synth = Mupath.Synth
@@ -152,8 +157,63 @@ let test_div_batch () =
       ~iuv:(Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV)
       ~iuv_pc:Designs.Ibex.iuv_pc ()
   in
-  Alcotest.(check string) "result digest" "7f39a72d8386a5804a67ef11a823c3a1"
+  Alcotest.(check string) "result digest" "840fe9a5bbec98e586b4ae8ffdda7728"
     (Synth.result_digest r)
+
+let synth_ibex ~presim_episodes instr =
+  let meta = Designs.Ibex.build () in
+  Synth.run ~config:light_config ~presim_episodes
+    ~stimulus:(Designs.Stimulus.ibex ~pins:[ (Designs.Ibex.iuv_pc, instr) ] meta)
+    ~revisit_count_labels:[ "divU" ] ~meta ~iuv:instr ~iuv_pc:Designs.Ibex.iuv_pc
+    ()
+
+let test_presim_independent () =
+  List.iter
+    (fun (instr, digest) ->
+      List.iter
+        (fun presim_episodes ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %d presim episodes" (Isa.to_string instr)
+               presim_episodes)
+            digest
+            (Synth.result_digest (synth_ibex ~presim_episodes instr)))
+        [ 0; 64 ])
+    [
+      (Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD, "b18770db617414a9796f40ffb9bb4086");
+      (Isa.make ~rd:3 ~rs1:2 Isa.LW, "6d5837b7a7f2b60e172987ff06bd0698");
+      (Isa.make ~rs1:1 ~rs2:2 ~imm:8 Isa.BEQ, "cb596f2d9e4f33e3c02841193d086862");
+    ];
+  (* DIV's divU run counts still depend on presim, whose traces reach runs
+     the checker's depth of 8 cannot, but its witnesses alone show divU's
+     finish-or-stay decision, the exit included. *)
+  let div = synth_ibex ~presim_episodes:0 (Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.DIV) in
+  Alcotest.(check bool) "DIV, 0 presim episodes: divU -> {}" true
+    (List.mem [] (List.assoc "divU" div.Synth.decisions));
+  (* The gate-level example at perfbench's [mupath_config] (seed 1, sweep
+     on). *)
+  let d =
+    Test_sweep.load_or_fail ~lint:false ~json_path:Test_sweep.gl_json
+      ~meta_path:Test_sweep.gl_meta ()
+  in
+  let meta = d.Frontend.Admission.meta and iuv_pc = d.Frontend.Admission.iuv_pc in
+  let iuv = Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD in
+  let config =
+    {
+      Mc.Checker.default_config with
+      Mc.Checker.bmc_depth = 12;
+      bmc_conflicts = 60_000;
+      induction_max_k = 2;
+      sim_episodes = 12;
+      sim_cycles = 44;
+      sweep = Mc.Checker.Sweep_on;
+    }
+  in
+  Alcotest.(check string) "gate-level ADD, 0 presim episodes"
+    "16387a7c6c6c0e8ec71e318557630819"
+    (Synth.result_digest
+       (Synth.run ~config ~presim_episodes:0
+          ~stimulus:(Designs.Stimulus.ibex ~pins:[ (iuv_pc, iuv) ] meta)
+          ~meta ~iuv ~iuv_pc ()))
 
 let suite =
   ( "pins",
@@ -162,4 +222,6 @@ let suite =
         test_engine_workload;
       Alcotest.test_case "depth-20 DIV batch, simulations off" `Slow
         test_div_batch;
+      Alcotest.test_case "reports independent of presim" `Slow
+        test_presim_independent;
     ] )

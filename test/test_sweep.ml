@@ -73,7 +73,7 @@ let test_trimode_identity () =
   List.iter
     (fun (what, sweep, meta) ->
       Alcotest.(check string) ("gated " ^ what)
-        "555e6b401e721d177f7bb015a345bf5c"
+        "6246ff1859dcbccc2c19f7ef2315054d"
         (Mupath.Synth.result_digest (run_gated ~sweep meta)))
     [
       ("word-level", C.Sweep_off, Designs.Gated.build ());
