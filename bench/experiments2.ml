@@ -23,6 +23,15 @@ let transmitter_opcodes = [ Isa.DIV; Isa.LW; Isa.SW; Isa.BEQ; Isa.ADD ]
 
 let engine_report = ref None
 
+(* The experiments that read E13's report; [bench/main.ml] runs E13 before
+   any of them. *)
+let reads_e13 = [ "E8"; "E9"; "A1" ]
+
+let e13_report () =
+  match !engine_report with
+  | Some r -> r
+  | None -> failwith "E13 produced no engine report"
+
 (* E13 — the artifact's first experiment: end-to-end RTL2MuPATH + SynthLC
    on DIV, with the 5-instruction transmitter set. *)
 let e13 () =
@@ -112,31 +121,27 @@ let e13 () =
 (* E8 — Fig. 8: the leakage-signature grid. *)
 let e8 () =
   section "E8" "Fig. 8 - leakage-signature grid (transponders x typed transmitters)";
-  match !engine_report with
-  | None -> Printf.printf "  (requires E13 to run first)\n"
-  | Some report ->
-    let grid = Synthlc.Grid.build report.Synthlc.Engine.transponders in
-    Format.printf "%a@." Synthlc.Grid.pp grid;
-    Printf.printf "columns (leakage signatures): %d\n" (Synthlc.Grid.count_signatures grid);
-    Printf.printf "distinct transmitters: %d\n" (Synthlc.Grid.count_transmitters grid);
-    Printf.printf "transponders with variability: %d / %d analyzed\n"
-      (Synthlc.Grid.count_transponders report.Synthlc.Engine.transponders)
-      (List.length report.Synthlc.Engine.transponders);
-    check "grid is non-trivial" (Synthlc.Grid.count_signatures grid >= 2);
-    check "intrinsic and dynamic rows both present"
-      (List.exists (fun r -> r.Synthlc.Grid.row_kind = Synthlc.Types.Intrinsic) grid.Synthlc.Grid.rows
-      && List.exists
-           (fun r -> r.Synthlc.Grid.row_kind <> Synthlc.Types.Intrinsic)
-           grid.Synthlc.Grid.rows);
-    check "some secondary (stall-in-place) leakage cells"
-      (List.exists (fun (_, _, c) -> c = Synthlc.Grid.Secondary) grid.Synthlc.Grid.cells)
+  let report = e13_report () in
+  let grid = Synthlc.Grid.build report.Synthlc.Engine.transponders in
+  Format.printf "%a@." Synthlc.Grid.pp grid;
+  Printf.printf "columns (leakage signatures): %d\n" (Synthlc.Grid.count_signatures grid);
+  Printf.printf "distinct transmitters: %d\n" (Synthlc.Grid.count_transmitters grid);
+  Printf.printf "transponders with variability: %d / %d analyzed\n"
+    (Synthlc.Grid.count_transponders report.Synthlc.Engine.transponders)
+    (List.length report.Synthlc.Engine.transponders);
+  check "grid is non-trivial" (Synthlc.Grid.count_signatures grid >= 2);
+  check "intrinsic and dynamic rows both present"
+    (List.exists (fun r -> r.Synthlc.Grid.row_kind = Synthlc.Types.Intrinsic) grid.Synthlc.Grid.rows
+    && List.exists
+         (fun r -> r.Synthlc.Grid.row_kind <> Synthlc.Types.Intrinsic)
+         grid.Synthlc.Grid.rows);
+  check "some secondary (stall-in-place) leakage cells"
+    (List.exists (fun (_, _, c) -> c = Synthlc.Grid.Secondary) grid.Synthlc.Grid.cells)
 
 (* E9 — §VII-A1 findings + E6 — Table I contracts. *)
 let e9_e6 () =
   section "E9" "SS VII-A1 findings - transponders/transmitters census";
-  (match !engine_report with
-  | None -> Printf.printf "  (requires E13 to run first)\n"
-  | Some report ->
+  (let report = e13_report () in
     let all_variable =
       List.for_all
         (fun (t : Synthlc.Engine.transponder_report) ->
@@ -160,9 +165,7 @@ let e9_e6 () =
              s.Synthlc.Types.inputs)
          (Synthlc.Engine.all_signatures report)));
   section "E6" "Table I - six leakage contracts derived from signatures";
-  match !engine_report with
-  | None -> ()
-  | Some report ->
+  let report = e13_report () in
     let signatures = Synthlc.Engine.all_signatures report in
     let revisit_counts =
       List.map
@@ -220,24 +223,22 @@ let e11 () =
 (* Ablation A1: dominates/exclusive pruning (§V-B3). *)
 let ablation_pruning () =
   section "A1" "Ablation - dominates/exclusive pruning of the PL power set";
-  match !engine_report with
-  | None -> Printf.printf "  (requires E13 to run first)\n"
-  | Some report ->
-    Printf.printf "%-22s %10s %10s %8s\n" "IUV" "power set" "candidates" "uPATHs";
-    List.iter
-      (fun (t : Synthlc.Engine.transponder_report) ->
-        let s = t.Synthlc.Engine.synth in
-        Printf.printf "%-22s %10d %10d %8d\n"
-          (Isa.to_string t.Synthlc.Engine.instr)
-          s.Mupath.Synth.naive_sets s.Mupath.Synth.candidate_sets
-          (List.length s.Mupath.Synth.paths))
-      report.Synthlc.Engine.transponders;
-    check "pruning shrinks the power set by >10x on every IUV"
-      (List.for_all
-         (fun (t : Synthlc.Engine.transponder_report) ->
-           let s = t.Synthlc.Engine.synth in
-           s.Mupath.Synth.candidate_sets * 10 <= s.Mupath.Synth.naive_sets)
-         report.Synthlc.Engine.transponders)
+  let report = e13_report () in
+  Printf.printf "%-22s %10s %10s %8s\n" "IUV" "power set" "candidates" "uPATHs";
+  List.iter
+    (fun (t : Synthlc.Engine.transponder_report) ->
+      let s = t.Synthlc.Engine.synth in
+      Printf.printf "%-22s %10d %10d %8d\n"
+        (Isa.to_string t.Synthlc.Engine.instr)
+        s.Mupath.Synth.naive_sets s.Mupath.Synth.candidate_sets
+        (List.length s.Mupath.Synth.paths))
+    report.Synthlc.Engine.transponders;
+  check "pruning shrinks the power set by >10x on every IUV"
+    (List.for_all
+       (fun (t : Synthlc.Engine.transponder_report) ->
+         let s = t.Synthlc.Engine.synth in
+         s.Mupath.Synth.candidate_sets * 10 <= s.Mupath.Synth.naive_sets)
+       report.Synthlc.Engine.transponders)
 
 (* P1 — domain-parallel SynthLC: the paper parallelizes per-instruction
    model checking across JasperGold jobs (§VII-B3); we fan the engine out

@@ -51,6 +51,15 @@ let () =
     (match Experiments.profile with `Quick -> "quick" | `Full -> "full");
   let known = List.map fst experiments in
   let selected = if sel = [] then known else sel in
+  (* E8, E9 and A1 read E13's engine run, so a selection holding any of
+     them runs E13 first. *)
+  let selected =
+    if
+      List.exists (fun id -> List.mem id Experiments2.reads_e13) selected
+      && not (List.mem "E13" selected)
+    then "E13" :: selected
+    else selected
+  in
   (* Unknown IDs are a harness error (exit 2), not a silent no-op: a run
      selecting a misspelled experiment must fail loudly rather than
      produce an empty-but-green run. *)

@@ -113,8 +113,25 @@ let compare a b =
     in
     go (Array.length a.limbs - 1)
 
-let is_zero v = Array.for_all (Int64.equal 0L) v.limbs
-let is_ones v = equal v (ones v.width)
+(* Both allocate nothing: [Blast] asks [is_ones] of every node at every frame. *)
+let is_zero v =
+  let z = ref true in
+  for i = 0 to Array.length v.limbs - 1 do
+    if v.limbs.(i) <> 0L then z := false
+  done;
+  !z
+
+let is_ones v =
+  let last = Array.length v.limbs - 1 in
+  let all = ref true in
+  for i = 0 to last - 1 do
+    if v.limbs.(i) <> -1L then all := false
+  done;
+  let top_bits = v.width land 63 in
+  !all
+  &&
+  if top_bits = 0 then v.limbs.(last) = -1L
+  else v.limbs.(last) = Int64.pred (Int64.shift_left 1L top_bits)
 let msb v = bit v (v.width - 1)
 
 let popcount v =

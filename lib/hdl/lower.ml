@@ -111,13 +111,15 @@ module Make (B : BITS) = struct
 end
 
 module Lits = struct
+  module Tbl = Hashtbl.Make (Int)
+
   type t = {
     s : S.t;
     lt : S.lit; (* constant true *)
     cse : bool;
-    cache : (int * int * int, S.lit) Hashtbl.t;
-        (* (gate tag, operand, operand) -> output.  Constant folding runs
-           first, so keys never hold the constant literal. *)
+    cache : S.lit Tbl.t;
+        (* gate key -> output.  Constant folding runs first, so keys never
+           hold the constant literal. *)
     mutable hits : int;
     mutable lookups : int;
   }
@@ -125,7 +127,7 @@ module Lits = struct
   let create ?(cse = true) s =
     let lt = S.pos (S.new_var s) in
     S.add_clause s [ lt ];
-    { s; lt; cse; cache = Hashtbl.create 1024; hits = 0; lookups = 0 }
+    { s; lt; cse; cache = Tbl.create 1024; hits = 0; lookups = 0 }
 
   let solver e = e.s
   let fresh e = S.pos (S.new_var e.s)
@@ -133,20 +135,25 @@ module Lits = struct
   let one e = e.lt
   let neg = S.negate
 
-  (* The output cached under [key], or [build ()] cached under it. *)
-  let hashed e key build =
-    if not e.cse then build ()
+  (* One immediate int per gate: the tag in bit 0, then its two ordered
+     operands in 30 bits each. *)
+  let key tag lo hi =
+    assert (0 <= lo && lo <= hi && hi < 1 lsl 30);
+    (((hi lsl 30) lor lo) lsl 1) lor tag
+
+  (* The output cached under [k], or -1 on a miss. *)
+  let lookup e k =
+    if not e.cse then -1
     else begin
       e.lookups <- e.lookups + 1;
-      match Hashtbl.find_opt e.cache key with
-      | Some z ->
+      match Tbl.find e.cache k with
+      | z ->
         e.hits <- e.hits + 1;
         z
-      | None ->
-        let z = build () in
-        Hashtbl.add e.cache key z;
-        z
+      | exception Not_found -> -1
     end
+
+  let remember e k z = if e.cse then Tbl.add e.cache k z
 
   let conj e a b =
     let lf = S.negate e.lt in
@@ -155,13 +162,18 @@ module Lits = struct
     else if b = e.lt then a
     else if a = b then a
     else if a = S.negate b then lf
-    else
-      hashed e (0, min a b, max a b) (fun () ->
-          let z = fresh e in
-          S.add_clause e.s [ S.negate z; a ];
-          S.add_clause e.s [ S.negate z; b ];
-          S.add_clause e.s [ z; S.negate a; S.negate b ];
-          z)
+    else begin
+      let k = key 0 (min a b) (max a b) in
+      match lookup e k with
+      | -1 ->
+        let z = fresh e in
+        S.add_clause e.s [ S.negate z; a ];
+        S.add_clause e.s [ S.negate z; b ];
+        S.add_clause e.s [ z; S.negate a; S.negate b ];
+        remember e k z;
+        z
+      | z -> z
+    end
 
   let disj e a b = S.negate (conj e (S.negate a) (S.negate b))
 
@@ -176,15 +188,19 @@ module Lits = struct
     else begin
       (* Fold signs out: xor(~a, b) = ~xor(a, b). *)
       let va = S.var_of a and vb = S.var_of b in
+      let k = key 1 (min va vb) (max va vb) in
       let z =
-        hashed e (1, min va vb, max va vb) (fun () ->
-            let pa = S.pos va and pb = S.pos vb in
-            let z = fresh e in
-            S.add_clause e.s [ S.negate z; pa; pb ];
-            S.add_clause e.s [ S.negate z; S.negate pa; S.negate pb ];
-            S.add_clause e.s [ z; S.negate pa; pb ];
-            S.add_clause e.s [ z; pa; S.negate pb ];
-            z)
+        match lookup e k with
+        | -1 ->
+          let pa = S.pos va and pb = S.pos vb in
+          let z = fresh e in
+          S.add_clause e.s [ S.negate z; pa; pb ];
+          S.add_clause e.s [ S.negate z; S.negate pa; S.negate pb ];
+          S.add_clause e.s [ z; S.negate pa; pb ];
+          S.add_clause e.s [ z; pa; S.negate pb ];
+          remember e k z;
+          z
+        | z -> z
       in
       if S.is_pos a <> S.is_pos b then S.negate z else z
     end

@@ -8,7 +8,7 @@ let is_pos l = l land 1 = 0
 
 type result = Sat | Unsat | Unknown
 
-(* Growable int-array vector used for watch lists and the clause arena. *)
+(* Growable int vector: the trail, its level marks and analyze's scratch. *)
 module Vec = struct
   type t = { mutable data : int array; mutable len : int }
 
@@ -29,24 +29,43 @@ module Vec = struct
   let shrink v n = v.len <- n
 end
 
-type clause = {
-  lits : int array;
-  mutable activity : float;
-  learnt : bool;
-  mutable lbd : int;
-      (* Literal block distance at learning time: the number of distinct
-         decision levels among the clause's literals — the Glucose "glue"
-         quality metric.  0 for problem clauses. *)
-}
+(* --- clause store ------------------------------------------------------
+
+   Every clause is a run of words in one store of int chunks: a header
+   [size lsl 2 lor flags], its literals, and for a learnt clause its LBD
+   and activity bits after them.  A clause is named by the offset of its
+   header, [chunk lsl chunk_bits lor position].  Clauses fill the chunks
+   next fit in the order they are added (in the current chunk if they fit,
+   else at the start of the next; a clause longer than a chunk gets a
+   chunk of its own), so offsets grow with age, and [reduce_db] slides the
+   survivors down in order. *)
+
+let chunk_bits = 15
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+let learnt_flag = 1
+let deleted_flag = 2 (* set only between [reduce_db]'s choice and [compact] *)
+let size_of h = h lsr 2
+let clause_words h = 1 + size_of h + if h land learnt_flag <> 0 then 2 else 0
+
+(* An activity is a non-negative float, whose IEEE bits lie in [0, 2^63);
+   less 2^62 they fit an OCaml int exactly. *)
+let act_bias = Int64.shift_left 1L 62
+let int_of_act a = Int64.to_int (Int64.sub (Int64.bits_of_float a) act_bias)
+let act_of_int i = Int64.float_of_bits (Int64.add (Int64.of_int i) act_bias)
 
 type t = {
-  mutable clauses : clause array; (* arena; index = clause id *)
+  mutable chunks : int array array;
+  mutable fills : int array; (* words used per chunk *)
+  mutable cur : int; (* the chunk new clauses go to *)
   mutable nclauses : int;
-  mutable n_learnt : int; (* learnt clauses currently in the arena *)
-  mutable watches : Vec.t array; (* per literal *)
-  mutable assigns : int array; (* per var: 0 undef, 1 true, 2 false *)
+  mutable n_learnt : int; (* learnt clauses currently in the store *)
+  mutable wdata : int array array;
+      (* per literal: offsets of the clauses to visit when it turns true *)
+  mutable wlen : int array;
+  mutable vals : Bytes.t; (* per literal: 0 undef, 1 true, 2 false *)
   mutable level : int array;
-  mutable reason : int array; (* clause id or -1 *)
+  mutable reason : int array; (* clause offset or -1 *)
   mutable phase : bool array;
   mutable activity : float array;
   mutable heap : int array; (* binary max-heap of vars by activity *)
@@ -66,19 +85,23 @@ type t = {
   mutable reduces : int; (* reduce_db events *)
   mutable learnt_peak : int; (* high-water mark of n_learnt *)
   mutable has_model : bool; (* last solve ended Sat and no solve undid it *)
-  mutable seen : Vec.t; (* scratch for analyze: vars marked *)
+  seen : Vec.t; (* scratch for analyze: vars marked *)
   mutable seen_arr : bool array; (* persistent analyze marks, cleared via seen *)
   mutable lbd_seen : int array; (* per-level stamps for LBD computation *)
   mutable lbd_stamp : int;
+  learnt : Vec.t; (* analyze's output: the clause it learns *)
 }
 
 let create () =
   {
-    clauses = Array.make 16 { lits = [||]; activity = 0.; learnt = false; lbd = 0 };
+    chunks = [| [||] |];
+    fills = [| 0 |];
+    cur = 0;
     nclauses = 0;
     n_learnt = 0;
-    watches = Array.init 16 (fun _ -> Vec.create ());
-    assigns = Array.make 8 0;
+    wdata = Array.make 16 [||];
+    wlen = Array.make 16 0;
+    vals = Bytes.make 16 '\000';
     level = Array.make 8 0;
     reason = Array.make 8 (-1);
     phase = Array.make 8 false;
@@ -104,6 +127,7 @@ let create () =
     seen_arr = Array.make 8 false;
     lbd_seen = Array.make 8 0;
     lbd_stamp = 0;
+    learnt = Vec.create ();
   }
 
 let nvars s = s.nvars
@@ -118,40 +142,32 @@ let set_learnt_limit s n = s.learnt_limit <- max 1 n
 let has_model s = s.has_model
 
 let grow_arrays s n =
-  let cap = Array.length s.assigns in
+  let cap = Array.length s.level in
   if n > cap then begin
     let newcap = max n (2 * cap) in
-    let copy_int a def =
+    let grow a def =
       let a' = Array.make newcap def in
-      Array.blit a 0 a' 0 cap; a'
+      Array.blit a 0 a' 0 cap;
+      a'
     in
-    let copy_float a =
-      let a' = Array.make newcap 0. in
-      Array.blit a 0 a' 0 cap; a'
+    s.level <- grow s.level 0;
+    s.reason <- grow s.reason (-1);
+    s.phase <- grow s.phase false;
+    s.activity <- grow s.activity 0.;
+    s.heap <- grow s.heap 0;
+    s.heap_pos <- grow s.heap_pos (-1);
+    s.seen_arr <- grow s.seen_arr false;
+    s.lbd_seen <- grow s.lbd_seen 0;
+    let grow2 a def =
+      let a' = Array.make (2 * newcap) def in
+      Array.blit a 0 a' 0 (2 * cap);
+      a'
     in
-    let copy_bool a =
-      let a' = Array.make newcap false in
-      Array.blit a 0 a' 0 cap; a'
-    in
-    s.assigns <- copy_int s.assigns 0;
-    s.level <- copy_int s.level 0;
-    s.reason <- copy_int s.reason (-1);
-    s.phase <- copy_bool s.phase;
-    s.activity <- copy_float s.activity;
-    s.heap <- copy_int s.heap 0;
-    s.seen_arr <- copy_bool s.seen_arr;
-    s.lbd_seen <- copy_int s.lbd_seen 0;
-    let hp = Array.make newcap (-1) in
-    Array.blit s.heap_pos 0 hp 0 cap;
-    s.heap_pos <- hp
-  end;
-  let wcap = Array.length s.watches in
-  if 2 * n > wcap then begin
-    let w =
-      Array.init (max (2 * n) (2 * wcap)) (fun i ->
-          if i < wcap then s.watches.(i) else Vec.create ())
-    in
-    s.watches <- w
+    s.wdata <- grow2 s.wdata [||];
+    s.wlen <- grow2 s.wlen 0;
+    let vals = Bytes.make (2 * newcap) '\000' in
+    Bytes.blit s.vals 0 vals 0 (2 * cap);
+    s.vals <- vals
   end
 
 (* --- activity heap --------------------------------------------------- *)
@@ -207,7 +223,6 @@ let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
   grow_arrays s s.nvars;
-  s.assigns.(v) <- 0;
   s.level.(v) <- 0;
   s.reason.(v) <- -1;
   s.phase.(v) <- false;
@@ -225,153 +240,230 @@ let bump_var s v =
   end;
   if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
 
-let bump_clause s (c : clause) =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
-    for i = 0 to s.nclauses - 1 do
-      let ci = s.clauses.(i) in
-      if ci.learnt then ci.activity <- ci.activity *. 1e-20
-    done;
+(* --- clause store access ----------------------------------------------- *)
+
+let chunk_of s off = s.chunks.(off lsr chunk_bits)
+let pos_of off = off land chunk_mask
+
+(* [f off] on every clause, in store order. *)
+let iter_clauses s f =
+  for c = 0 to s.cur do
+    let a = s.chunks.(c) in
+    let p = ref 0 in
+    while !p < s.fills.(c) do
+      f ((c lsl chunk_bits) lor !p);
+      p := !p + clause_words a.(!p)
+    done
+  done
+
+(* A learnt clause's LBD and activity sit after its literals. *)
+let lbd_slot a p = p + 1 + size_of a.(p)
+let activity s off =
+  let a = chunk_of s off and p = pos_of off in
+  act_of_int a.(lbd_slot a p + 1)
+
+(* Reserve [words] words at the end of the store; returns their offset.
+   Chunk 0 grows by doubling, so a small instance stays small; later
+   chunks are allocated whole. *)
+let alloc s words =
+  let c =
+    let f = s.fills.(s.cur) in
+    if f = 0 || f + words <= chunk_size then s.cur
+    else begin
+      let c = s.cur + 1 in
+      if c = Array.length s.chunks then begin
+        let grow a def = Array.init (2 * c) (fun i -> if i < c then a.(i) else def) in
+        s.chunks <- grow s.chunks [||];
+        s.fills <- grow s.fills 0
+      end;
+      s.cur <- c;
+      s.fills.(c) <- 0;
+      c
+    end
+  in
+  let f = s.fills.(c) and a = s.chunks.(c) in
+  if f + words > Array.length a then begin
+    let cap =
+      if c = 0 then min chunk_size (max 64 (2 * Array.length a)) else chunk_size
+    in
+    let a' = Array.make (max (f + words) cap) 0 in
+    Array.blit a 0 a' 0 f;
+    s.chunks.(c) <- a'
+  end;
+  s.fills.(c) <- f + words;
+  (c lsl chunk_bits) lor f
+
+(* Watch lists are allocated on their first push. *)
+let watch s l off =
+  let n = s.wlen.(l) and d = s.wdata.(l) in
+  if n = Array.length d then begin
+    let d' = Array.make (max 4 (2 * n)) 0 in
+    Array.blit d 0 d' 0 n;
+    d'.(n) <- off;
+    s.wdata.(l) <- d'
+  end
+  else d.(n) <- off;
+  s.wlen.(l) <- n + 1
+
+(* Store the clause [lits.(0 .. n-1)] (n >= 2) and watch its first two
+   literals; returns its offset. *)
+let attach s lits n ~learnt ~lbd =
+  let off = alloc s (1 + n + if learnt then 2 else 0) in
+  let a = chunk_of s off and p = pos_of off in
+  a.(p) <- (n lsl 2) lor if learnt then learnt_flag else 0;
+  Array.blit lits 0 a (p + 1) n;
+  s.nclauses <- s.nclauses + 1;
+  if learnt then begin
+    a.(p + 1 + n) <- lbd;
+    a.(p + 2 + n) <- int_of_act 0.;
+    s.n_learnt <- s.n_learnt + 1;
+    if s.n_learnt > s.learnt_peak then s.learnt_peak <- s.n_learnt
+  end;
+  watch s (negate lits.(0)) off;
+  watch s (negate lits.(1)) off;
+  off
+
+let bump_clause s off =
+  let a = chunk_of s off in
+  let i = lbd_slot a (pos_of off) + 1 in
+  let act = act_of_int a.(i) +. s.cla_inc in
+  a.(i) <- int_of_act act;
+  if act > 1e20 then begin
+    iter_clauses s (fun off ->
+        let a = chunk_of s off and p = pos_of off in
+        if a.(p) land learnt_flag <> 0 then begin
+          let i = lbd_slot a p + 1 in
+          a.(i) <- int_of_act (act_of_int a.(i) *. 1e-20)
+        end);
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
 (* --- assignment ------------------------------------------------------ *)
 
-let lit_val s l =
-  (* 0 undef, 1 true, 2 false for the literal *)
-  let a = s.assigns.(var_of l) in
-  if a = 0 then 0
-  else if (a = 1) = is_pos l then 1
-  else 2
-
+let lit_val s l = Bytes.get_uint8 s.vals l
 let decision_level s = Vec.len s.trail_lim
 
 let enqueue s l reason =
-  s.assigns.(var_of l) <- (if is_pos l then 1 else 2);
-  s.level.(var_of l) <- decision_level s;
-  s.reason.(var_of l) <- reason;
-  s.phase.(var_of l) <- is_pos l;
+  let v = var_of l in
+  Bytes.set_uint8 s.vals l 1;
+  Bytes.set_uint8 s.vals (negate l) 2;
+  s.level.(v) <- decision_level s;
+  s.reason.(v) <- reason;
+  s.phase.(v) <- is_pos l;
   Vec.push s.trail l
 
-let add_clause_internal s lits learnt lbd =
-  let c = { lits; activity = 0.; learnt; lbd } in
-  if s.nclauses = Array.length s.clauses then begin
-    let a = Array.make (2 * s.nclauses) c in
-    Array.blit s.clauses 0 a 0 s.nclauses;
-    s.clauses <- a
-  end;
-  let id = s.nclauses in
-  s.clauses.(id) <- c;
-  s.nclauses <- id + 1;
-  if learnt then begin
-    s.n_learnt <- s.n_learnt + 1;
-    if s.n_learnt > s.learnt_peak then s.learnt_peak <- s.n_learnt
-  end;
-  Vec.push s.watches.(negate lits.(0)) id;
-  Vec.push s.watches.(negate lits.(1)) id;
-  id
-
-(* Simplify a problem clause against the level-0 assignment and add it. *)
+(* Sort and simplify the clause in the one array it is copied to (drop
+   duplicates and literals false at level 0; a tautology or a literal true
+   at level 0 drops the whole clause), then add it. *)
 let add_clause s lits =
   if s.ok then begin
-    (* Simplify: drop duplicates and false lits at level 0; detect tautology. *)
-    let lits = List.sort_uniq Int.compare lits in
-    let taut = List.exists (fun l -> List.mem (negate l) lits) lits in
-    if not taut then begin
-      let lits =
-        List.filter (fun l -> not (decision_level s = 0 && lit_val s l = 2)) lits
-      in
-      if List.exists (fun l -> decision_level s = 0 && lit_val s l = 1) lits
-      then ()
-      else
-        match lits with
-        | [] -> s.ok <- false
-        | [ l ] ->
-          if lit_val s l = 2 then s.ok <- false
-          else if lit_val s l = 0 then enqueue s l (-1)
-        | _ ->
-          let arr = Array.of_list lits in
-          ignore (add_clause_internal s arr false 0)
-    end
+    let a = Array.of_list lits in
+    Array.sort Int.compare a;
+    let at0 = decision_level s = 0 in
+    let n = ref 0 and drop = ref false in
+    for i = 0 to Array.length a - 1 do
+      (* [a.(i - 1)] still holds its sorted value: writes go to [!n <= i]. *)
+      let l = a.(i) in
+      if i > 0 && a.(i - 1) = l then ()
+      else if (i > 0 && a.(i - 1) = negate l) || (at0 && lit_val s l = 1) then
+        (* Once sorted, a literal and its negation are adjacent. *)
+        drop := true
+      else if not (at0 && lit_val s l = 2) then begin
+        a.(!n) <- l;
+        incr n
+      end
+    done;
+    if not !drop then
+      match !n with
+      | 0 -> s.ok <- false
+      | 1 ->
+        let l = a.(0) in
+        if lit_val s l = 2 then s.ok <- false
+        else if lit_val s l = 0 then enqueue s l (-1)
+      | n -> ignore (attach s a n ~learnt:false ~lbd:0)
   end
 
 (* --- propagation ------------------------------------------------------ *)
 
-exception Conflict of int
-
-(* Propagate all enqueued literals.  Returns the conflicting clause id, or
-   -1 when no conflict arises. *)
+(* Propagate all enqueued literals.  Returns the conflicting clause's
+   offset, or -1 when no conflict arises. *)
 let propagate s =
-  try
-    while s.qhead < Vec.len s.trail do
-      let l = Vec.get s.trail s.qhead in
-      s.qhead <- s.qhead + 1;
-      s.propagations <- s.propagations + 1;
-      let ws = s.watches.(l) in
-      let n = Vec.len ws in
-      let j = ref 0 in
-      (let i = ref 0 in
-       while !i < n do
-         let cid = Vec.get ws !i in
-         incr i;
-         let c = s.clauses.(cid).lits in
-         (* Ensure the false literal (negate l) is at position 1. *)
-         if c.(0) = negate l then begin
-           c.(0) <- c.(1);
-           c.(1) <- negate l
-         end;
-         if lit_val s c.(0) = 1 then begin
-           (* Clause already satisfied; keep the watch. *)
-           Vec.set ws !j cid;
-           incr j
-         end
-         else begin
-           (* Look for a new literal to watch. *)
-           let found = ref false in
-           let k = ref 2 in
-           let len = Array.length c in
-           while (not !found) && !k < len do
-             if lit_val s c.(!k) <> 2 then begin
-               c.(1) <- c.(!k);
-               c.(!k) <- negate l;
-               Vec.push s.watches.(negate c.(1)) cid;
-               found := true
-             end;
-             incr k
-           done;
-           if not !found then begin
-             (* Unit or conflicting. *)
-             Vec.set ws !j cid;
-             incr j;
-             if lit_val s c.(0) = 2 then begin
-               (* Conflict: copy remaining watches and bail out. *)
-               while !i < n do
-                 Vec.set ws !j (Vec.get ws !i);
-                 incr j;
-                 incr i
-               done;
-               Vec.shrink ws !j;
-               s.qhead <- Vec.len s.trail;
-               raise (Conflict cid)
-             end
-             else enqueue s c.(0) cid
-           end
-         end
-       done;
-       Vec.shrink ws !j)
+  let confl = ref (-1) in
+  while !confl < 0 && s.qhead < Vec.len s.trail do
+    let l = Vec.get s.trail s.qhead in
+    let fl = negate l in
+    s.qhead <- s.qhead + 1;
+    s.propagations <- s.propagations + 1;
+    (* No push below lands on [l]'s own list: a new watch is a literal not
+       false, and [fl] is. *)
+    let ws = s.wdata.(l) in
+    let n = s.wlen.(l) in
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let off = ws.(!i) in
+      incr i;
+      let c = chunk_of s off in
+      let p = pos_of off + 1 in
+      (* Ensure the false literal [fl] is at position 1. *)
+      if c.(p) = fl then begin
+        c.(p) <- c.(p + 1);
+        c.(p + 1) <- fl
+      end;
+      let first = c.(p) in
+      if lit_val s first = 1 then begin
+        (* Clause already satisfied; keep the watch. *)
+        ws.(!j) <- off;
+        incr j
+      end
+      else begin
+        (* Look for a new literal to watch. *)
+        let stop = p + size_of c.(p - 1) in
+        let k = ref (p + 2) in
+        while !k < stop && lit_val s c.(!k) = 2 do
+          incr k
+        done;
+        if !k < stop then begin
+          let q = c.(!k) in
+          c.(p + 1) <- q;
+          c.(!k) <- fl;
+          watch s (negate q) off
+        end
+        else begin
+          (* Unit or conflicting. *)
+          ws.(!j) <- off;
+          incr j;
+          if lit_val s first = 2 then begin
+            (* Conflict: keep the remaining watches and stop. *)
+            while !i < n do
+              ws.(!j) <- ws.(!i);
+              incr j;
+              incr i
+            done;
+            s.qhead <- Vec.len s.trail;
+            confl := off
+          end
+          else enqueue s first off
+        end
+      end
     done;
-    -1
-  with Conflict cid -> cid
+    s.wlen.(l) <- !j
+  done;
+  !confl
 
 (* --- conflict analysis ------------------------------------------------ *)
 
+(* First-UIP learning.  Leaves the learnt clause in [s.learnt]: the
+   asserting literal, then the others in reverse visiting order; returns
+   the backjump level. *)
 let analyze s confl =
   (* Marks live in the persistent [seen_arr]; every var marked is recorded
      in the [seen] vec and cleared before returning, so no per-conflict
      allocation happens on this path. *)
   let seen = s.seen_arr in
   Vec.shrink s.seen 0;
-  let learnt = ref [] in
+  let out = s.learnt in
+  Vec.shrink out 0;
+  Vec.push out 0 (* the asserting literal's slot *);
   let counter = ref 0 in
   let p = ref (-1) in
   (* -1 means "take all literals of the conflict clause" *)
@@ -380,12 +472,11 @@ let analyze s confl =
   let btlevel = ref 0 in
   let continue = ref true in
   while !continue do
-    let c = s.clauses.(!cid) in
-    if c.learnt then bump_clause s c;
-    let lits = c.lits in
-    let start = if !p = -1 then 0 else 1 in
-    for k = start to Array.length lits - 1 do
-      let q = lits.(k) in
+    let a = chunk_of s !cid and hp = pos_of !cid in
+    if a.(hp) land learnt_flag <> 0 then bump_clause s !cid;
+    let start = if !p = -1 then hp + 1 else hp + 2 in
+    for k = start to hp + size_of a.(hp) do
+      let q = a.(k) in
       let v = var_of q in
       if (not seen.(v)) && s.level.(v) > 0 then begin
         seen.(v) <- true;
@@ -393,7 +484,7 @@ let analyze s confl =
         bump_var s v;
         if s.level.(v) = decision_level s then incr counter
         else begin
-          learnt := q :: !learnt;
+          Vec.push out q;
           if s.level.(v) > !btlevel then btlevel := s.level.(v)
         end
       end
@@ -415,23 +506,31 @@ let analyze s confl =
   for i = 0 to Vec.len s.seen - 1 do
     seen.(Vec.get s.seen i) <- false
   done;
-  (negate !p :: !learnt, !btlevel)
+  Vec.set out 0 (negate !p);
+  let i = ref 1 and j = ref (Vec.len out - 1) in
+  while !i < !j do
+    let x = Vec.get out !i in
+    Vec.set out !i (Vec.get out !j);
+    Vec.set out !j x;
+    incr i;
+    decr j
+  done;
+  !btlevel
 
-(* LBD (glue) of a learnt clause: the number of distinct decision levels
+(* LBD (glue) of the learnt clause: the number of distinct decision levels
    among its literals, computed before backjumping (levels still valid).
    Stamp-based so repeated calls cost O(|clause|) with no allocation. *)
-let compute_lbd s lits =
+let compute_lbd s =
   s.lbd_stamp <- s.lbd_stamp + 1;
   let stamp = s.lbd_stamp in
   let n = ref 0 in
-  List.iter
-    (fun l ->
-      let lv = s.level.(var_of l) in
-      if lv > 0 && s.lbd_seen.(lv) <> stamp then begin
-        s.lbd_seen.(lv) <- stamp;
-        incr n
-      end)
-    lits;
+  for i = 0 to Vec.len s.learnt - 1 do
+    let lv = s.level.(var_of (Vec.get s.learnt i)) in
+    if lv > 0 && s.lbd_seen.(lv) <> stamp then begin
+      s.lbd_seen.(lv) <- stamp;
+      incr n
+    end
+  done;
   max 1 !n
 
 let cancel_until s lvl =
@@ -439,10 +538,10 @@ let cancel_until s lvl =
     let bound = Vec.get s.trail_lim lvl in
     for i = Vec.len s.trail - 1 downto bound do
       let l = Vec.get s.trail i in
-      let v = var_of l in
-      s.assigns.(v) <- 0;
-      s.reason.(v) <- -1;
-      heap_insert s v
+      Bytes.set_uint8 s.vals l 0;
+      Bytes.set_uint8 s.vals (negate l) 0;
+      s.reason.(var_of l) <- -1;
+      heap_insert s (var_of l)
     done;
     Vec.shrink s.trail bound;
     Vec.shrink s.trail_lim lvl;
@@ -454,65 +553,85 @@ let cancel_until s lvl =
 (* A clause is locked while it is the reason for a current assignment; its
    implied literal sits at position 0 for as long as the assignment stands
    (propagation only repositions false literals), so the check is O(1). *)
-let locked s cid =
-  let c = s.clauses.(cid) in
-  Array.length c.lits > 0
-  &&
-  let v = var_of c.lits.(0) in
-  s.assigns.(v) <> 0 && s.reason.(v) = cid
+let locked s off =
+  let v = var_of (chunk_of s off).(pos_of off + 1) in
+  lit_val s (pos v) <> 0 && s.reason.(v) = off
+
+(* Slide every clause not marked deleted down to where next fit puts it
+   without the deleted ones.  Offsets keep their order and only fall, so a
+   clause never overwrites one not yet moved.  A locked clause takes its
+   reason along. *)
+let compact s =
+  let last = s.cur in
+  let fills = Array.sub s.fills 0 (last + 1) in
+  s.cur <- 0;
+  s.fills.(0) <- 0;
+  for c = 0 to last do
+    let a = s.chunks.(c) in
+    let p = ref 0 in
+    while !p < fills.(c) do
+      let h = a.(!p) in
+      let words = clause_words h in
+      if h land deleted_flag = 0 then begin
+        let off = (c lsl chunk_bits) lor !p in
+        let v = var_of a.(!p + 1) and locked = locked s off in
+        let off' = alloc s words in
+        Array.blit a !p (chunk_of s off') (pos_of off') words;
+        if locked then s.reason.(v) <- off'
+      end;
+      p := !p + words
+    done
+  done;
+  for c = s.cur + 1 to last do
+    s.chunks.(c) <- [||];
+    s.fills.(c) <- 0
+  done
 
 (* Halve the learnt-clause DB, keeping binary clauses, glue clauses
    (lbd <= 2), and locked clauses unconditionally; the rest are ranked by
-   (activity, lbd, id) and the worse half deleted.  The arena is compacted
-   in place: reasons are remapped through the old->new id map and every
-   watch list is rebuilt with the surviving clauses' current watch
-   positions, which restores the exact pre-reduction watch structure minus
-   the deleted clauses.  Callable at any propagation fixpoint. *)
+   (activity, lbd, age) and the worse half deleted.  The store is
+   compacted in place and every watch list rebuilt in store order with the
+   surviving clauses' current watch positions.  Callable at any
+   propagation fixpoint. *)
 let reduce_db s =
-  let removable = ref [] in
-  for cid = 0 to s.nclauses - 1 do
-    let c = s.clauses.(cid) in
-    if c.learnt && Array.length c.lits > 2 && c.lbd > 2 && not (locked s cid)
-    then removable := cid :: !removable
-  done;
-  let arr = Array.of_list !removable in
-  (* Worst first: lowest activity, then highest lbd, then lowest id — a
-     total order, so reduction is deterministic. *)
+  let removable = Vec.create () in
+  iter_clauses s (fun off ->
+      let a = chunk_of s off and p = pos_of off in
+      if
+        a.(p) land learnt_flag <> 0
+        && size_of a.(p) > 2
+        && a.(lbd_slot a p) > 2
+        && not (locked s off)
+      then Vec.push removable off);
+  let arr = Array.sub removable.Vec.data 0 (Vec.len removable) in
+  let lbd off =
+    let a = chunk_of s off in
+    a.(lbd_slot a (pos_of off))
+  in
+  (* Worst first: lowest activity, then highest lbd, then oldest — a total
+     order, so reduction is deterministic. *)
   Array.sort
-    (fun a b ->
-      let ca = s.clauses.(a) and cb = s.clauses.(b) in
-      let c = compare ca.activity cb.activity in
+    (fun x y ->
+      let c = Float.compare (activity s x) (activity s y) in
       if c <> 0 then c
       else
-        let c = compare cb.lbd ca.lbd in
-        if c <> 0 then c else compare a b)
+        let c = Int.compare (lbd y) (lbd x) in
+        if c <> 0 then c else Int.compare x y)
     arr;
   let ndrop = Array.length arr / 2 in
   if ndrop > 0 then begin
-    let drop = Array.make s.nclauses false in
     for i = 0 to ndrop - 1 do
-      drop.(arr.(i)) <- true
+      let a = chunk_of s arr.(i) and p = pos_of arr.(i) in
+      a.(p) <- a.(p) lor deleted_flag
     done;
-    let map = Array.make s.nclauses (-1) in
-    let j = ref 0 in
-    for cid = 0 to s.nclauses - 1 do
-      if not drop.(cid) then begin
-        map.(cid) <- !j;
-        s.clauses.(!j) <- s.clauses.(cid);
-        incr j
-      end
-    done;
-    s.nclauses <- !j;
+    compact s;
+    s.nclauses <- s.nclauses - ndrop;
     s.n_learnt <- s.n_learnt - ndrop;
-    for v = 0 to s.nvars - 1 do
-      if s.reason.(v) >= 0 then s.reason.(v) <- map.(s.reason.(v))
-    done;
-    Array.iter (fun w -> Vec.shrink w 0) s.watches;
-    for cid = 0 to s.nclauses - 1 do
-      let lits = s.clauses.(cid).lits in
-      Vec.push s.watches.(negate lits.(0)) cid;
-      Vec.push s.watches.(negate lits.(1)) cid
-    done;
+    Array.fill s.wlen 0 (Array.length s.wlen) 0;
+    iter_clauses s (fun off ->
+        let a = chunk_of s off and p = pos_of off in
+        watch s (negate a.(p + 1)) off;
+        watch s (negate a.(p + 2)) off);
     s.reduces <- s.reduces + 1
   end
 
@@ -523,7 +642,7 @@ let pick_branch s =
     if s.heap_len = 0 then -1
     else
       let v = heap_pop s in
-      if s.assigns.(v) = 0 then v else go ()
+      if lit_val s (pos v) = 0 then v else go ()
   in
   go ()
 
@@ -568,25 +687,25 @@ let solve ?(assumptions = []) ?(max_conflicts = max_int) s =
         else if s.conflicts - start_conflicts > max_conflicts then
           result := Some Unknown
         else begin
-          let learnt, btlevel = analyze s confl in
-          let lbd = compute_lbd s learnt in
+          let btlevel = analyze s confl in
+          let lbd = compute_lbd s in
           cancel_until s btlevel;
-          (match learnt with
-          | [] -> begin s.ok <- false; result := Some Unsat end
-          | [ l ] -> enqueue s l (-1)
-          | l :: _ ->
-            let arr = Array.of_list learnt in
+          let out = s.learnt in
+          let l = Vec.get out 0 in
+          if Vec.len out = 1 then enqueue s l (-1)
+          else begin
             (* Position a literal of btlevel at index 1 for correct watching. *)
             let pos1 = ref 1 in
-            for k = 1 to Array.length arr - 1 do
-              if s.level.(var_of arr.(k)) > s.level.(var_of arr.(!pos1)) then
-                pos1 := k
+            for k = 1 to Vec.len out - 1 do
+              if s.level.(var_of (Vec.get out k)) > s.level.(var_of (Vec.get out !pos1))
+              then pos1 := k
             done;
-            let tmp = arr.(1) in
-            arr.(1) <- arr.(!pos1);
-            arr.(!pos1) <- tmp;
-            let id = add_clause_internal s arr true lbd in
-            enqueue s l id);
+            let tmp = Vec.get out 1 in
+            Vec.set out 1 (Vec.get out !pos1);
+            Vec.set out !pos1 tmp;
+            let off = attach s out.Vec.data (Vec.len out) ~learnt:true ~lbd in
+            enqueue s l off
+          end;
           s.var_inc <- s.var_inc /. 0.95;
           s.cla_inc <- s.cla_inc /. 0.999
         end
@@ -641,7 +760,9 @@ let solve ?(assumptions = []) ?(max_conflicts = max_int) s =
       (* Snapshot model into phase (phase saving already updated on enqueue),
          then backtrack. *)
       for v = 0 to s.nvars - 1 do
-        if s.assigns.(v) <> 0 then s.phase.(v) <- s.assigns.(v) = 1
+        match lit_val s (pos v) with
+        | 0 -> ()
+        | a -> s.phase.(v) <- a = 1
       done;
       s.has_model <- true;
       cancel_until s 0

@@ -8,7 +8,17 @@
 
     Learnt clauses carry an LBD ("glue") score and the database is
     periodically halved by {!reduce_db} once it outgrows a geometrically
-    growing limit, keeping binary, glue and locked clauses. *)
+    growing limit, keeping binary, glue and locked clauses.
+
+    Clauses live in one flat store of fixed-size int chunks, not as heap
+    blocks: a clause is a header word (size, learnt bit), its literals,
+    and for a learnt clause its LBD and activity bits, named by the offset
+    of its header.  Offsets grow with age, and {!reduce_db} compacts the
+    store in place keeping their order.  A change to how clauses are
+    stored keeps the search bit-identical: watch order, literal positions,
+    conflict analysis's visiting order and the reduction ranking stay as
+    they are, so every decision, propagation, conflict, model and counter
+    is unchanged. *)
 
 type t
 
@@ -69,7 +79,7 @@ val reduce_db : t -> unit
 (** Halve the learnt-clause database: binary clauses, glue clauses
     (LBD <= 2) and locked clauses (currently acting as a propagation
     reason) are kept unconditionally; the rest are ranked by activity then
-    LBD and the worse half deleted.  Runs automatically during [solve]
+    LBD then age and the worse half deleted.  Runs automatically during [solve]
     whenever the learnt count reaches the (geometrically growing) limit;
     callable manually between solves. *)
 

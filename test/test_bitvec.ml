@@ -135,10 +135,40 @@ let qcheck_tests =
           Bitvec.slt (bv w a) (bv w b) = (signed w a < signed w b));
     ]
 
+(* [Blast] asks [is_ones] of every node at every frame: both checks are
+   exact at every limb boundary and allocate nothing. *)
+let test_zero_ones_checks () =
+  let widths = [ 1; 16; 63; 64; 65; 128; 130 ] in
+  List.iter
+    (fun w ->
+      let name what = Printf.sprintf "width %d: %s" w what in
+      check_bool (name "ones is_ones") true (Bitvec.is_ones (Bitvec.ones w));
+      check_bool (name "zero not is_ones") false (Bitvec.is_ones (Bitvec.zero w));
+      check_bool (name "ones less its msb not is_ones") false
+        (Bitvec.is_ones (Bitvec.set_bit (Bitvec.ones w) (w - 1) false));
+      check_bool (name "ones less bit 0 not is_ones") false
+        (Bitvec.is_ones (Bitvec.set_bit (Bitvec.ones w) 0 false));
+      check_bool (name "msb alone not is_zero") false
+        (Bitvec.is_zero (Bitvec.set_bit (Bitvec.zero w) (w - 1) true)))
+    widths;
+  let vs = List.concat_map (fun w -> [ Bitvec.ones w; Bitvec.zero w ]) widths in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    List.iter
+      (fun v ->
+        ignore (Sys.opaque_identity (Bitvec.is_zero v));
+        ignore (Sys.opaque_identity (Bitvec.is_ones v)))
+      vs
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool (Printf.sprintf "28,000 checks allocate nothing (%.0f words)" words) true
+    (words < 100.)
+
 let suite =
   ( "bitvec",
     [
       Alcotest.test_case "construction" `Quick test_construction;
+      Alcotest.test_case "is_zero and is_ones" `Quick test_zero_ones_checks;
       Alcotest.test_case "bits" `Quick test_bits;
       Alcotest.test_case "wide vectors" `Quick test_wide;
       Alcotest.test_case "division corner cases" `Quick test_division_corner_cases;

@@ -93,6 +93,20 @@ let test_engine_workload () =
   Alcotest.(check int) "trace events" 267 events;
   Alcotest.(check bool) "traced report carries engine.elapsed_s" true
     (List.mem_assoc "engine.elapsed_s" cold.Engine.metrics);
+  (* The search trajectory on the real workload: BMC and induction
+     solvers with assumptions, activation literals and incremental
+     solves.  A SAT-core change that only changes how clauses are stored
+     moves none of these. *)
+  List.iter
+    (fun (key, expected) ->
+      Alcotest.(check (float 0.)) key expected (List.assoc key cold.Engine.metrics))
+    [
+      ("sat.conflicts.sum", 1289.);
+      ("sat.propagations.sum", 1_895_752.);
+      ("sat.ind_conflicts.sum", 1384.);
+      ("sat.ind_propagations.sum", 2_902_765.);
+      ("checker.canon_solves", 161.);
+    ];
   Alcotest.(check int) "duv_pl covers pruned statically" 12
     (duv_pl (fun s -> s.Synth.pruned_static) cold);
   (* ibex_lite has no register-level known bits: the refinement discharges

@@ -147,6 +147,23 @@ let test_reduce_db_shrinks () =
   (* The solver stays sound after reductions. *)
   Alcotest.(check bool) "php5 still unsat" true (S.solve (php 5) = S.Unsat)
 
+(* A clause longer than a store chunk (2^15 words) gets a chunk of its own;
+   the clauses around it, a reduction and the next solves still work. *)
+let test_long_clause () =
+  let n = 40_000 in
+  let s = mk n [] in
+  S.add_clause s (List.init n S.neg_of_var);
+  for v = 0 to n - 2 do
+    S.add_clause s [ S.neg_of_var v; S.pos (v + 1) ]
+  done;
+  Alcotest.(check bool) "sat" true (S.solve s = S.Sat);
+  Alcotest.(check bool) "model falsifies x0" false (S.value s 0);
+  S.reduce_db s;
+  Alcotest.(check bool) "x0 forces every var: unsat" true
+    (S.solve ~assumptions:[ S.pos 0 ] s = S.Unsat);
+  S.add_clause s [ S.pos 0 ];
+  Alcotest.(check bool) "unit x0: unsat" true (S.solve s = S.Unsat)
+
 (* --- model guard -------------------------------------------------------- *)
 
 let test_model_guard () =
@@ -239,6 +256,26 @@ let qcheck_tests =
                | S.Unknown -> false)
              qs));
     QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:150
+         ~name:"incremental under aggressive reduce_db = brute force"
+         arb_cnf_queries (fun (nv, cls, qs) ->
+           (* Reductions at non-zero levels, with locked reasons, on one
+              solver across solves: every answer matches brute force and
+              every model satisfies the clauses and the assumptions. *)
+           let s = mk nv cls in
+           S.set_learnt_limit s 1;
+           List.for_all
+             (fun q ->
+               let brute = brute_force nv (cls @ List.map (fun l -> [ l ]) q) in
+               match S.solve ~assumptions:q s with
+               | S.Sat ->
+                 brute
+                 && List.for_all (List.exists (S.lit_value s)) cls
+                 && List.for_all (S.lit_value s) q
+               | S.Unsat -> not brute
+               | S.Unknown -> false)
+             qs));
+    QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:150 ~name:"sound under aggressive reduce_db"
          arb_cnf (fun (nv, cls) ->
            let s = mk nv cls in
@@ -262,6 +299,7 @@ let suite =
       Alcotest.test_case "assumptions" `Quick test_assumptions;
       Alcotest.test_case "reduce_db shrinks learnt DB" `Quick test_reduce_db_shrinks;
       Alcotest.test_case "model guard" `Quick test_model_guard;
+      Alcotest.test_case "clause longer than a chunk" `Quick test_long_clause;
     ]
     @ qcheck_tests )
 
