@@ -187,15 +187,6 @@ let prune_arg =
   in
   Arg.(value & vflag `On [ (`Audit, info [ "no-static-prune" ] ~doc) ])
 
-let no_known_bits_arg =
-  let doc =
-    "Disable known-bits constant substitution in the BMC encoding \
-     (proven-constant bits otherwise encode as constant literals instead \
-     of fresh variables).  Purely an encoding-size optimization; the \
-     report digest is expected to be identical either way."
-  in
-  Arg.(value & flag & info [ "no-known-bits" ] ~doc)
-
 let sweep_conv =
   let parse = function
     | "on" -> Ok Mc.Checker.Sweep_on
@@ -302,9 +293,9 @@ let with_obs ~trace ~metrics f =
   end
 
 (* The checker configuration [mupath] and [synthlc] share: --depth,
-   --episodes, --no-known-bits and --sweep over fixed budgets. *)
+   --episodes and --sweep over fixed budgets. *)
 let config_term =
-  let config_of depth episodes no_known_bits sweep =
+  let config_of depth episodes sweep =
     {
       Mc.Checker.default_config with
       Mc.Checker.bmc_depth = depth;
@@ -312,11 +303,10 @@ let config_term =
       induction_max_k = 2;
       sim_episodes = episodes;
       sim_cycles = 44;
-      known_bits = not no_known_bits;
       sweep;
     }
   in
-  Term.(const config_of $ depth_arg $ episodes_arg $ no_known_bits_arg $ sweep_arg)
+  Term.(const config_of $ depth_arg $ episodes_arg $ sweep_arg)
 
 (* --- sim -------------------------------------------------------------- *)
 

@@ -419,6 +419,11 @@ let inputs t =
       match n.kind with Input -> n.id :: acc | _ -> acc)
   |> List.rev
 
+let symbolic_registers t =
+  fold_nodes t ~init:[] ~f:(fun acc n ->
+      match n.kind with Reg { init = Init_symbolic; _ } -> n.id :: acc | _ -> acc)
+  |> List.rev
+
 (* --- structural digest --------------------------------------------------- *)
 
 let compute_digest t =

@@ -136,6 +136,9 @@ val comb_cone : t -> signal list -> (signal, unit) Hashtbl.t
 val registers : t -> signal list
 val inputs : t -> signal list
 
+val symbolic_registers : t -> signal list
+(** The [Init_symbolic] registers, in {!registers} order. *)
+
 (** {1 Digest} *)
 
 val digest : t -> string

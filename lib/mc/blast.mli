@@ -41,7 +41,7 @@ val create :
     k-induction.  The [`Free] unrolling is where the CNF actually shrinks
     (free registers' proven bits stop being variables), and where the
     strengthening can prove covers unreachable that plain induction
-    cannot.
+    cannot, so it is the only one {!Checker} passes [known] to.
 
     Every combinational node goes through {!Hdl.Lower}, the bit-level
     lowering {!Hdl.Equiv} also encodes its miters with; this module adds

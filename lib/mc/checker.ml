@@ -2,8 +2,9 @@
    SynthLC drive (SS V-B).  A cover property asks for any execution trace, from
    a valid reset state and subject to per-cycle assumptions, on which a given
    1-bit signal becomes true.  Three outcomes mirror the paper: [Reachable]
-   (with a witness trace), [Unreachable] (with a proof kind), and
-   [Undetermined] (budget exhausted).
+   (with a witness: the symbolic initial state and the inputs of every
+   cycle, which a simulator replays into the whole trace), [Unreachable]
+   (with a proof kind), and [Undetermined] (budget exhausted).
 
    Engine pipeline, cheapest first:
    1. constrained-random simulation — a simulated hit proves reachability;
@@ -29,40 +30,17 @@ module Netlist = Hdl.Netlist
 module Solver = Sat.Solver
 
 module Cex = struct
-  (* A witness trace: values of every named signal, per cycle. *)
-  type t = { length : int; values : (string * Bitvec.t array) list }
+  (* A witness: its free variables, the values every other signal is
+     computed from. *)
+  type t = { init : Bitvec.t array; inputs : Bitvec.t array array }
 
-  let length t = t.length
-
-  let value t name ~cycle =
-    match List.assoc_opt name t.values with
-    | None -> None
-    | Some arr -> if cycle < 0 || cycle >= t.length then None else Some arr.(cycle)
-
-  let value_exn t name ~cycle =
-    match value t name ~cycle with
-    | Some v -> v
-    | None -> failwith (Printf.sprintf "Cex.value_exn: %s@%d" name cycle)
+  let length t = Array.length t.inputs
+  let same a b = Array.length a = Array.length b && Array.for_all2 Bitvec.equal a b
 
   let equal a b =
-    a.length = b.length
-    && List.length a.values = List.length b.values
-    && List.for_all2
-         (fun (na, va) (nb, vb) ->
-           String.equal na nb
-           && Array.length va = Array.length vb
-           && Array.for_all2 Bitvec.equal va vb)
-         a.values b.values
-
-  let pp fmt t =
-    Format.fprintf fmt "@[<v>";
-    List.iter
-      (fun (name, arr) ->
-        Format.fprintf fmt "%-24s" name;
-        Array.iter (fun v -> Format.fprintf fmt " %s" (Bitvec.to_hex_string v)) arr;
-        Format.fprintf fmt "@,")
-      t.values;
-    Format.fprintf fmt "@]"
+    same a.init b.init
+    && Array.length a.inputs = Array.length b.inputs
+    && Array.for_all2 same a.inputs b.inputs
 end
 
 type proof = Inductive of int | Bounded of int
@@ -153,7 +131,6 @@ type config = {
   sim_episodes : int;  (* 0 disables the simulation pre-pass *)
   sim_cycles : int;
   seed : int;
-  known_bits : bool;  (* known-bits substitution: BMC + induction strengthening *)
   sweep : sweep_mode;  (* SAT-sweep the netlist the engines encode *)
 }
 
@@ -166,7 +143,6 @@ let default_config =
     sim_episodes = 24;
     sim_cycles = 32;
     seed = 1;
-    known_bits = true;
     sweep = Sweep_off;
   }
 
@@ -186,9 +162,10 @@ type induction = {
 
 (* One SAT engine stack over the netlist it encodes (original, or the swept
    reduction): the total original->encoded signal map, the shared BMC
-   unrolling and the shared induction unrolling.  Both unrollings
-   substitute the same known-bits invariants (strengthening) when the
-   config flag is on.  Audit mode instantiates two engines. *)
+   unrolling and the shared induction unrolling.  Only the induction
+   unrolling substitutes the known-bits invariants (strengthening): on the
+   reset-state unrolling, per-step folding of the reset constants already
+   subsumes them.  Audit mode instantiates two engines. *)
 type engine = {
   map : Netlist.signal array;
   bmc : Blast.t;
@@ -201,6 +178,8 @@ type t = {
   nl : Netlist.t;
   config : config;
   assumes : Netlist.signal list;
+  sym_regs : Netlist.signal list;  (* a witness's free variables: [Cex.init] *)
+  inputs : Netlist.signal list;  (* ... and [Cex.inputs] *)
   stimulus : (Sim.t -> int -> unit) option;
   sim : Sim.t Lazy.t;
       (* The pre-pass's one simulator, reset per episode; compiled on the
@@ -213,7 +192,6 @@ type t = {
          bits or blasts. *)
   shadow : engine Lazy.t option;  (* unswept cross-check engine (audit mode) *)
   stats : Stats.t;
-  named : (string * Netlist.signal) list;
   rng : Random.State.t;
   cache : Vcache.t option;
   key_prefix : string;  (* "" when no cache is attached *)
@@ -224,12 +202,10 @@ type t = {
    the config, and a caller salt (for inputs the checker cannot see, e.g.
    Flow's imprecise IFT cell rules).  The per-property key then appends
    the cover literals — see [cover_key]. *)
-(* [known_bits] is part of the key: it changes the solver trajectory and
-   hence which engine decides a verdict.  [sweep] participates as its
-   effective boolean — audit mode computes bit-identically to on (the
-   unswept shadow run is a tripwire, not an input).  The pattern binds
-   every field with no [; _], so a field added to [config] without a
-   place in the key is a build error (warning 9). *)
+(* [sweep] participates as its effective boolean — audit mode computes
+   bit-identically to on (the unswept shadow run is a tripwire, not an
+   input).  The pattern binds every field with no [; _], so a field added
+   to [config] without a place in the key is a build error (warning 9). *)
 let config_key
     {
       bmc_depth;
@@ -239,11 +215,10 @@ let config_key
       sim_episodes;
       sim_cycles;
       seed;
-      known_bits;
       sweep;
     } =
-  Printf.sprintf "c:%d.%d.%d.%d.%d.%d.%d|e:%b|w:%b" bmc_depth bmc_conflicts
-    induction_max_k induction_conflicts sim_episodes sim_cycles seed known_bits
+  Printf.sprintf "c:%d.%d.%d.%d.%d.%d.%d|w:%b" bmc_depth bmc_conflicts
+    induction_max_k induction_conflicts sim_episodes sim_cycles seed
     (sweep <> Sweep_off)
 
 (* The empty [i:] field held initial-state-only assumptions, which no
@@ -255,7 +230,7 @@ let make_key_prefix ~salt ~assumes ~(config : config) nl =
 
 let identity_map nl = Array.init (Netlist.num_nodes nl) Fun.id
 
-let make_engine ~(config : config) ~assumes ~sweep_barriers ~swept nl =
+let make_engine ~assumes ~sweep_barriers ~swept nl =
   let enc_nl, map =
     if swept then begin
       let red, image, st = Hdl.Equiv.reduce ~barriers:sweep_barriers nl in
@@ -271,19 +246,12 @@ let make_engine ~(config : config) ~assumes ~sweep_barriers ~swept nl =
     end
     else (nl, identity_map nl)
   in
-  let tr l = List.map (fun s -> map.(s)) l in
-  let enc_assumes = tr assumes in
-  let known =
-    if config.known_bits then Some (Hdl.Absint.known_bits enc_nl) else None
-  in
-  let bmc =
-    Blast.create ?known ~initial:`Reset ~assumes:enc_assumes enc_nl
-  in
+  let enc_assumes = List.map (fun s -> map.(s)) assumes in
+  let bmc = Blast.create ~initial:`Reset ~assumes:enc_assumes enc_nl in
   let induction =
     lazy
-      (let ind =
-         Blast.create ?known ~initial:`Free ~assumes:[] enc_nl
-       in
+      (let known = Hdl.Absint.known_bits enc_nl in
+       let ind = Blast.create ~known ~initial:`Free ~assumes:[] enc_nl in
        List.iter
          (fun a -> Solver.add_clause (Blast.solver ind) [ Blast.lit1 ind a ~time:0 ])
          enc_assumes;
@@ -295,30 +263,24 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
     ?(sweep_barriers = []) ~assumes nl =
   if config.bmc_depth < 0 then invalid_arg "Checker.create: negative bmc_depth";
   Netlist.validate nl;
-  let named =
-    Netlist.fold_nodes nl ~init:[] ~f:(fun acc n ->
-        match n.Netlist.name with
-        | Some name -> (name, n.Netlist.id) :: acc
-        | None -> acc)
-    |> List.rev
-  in
   let swept = config.sweep <> Sweep_off in
-  let eng = lazy (make_engine ~config ~assumes ~sweep_barriers ~swept nl) in
+  let eng = lazy (make_engine ~assumes ~sweep_barriers ~swept nl) in
   let shadow =
     if config.sweep = Sweep_audit then
-      Some (lazy (make_engine ~config ~assumes ~sweep_barriers ~swept:false nl))
+      Some (lazy (make_engine ~assumes ~sweep_barriers ~swept:false nl))
     else None
   in
   {
     nl;
     config;
     assumes;
+    sym_regs = Netlist.symbolic_registers nl;
+    inputs = Netlist.inputs nl;
     stimulus;
     sim = lazy (Sim.create nl);
     eng;
     shadow;
     stats = Stats.create ();
-    named;
     rng = Random.State.make [| config.seed |];
     cache;
     key_prefix =
@@ -329,62 +291,49 @@ let create ?cache ?(cache_salt = "") ?stimulus ?(config = default_config)
   }
 
 let stats t = t.stats
-let netlist t = t.nl
 
+(* The witness of the solver's current model: its free variables. *)
 let cex_of_model t eng ~upto =
-  let values =
-    List.map
-      (fun (name, s) ->
-        ( name,
-          Array.init (upto + 1) (fun time ->
-              Blast.model_value eng.bmc eng.map.(s) ~time) ))
-      t.named
+  let row time l =
+    Array.of_list (List.map (fun s -> Blast.model_value eng.bmc eng.map.(s) ~time) l)
   in
-  { Cex.length = upto + 1; values }
+  {
+    Cex.init = row 0 t.sym_regs;
+    inputs = Array.init (upto + 1) (fun time -> row time t.inputs);
+  }
 
 (* --- simulation pre-pass ------------------------------------------------ *)
 
-(* Drive one random episode; return the cycle where [cover] held, if any.
-   Aborts (returns None) as soon as an assumption is violated, which keeps
-   the pre-pass sound: only assumption-respecting traces can witness. *)
 let cover_holds sim cover =
   List.for_all (fun (s, pol) -> Sim.peek_bool sim s = pol) cover
 
-(* Drive one random episode, recording named signals as it goes; return the
-   recorded witness if the cover fired.  Aborts as soon as an assumption is
+(* Drive one random episode, recording its inputs as it goes; return the
+   witness if the cover fired.  Aborts as soon as an assumption is
    violated, which keeps the pre-pass sound: only assumption-respecting
    traces can witness.  Always runs on the original netlist — the pre-pass
    is identical whatever the sweep mode. *)
 let sim_episode t cover seed =
   let sim = Lazy.force t.sim in
   Sim.reset ~seed sim;
-  let rows = ref [] in
-  let ok = ref true in
-  let hit = ref None in
-  let c = ref 0 in
-  while !ok && !hit = None && !c < t.config.sim_cycles do
+  let init = ref [||] and rows = ref [] in
+  let ok = ref true and hit = ref false and c = ref 0 in
+  while !ok && (not !hit) && !c < t.config.sim_cycles do
     (match t.stimulus with
     | Some f -> f sim !c
     | None -> Sim.poke_random_inputs sim);
     Sim.eval sim;
     if not (List.for_all (fun a -> Sim.peek_bool sim a) t.assumes) then ok := false
     else begin
-      rows := List.map (fun (_, s) -> Sim.peek sim s) t.named :: !rows;
-      if cover_holds sim cover then hit := Some !c;
+      (* A register reads its state only after an eval. *)
+      if !c = 0 then init := Array.of_list (List.map (Sim.peek sim) t.sym_regs);
+      rows := Array.of_list (List.map (Sim.peek sim) t.inputs) :: !rows;
+      hit := cover_holds sim cover;
       Sim.step sim;
       incr c
     end
   done;
-  match !hit with
-  | None -> None
-  | Some upto ->
-    let rows = Array.of_list (List.rev !rows) in
-    let values =
-      List.mapi
-        (fun i (name, _) -> (name, Array.init (upto + 1) (fun c_ -> List.nth rows.(c_) i)))
-        t.named
-    in
-    Some { Cex.length = upto + 1; values }
+  if !hit then Some { Cex.init = !init; inputs = Array.of_list (List.rev !rows) }
+  else None
 
 (* Also reports how many seeds were drawn from [t.rng]: a cache hit must
    replay exactly that many draws (see [check_cover]) so the RNG stream
@@ -535,28 +484,12 @@ let canonical_witness t eng ~gates ~default_upto =
   | _ -> failwith "Checker: canonical witness lost the satisfying model");
   (* 2. The free variables, in canonical order. *)
   let free =
-    let sym_regs =
-      List.filter
-        (fun r ->
-          match (Netlist.node t.nl r).Netlist.kind with
-          | Netlist.Reg { init = Netlist.Init_symbolic; _ } -> true
-          | _ -> false)
-        (Netlist.registers t.nl)
-    in
-    let reg_bits =
-      List.concat_map
-        (fun r -> Array.to_list (Blast.lits eng.bmc eng.map.(r) ~time:0))
-        sym_regs
-    in
-    let input_bits =
-      List.concat_map
-        (fun time ->
-          List.concat_map
-            (fun i -> Array.to_list (Blast.lits eng.bmc eng.map.(i) ~time))
-            (Netlist.inputs t.nl))
-        (List.init (upto + 1) Fun.id)
-    in
-    Array.of_list (reg_bits @ input_bits)
+    let bits time s = Array.to_list (Blast.lits eng.bmc eng.map.(s) ~time) in
+    Array.of_list
+      (List.concat_map (bits 0) t.sym_regs
+      @ List.concat_map
+          (fun time -> List.concat_map (bits time) t.inputs)
+          (List.init (upto + 1) Fun.id))
   in
   let nfree = Array.length free in
   let model = Array.map (fun l -> Solver.lit_value s l) free in
@@ -601,14 +534,14 @@ let canonical_witness t eng ~gates ~default_upto =
 (* --- verdict cache entries ---------------------------------------------- *)
 
 (* What a warm run needs to be indistinguishable from the cold one: the
-   outcome itself (witness traces included, so harvesting replays), whether
+   outcome itself (witnesses included, so harvesting replays), whether
    the sim pre-pass discharged it (stats fidelity), and how many RNG draws
    the pre-pass consumed (stream fidelity for subsequent properties). *)
 type cache_entry = { ce_outcome : outcome; ce_sim : bool; ce_draws : int }
 
-(* '\002': canonical witnesses changed which model a Sat BMC query
-   reports, so entries written by older binaries must miss. *)
-let codec_version = '\002'
+(* '\003': a witness holds its free variables instead of every named
+   signal's trace, so entries written by older binaries must miss. *)
+let codec_version = '\003'
 
 let encode_entry (e : cache_entry) =
   Printf.sprintf "%c%s" codec_version (Marshal.to_string e [])

@@ -33,11 +33,13 @@
     The SAT engines can run on an equivalence-swept copy of the netlist
     ({!config.sweep}): {!Hdl.Equiv.reduce} merges proven-equivalent
     combinational nodes before encoding, and every query crosses the
-    total old→new signal map at the boundary.  BMC witnesses are
-    {e canonical} — minimal hit time, then lexicographically-minimal free
-    variables — so the reported trace depends only on the design's
-    semantics, never on the encoding the solver searched; that is what
-    keeps report digests bit-identical across sweep modes.
+    total old→new signal map at the boundary.  A witness ({!Cex}) is the
+    trace's free variables, from which a simulator recomputes every other
+    signal; BMC witnesses are {e canonical} — minimal hit time, then
+    lexicographically-minimal free variables — so the reported trace
+    depends only on the design's semantics, never on the encoding the
+    solver searched; that is what keeps report digests bit-identical
+    across sweep modes.
 
     The free variables are the symbolic-init register bits in
     {!Hdl.Netlist.registers} order, then the input bits of cycles
@@ -53,18 +55,26 @@
     digest). *)
 
 module Cex : sig
-  type t
-  (** A witness trace: per-cycle values of every named signal. *)
+  type t = {
+    init : Bitvec.t array;
+        (** Each symbolic-init register's value at cycle 0, in
+            {!Hdl.Netlist.symbolic_registers} order. *)
+    inputs : Bitvec.t array array;
+        (** [inputs.(c)]: every input's value on cycle [c], in
+            {!Hdl.Netlist.inputs} order.  The cover holds on the last
+            cycle. *)
+  }
+  (** A witness: the free variables of an execution that reaches the
+      cover.  Replayed on {!Sim} — {!Sim.reset}, {!Sim.poke_reg} of
+      [init], then per cycle {!Sim.poke} of the cycle's inputs before
+      {!Sim.eval} — they give every signal its value on every cycle. *)
 
   val length : t -> int
-  val value : t -> string -> cycle:int -> Bitvec.t option
-  val value_exn : t -> string -> cycle:int -> Bitvec.t
+  (** Cycles, the hit cycle included. *)
 
   val equal : t -> t -> bool
-  (** Structural equality: same length, same signals in the same order,
-      bit-identical values — the comparison the sweep audit applies. *)
-
-  val pp : Format.formatter -> t -> unit
+  (** Bit-identical free variables — the comparison the sweep audit
+      applies. *)
 end
 
 type proof =
@@ -146,21 +156,6 @@ type config = {
   sim_episodes : int;  (** 0 disables the simulation pre-pass. *)
   sim_cycles : int;
   seed : int;
-  known_bits : bool;
-      (** Substitute {!Hdl.Absint.known_bits} invariants as constant
-          literals in both engines' encodings (default [true]).  On the
-          BMC (reset-state) side the substitution never changes the CNF —
-          per-step folding of the reset constants subsumes it — but on
-          the induction side it is the standard invariant strengthening:
-          the known-bits fixpoint is an inductive invariant, so the shared
-          free-initial unrolling substitutes its constant bits, shrinking
-          variables and clauses (the [sat.ind_vars] counter of a traced
-          run: every variable the induction unrolling allocates, its
-          creation included) and letting induction discharge covers
-          plain induction cannot.  Part of the cache key: the strengthening can change
-          verdicts (Undetermined becoming Unreachable) and solver
-          trajectories.  When sweeping, known bits are computed on the
-          netlist each engine actually encodes. *)
   sweep : sweep_mode;
       (** Equivalence-sweep the netlist the SAT engines encode (default
           {!Sweep_off}).  Verdicts, witnesses and hence report digests
@@ -197,14 +192,14 @@ val create :
     [config] field including the seed, [cache_salt], cover literals) and
     served from the store when present.  Netlists that differ in
     structure never share a key, however alike they behave.  A cached
-    verdict replays exactly as the cold run computed it — witness trace,
-    sim-discharged accounting, and the RNG draws the sim pre-pass
-    consumed — so a run whose properties all hit is bit-identical to the
-    run that filled the store.  [cache_salt] must identify any
-    verdict-relevant input the checker cannot see.  Only {!Synthlc.Flow}
-    sets one, for imprecise IFT; every caller derives [stimulus] from the
-    design and from the instructions its monitored netlist already
-    encodes.
+    verdict replays exactly as the cold run computed it — the witness's
+    free variables, sim-discharged accounting, and the RNG draws the sim
+    pre-pass consumed — so a run whose properties all hit is
+    bit-identical to the run that filled the store.  [cache_salt] must
+    identify any verdict-relevant input the checker cannot see.  Only
+    {!Synthlc.Flow} sets one, for imprecise IFT; every caller derives
+    [stimulus] from the design and from the instructions its monitored
+    netlist already encodes.
 
     [sweep_barriers] are extra signals the equivalence sweep must never
     merge away (named signals, registers and inputs are always barriers);
@@ -212,14 +207,25 @@ val create :
     of those signals being named.  Ignored when [config.sweep] is
     {!Sweep_off}.
 
+    The induction unrolling substitutes the {!Hdl.Absint.known_bits}
+    invariants of the netlist it encodes as constant literals: the
+    known-bits fixpoint is an inductive invariant, so this is the
+    standard strengthening of k-induction, shrinking the free-initial
+    unrolling (the [sat.ind_vars] counter of a traced run: every variable
+    the induction unrolling allocates, its creation included) and letting
+    induction discharge covers plain induction cannot.  The reset-state
+    BMC unrolling does without: per-step folding of the reset constants
+    already subsumes them there.
+
     [create] only validates: it raises [Invalid_argument] when
     [config.bmc_depth] is negative and [Failure] when the netlist does not
-    {!Hdl.Netlist.validate}.  The SAT engine (the sweep, the known-bits
-    fixpoint and the BMC encoding) and the audit shadow are built by the
-    first {!check_cover} that reaches the SAT phases, so a checker whose
-    covers all hit the cache never builds them, and an error in the sweep,
-    known bits or encoding surfaces from that first miss.  The netlist
-    must not change after [create]. *)
+    {!Hdl.Netlist.validate}.  The SAT engine (the sweep and the BMC
+    encoding) and the audit shadow are built by the first {!check_cover}
+    that reaches the SAT phases, and the known-bits fixpoint with the
+    induction unrolling by the first induction attempt, so a checker
+    whose covers all hit the cache builds none of them, and an error in
+    the sweep, known bits or encoding surfaces from that first miss.  The
+    netlist must not change after [create]. *)
 
 val check_cover : ?name:string -> t -> (Hdl.Netlist.signal * bool) list -> outcome
 (** [check_cover t lits] searches for a cycle where every [(signal,
@@ -228,4 +234,3 @@ val check_cover : ?name:string -> t -> (Hdl.Netlist.signal * bool) list -> outco
     [Failure] if the swept and unswept engines ever disagree. *)
 
 val stats : t -> Stats.t
-val netlist : t -> Hdl.Netlist.t

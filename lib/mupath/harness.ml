@@ -188,7 +188,7 @@ let create ?cache ?cache_salt ?config ?stimulus ?(revisit_count_labels = [])
           Some (maxr, Array.init max_run_limit (fun i -> maxr ==: of_int 4 (i + 1)))
         end
       in
-      (* Name the occupancy wires so they appear in witness traces. *)
+      (* Named, the occupancy wires are equivalence-sweep barriers. *)
       let oa_w = wire ~name:(nm "occany" lbl) 1 in
       let () = oa_w <== oa in
       let oi_w = wire ~name:(nm "occ" lbl) 1 in

@@ -20,10 +20,10 @@
       the IUV's PC to the IUV's encoding.
 
     All monitors are materialized {e before} checker creation so that every
-    later property is a conjunction of existing 1-bit literals.  Every
-    monitor a trace reader needs (occupancies, [gone], the sticky flags,
-    edge flags and {!maxrun}) is a named signal, so a checker witness
-    ({!Mc.Checker.Cex}) carries its value on every cycle. *)
+    later property is a conjunction of existing 1-bit literals.  A trace
+    reader reads them (occupancies, [gone], the sticky flags, edge flags
+    and {!maxrun}) off a simulator of the monitored netlist, which a
+    checker witness ({!Mc.Checker.Cex}) drives as well as a stimulus. *)
 
 type t
 

@@ -40,8 +40,8 @@ type result = {
   checker_stats : Mc.Checker.Stats.t;
 }
 
-(* What the observer read from one trace: a presim episode, or a checker
-   witness up to the cycle the IUV leaves in. *)
+(* What the trace reader read from one trace: a presim episode, or a
+   checker witness up to the cycle the IUV leaves in. *)
 type episode = {
   completed : bool;
   occ_any_seen : SS.t;
@@ -242,107 +242,111 @@ let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
   in
 
   (* ------------------------------------------------------------------ *)
-  (* The one observer of the harness monitors (§IV-B, DESIGN §7).         *)
+  (* The one trace reader of the harness monitors (§IV-B, DESIGN §7).     *)
   (* ------------------------------------------------------------------ *)
-  let flagged read f =
-    List.fold_left
-      (fun acc lbl -> if read (f h lbl) then SS.add lbl acc else acc)
-      SS.empty labels
-  in
-  (* [observer ()] reads one trace.  [cycle read] reads one cycle's
-     occupancies through [read], records the transition from the previous
-     cycle's IUV set to this one's (the cycle the IUV becomes gone
-     included: it leaves to the empty set) and returns whether the IUV is
-     gone.  [finish ~completed read value] reads the sticky flags at the
-     last cycle read, each longest run through [value]. *)
-  let observer () =
+  let episode_assumes = Harness.assumes h in
+  (* [trace sim ~cycles drive] runs one trace from [sim]'s current state:
+     per cycle, [drive c] pokes the inputs, the logic is evaluated, and the
+     monitors are read, recording the transition from the previous cycle's
+     IUV PL set to this one's (the cycle the IUV becomes gone included: it
+     leaves to the empty set).  The trace ends, completed, at the cycle the
+     IUV is gone, or after [cycles] cycles; the sticky flags and each
+     longest run are read at its last cycle.  A broken design assumption
+     drops it ([None]). *)
+  let trace sim ~cycles drive =
+    let on s = Sim.peek_bool sim s in
+    let flagged f =
+      List.fold_left
+        (fun acc lbl -> if on (f h lbl) then SS.add lbl acc else acc)
+        SS.empty labels
+    in
     let occ_any_seen = ref SS.empty and occ_iuv_seen = ref SS.empty in
     let prev = ref SS.empty and decision_obs = ref [] in
-    let cycle read =
-      let now = flagged read Harness.occ_iuv in
-      List.iter
-        (fun lbl ->
-          if read (Harness.occ_any h lbl) then occ_any_seen := SS.add lbl !occ_any_seen)
-        labels;
-      occ_iuv_seen := SS.union now !occ_iuv_seen;
-      SS.iter (fun src -> decision_obs := (src, now) :: !decision_obs) !prev;
-      prev := now;
-      read (Harness.gone h)
-    in
-    let finish ~completed read value =
-      {
-        completed;
-        occ_any_seen = !occ_any_seen;
-        occ_iuv_seen = !occ_iuv_seen;
-        final_visited = flagged read Harness.visited;
-        cons_seen = flagged read Harness.cons_flag;
-        reenter_seen = flagged read Harness.reenter_flag;
-        edges_seen =
-          List.filter (fun e -> read (Harness.edge_flag h e)) (Harness.edge_candidates h);
-        maxruns =
-          List.map (fun lbl -> (lbl, value (Harness.maxrun h lbl))) revisit_count_labels;
-        decision_obs = !decision_obs;
-      }
-    in
-    (cycle, finish)
-  in
-  (* A witness, read from cycle 0 up to and including the first cycle the
-     IUV is gone; a monitor's value is found through its node name. *)
-  let observe_cex cex =
-    let value c s =
-      Checker.Cex.value_exn cex
-        (Option.get (Hdl.Netlist.node nl s).Hdl.Netlist.name)
-        ~cycle:c
-    in
-    let read c s = not (Bitvec.is_zero (value c s)) in
-    let cycle, finish = observer () in
     let rec go c =
-      let gone = cycle (read c) in
-      if gone || c + 1 = Checker.Cex.length cex then (c, gone) else go (c + 1)
+      drive c;
+      Sim.eval sim;
+      if not (List.for_all on episode_assumes) then None
+      else begin
+        let now = flagged Harness.occ_iuv in
+        occ_any_seen := SS.union (flagged Harness.occ_any) !occ_any_seen;
+        occ_iuv_seen := SS.union now !occ_iuv_seen;
+        SS.iter (fun src -> decision_obs := (src, now) :: !decision_obs) !prev;
+        prev := now;
+        if on (Harness.gone h) then Some true
+        else if c + 1 = cycles then Some false
+        else begin
+          Sim.step sim;
+          go (c + 1)
+        end
+      end
     in
-    let last, completed = go 0 in
-    finish ~completed (read last) (fun s -> Bitvec.to_int (value last s))
+    Option.map
+      (fun completed ->
+        {
+          completed;
+          occ_any_seen = !occ_any_seen;
+          occ_iuv_seen = !occ_iuv_seen;
+          final_visited = flagged Harness.visited;
+          cons_seen = flagged Harness.cons_flag;
+          reenter_seen = flagged Harness.reenter_flag;
+          edges_seen =
+            List.filter (fun e -> on (Harness.edge_flag h e)) (Harness.edge_candidates h);
+          maxruns =
+            List.map
+              (fun lbl -> (lbl, Bitvec.to_int (Sim.peek sim (Harness.maxrun h lbl))))
+              revisit_count_labels;
+          decision_obs = !decision_obs;
+        })
+      (go 0)
   in
 
   (* ------------------------------------------------------------------ *)
   (* Simulation pre-pass: harvest completed executions.                   *)
   (* ------------------------------------------------------------------ *)
-  let episode_assumes = Harness.assumes h in
-  (* An episode ends at the cycle the IUV is gone, after [presim_cycles]
-     cycles, or (dropped) at the first broken assumption. *)
-  let run_episode sim seed =
-    Sim.reset ~seed sim;
-    let cycle, finish = observer () in
-    let rec go c =
-      (match stimulus with
-      | Some f -> f sim c
-      | None -> Sim.poke_random_inputs sim);
-      Sim.eval sim;
-      (* The IUV-encoding assumption is enforced by construction of the
-         stimulus; design environment assumptions must hold too. *)
-      if not (List.for_all (Sim.peek_bool sim) episode_assumes) then None
-      else if cycle (Sim.peek_bool sim) then Some true
-      else if c + 1 = presim_cycles then Some false
-      else begin
-        Sim.step sim;
-        go (c + 1)
-      end
-    in
-    Option.map
-      (fun completed ->
-        finish ~completed (Sim.peek_bool sim) (fun s -> Bitvec.to_int (Sim.peek sim s)))
-      (go 0)
-  in
-  let episodes =
+  (* The IUV-encoding assumption is enforced by construction of the
+     stimulus; design environment assumptions must hold too.  The
+     simulator is kept for replaying checker witnesses. *)
+  let sim, episodes =
     let go () =
       let sim = Sim.create nl in
-      List.filter_map (fun i -> run_episode sim (0x9e3779b lxor (i * 2654435761))) (List.init presim_episodes (fun i -> i))
+      let drive c =
+        match stimulus with Some f -> f sim c | None -> Sim.poke_random_inputs sim
+      in
+      ( sim,
+        List.filter_map
+          (fun i ->
+            Sim.reset ~seed:(0x9e3779b lxor (i * 2654435761)) sim;
+            trace sim ~cycles:presim_cycles drive)
+          (List.init presim_episodes Fun.id) )
     in
     if Obs.enabled () then
       Obs.with_span "synth.presim"
         ~args:[ ("episodes", string_of_int presim_episodes) ]
         go
     else go ()
+  in
+  (* A checker witness of [cover], replayed from its free variables
+     through the same reader.  Every cover whose witness is read includes
+     [gone], and the monitors it reads freeze once the IUV is gone, so the
+     cover must hold on the cycle the trace ends: a replay that breaks an
+     assumption or misses its cover there is a witness the design does not
+     have. *)
+  let sym_regs = Hdl.Netlist.symbolic_registers nl in
+  let inputs = Hdl.Netlist.inputs nl in
+  let replay stage_name cover (w : Checker.Cex.t) =
+    Sim.reset sim;
+    List.iteri (fun i r -> Sim.poke_reg sim r w.init.(i)) sym_regs;
+    let drive c = List.iteri (fun i s -> Sim.poke sim s w.inputs.(c).(i)) inputs in
+    let fail what =
+      failwith
+        (Printf.sprintf "Synth: a %s witness %s when replayed on the simulator"
+           stage_name what)
+    in
+    match trace sim ~cycles:(Checker.Cex.length w) drive with
+    | None -> fail "breaks an assumption"
+    | Some e ->
+      if List.for_all (fun (s, pol) -> Sim.peek_bool sim s = pol) cover then e
+      else fail "misses its cover"
   in
   let completed_eps = List.filter (fun e -> e.completed) episodes in
 
@@ -533,30 +537,31 @@ let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
       (fun lbl -> (Harness.visited h lbl, SS.mem lbl s))
       iuv_pls
   in
+  let set_cover s = gone_lit :: set_pattern s in
   let decision_obs_all = ref (List.concat_map (fun e -> e.decision_obs) completed_eps) in
   let reachable_sets =
-    (* Sharded tasks return any harvested observations instead of touching
-       the shared accumulator; the merge happens at the (sequential) join. *)
+    (* Sharded tasks return a witness instead of reading it: the join
+       replays it on the main domain's simulator, in candidate order, and
+       merges what it harvests into the shared accumulator. *)
     let candidates_checked =
       sharded "pl_set" candidates ~f:(fun ~check ~hit s ->
-          let presim_matches =
-            List.filter (fun e -> SS.equal e.final_visited s) completed_eps
-          in
-          if presim_matches <> [] then begin
-            hit ();
-            Some (s, presim_matches, [])
-          end
-          else
-            match check (gone_lit :: set_pattern s) with
-            | Checker.Reachable cex ->
-              let ep = observe_cex cex in
-              Some (s, [ ep ], ep.decision_obs)
+          match List.filter (fun e -> SS.equal e.final_visited s) completed_eps with
+          | [] -> (
+            match check (set_cover s) with
+            | Checker.Reachable w -> Some (s, Either.Right w)
             | Checker.Unreachable _ | Checker.Undetermined -> None)
+          | presim_matches ->
+            hit ();
+            Some (s, Either.Left presim_matches))
     in
     List.filter_map
-      (Option.map (fun (s, eps, harvested) ->
-           decision_obs_all := harvested @ !decision_obs_all;
-           (s, eps)))
+      (Option.map (fun (s, found) ->
+           match found with
+           | Either.Left eps -> (s, eps)
+           | Either.Right w ->
+             let ep = replay "pl_set" (set_cover s) w in
+             decision_obs_all := ep.decision_obs @ !decision_obs_all;
+             (s, [ ep ])))
       candidates_checked
   in
 
@@ -573,9 +578,11 @@ let run ?cache ?config ?stimulus ?(revisit_count_labels = [])
             true
           end
           else
-            match check stage_name (gone_lit :: (flag_sig, true) :: pattern) with
-            | Checker.Reachable cex ->
-              decision_obs_all := (observe_cex cex).decision_obs @ !decision_obs_all;
+            let cover = gone_lit :: (flag_sig, true) :: pattern in
+            match check stage_name cover with
+            | Checker.Reachable w ->
+              decision_obs_all :=
+                (replay stage_name cover w).decision_obs @ !decision_obs_all;
               true
             | Checker.Unreachable _ | Checker.Undetermined -> false
         in

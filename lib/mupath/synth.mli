@@ -17,12 +17,15 @@
     reachable facts cheaply; unreachability verdicts always come from the
     model checker.  Decisions (§IV-B) are read from traces: presim's
     completed episodes and the witnesses of the PL-set, revisit and
-    happens-before covers.  One observer reads both kinds — an episode
-    through the simulator, a witness through its monitor values up to and
-    including the first cycle the IUV is gone — and records, per cycle,
-    the transition from the previous cycle's IUV PL set, the exit to the
-    empty set included.  Per-stage property counts and outcome statistics
-    are recorded — they regenerate the paper's §VII-B3 numbers. *)
+    happens-before covers.  One per-cycle loop reads both kinds off one
+    simulator, driving it with the stimulus or with a witness's free
+    variables ({!Mc.Checker.Cex}) up to and including the first cycle the
+    IUV is gone, and records, per cycle, the transition from the previous
+    cycle's IUV PL set, the exit to the empty set included.  A witness
+    whose replay breaks an assumption, or misses its cover on the cycle
+    the replay ends, raises [Failure] naming its stage.  Per-stage
+    property counts and outcome statistics are recorded — they
+    regenerate the paper's §VII-B3 numbers. *)
 
 (** How one µPATH may revisit a PL (§III-B, §V-B4).  The constructor order
     is part of {!result_digest}, which marshals them by index. *)
@@ -117,8 +120,8 @@ val run :
     [cache] attaches a persistent verdict store (see {!Mc.Checker.create}):
     every checker property — including each shard's — is looked up before
     any engine runs, and a run whose properties all hit is bit-identical to
-    the run that filled the store, because cached witness traces replay
-    through the same harvesting code paths.
+    the run that filled the store, because a cached witness replays
+    through the same trace reader.
     [config.sweep] selects the checker's equivalence-sweep mode; the
     design's {!Designs.Meta.signals} are always passed as merge barriers.  With [shards > 1], each
     non-zero shard stages its writes and the joins merge them in shard

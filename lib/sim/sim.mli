@@ -78,7 +78,11 @@ val eval_cone : t -> Hdl.Netlist.signal -> unit
 
 val peek : t -> Hdl.Netlist.signal -> Bitvec.t
 (** Value after the most recent {!eval} (or, for a node in its cone,
-    {!eval_cone}). *)
+    {!eval_cone}).  An input reads what was last poked into it, but a
+    register reads its current state only after an {!eval}: after a
+    {!reset} it reads zero, whatever its reset or poked state, and after
+    a {!step} it reads the previous cycle's state, until the next
+    {!eval}. *)
 
 val peek_bool : t -> Hdl.Netlist.signal -> bool
 (** [peek] of a 1-bit signal. *)

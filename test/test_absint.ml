@@ -342,53 +342,6 @@ let test_absint_prune_digest_identical () =
     (List.exists (fun s -> String.length s >= 4 && String.sub s 0 4 = "gate")
        (pruned on))
 
-(* Known-bits SAT substitution (Checker.known_bits) must not change any
-   verdict: same workload, flag on vs off, bit-identical report. *)
-let test_known_bits_encoding_digest_identical () =
-  let run kb =
-    let design () = Designs.Gated.build () in
-    let config = { gated_config with Mc.Checker.known_bits = kb } in
-    Synthlc.Engine.run ~config ~design ~jobs:1
-      ~instructions:[ Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD ]
-      ~transmitters:[ Isa.ADD ]
-      ~kinds:[ Synthlc.Types.Intrinsic ]
-      ~revisit_count_labels:[] ~iuv_pc:Designs.Gated.iuv_pc ()
-  in
-  let with_kb = run true and without_kb = run false in
-  Alcotest.(check string) "digest identical across known_bits on/off"
-    (Synthlc.Engine.report_digest without_kb)
-    (Synthlc.Engine.report_digest with_kb);
-  (* A cover batch with both simulations off, so SAT decides every cover:
-     the substitution keeps the synthesized set and allocates fewer
-     variables in the shared induction unrolling. *)
-  let batch kb =
-    let config =
-      { gated_config with Mc.Checker.sim_episodes = 0; known_bits = kb }
-    in
-    Obs.reset ();
-    Obs.enable ();
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.disable ();
-        Obs.reset ())
-      (fun () ->
-        let r =
-          Mupath.Synth.run ~config ~presim_episodes:0
-            ~meta:(Designs.Gated.build ())
-            ~iuv:(Isa.make ~rd:1 ~rs1:2 ~rs2:3 Isa.ADD)
-            ~iuv_pc:Designs.Gated.iuv_pc ()
-        in
-        let vars = List.assoc "sat.ind_vars" (Obs.Metrics.snapshot ()) in
-        ((r.Mupath.Synth.paths, r.Mupath.Synth.decisions), vars))
-  in
-  let set_kb, vars_kb = batch true and set_plain, vars_plain = batch false in
-  Alcotest.(check bool) "batch synthesizes the same set" true
-    (set_kb = set_plain);
-  Alcotest.(check bool)
-    (Printf.sprintf "known bits drop sat.ind_vars (%.0f < %.0f)" vars_kb
-       vars_plain)
-    true (vars_kb < vars_plain)
-
 let suite =
   ( "absint",
     [
@@ -407,6 +360,4 @@ let suite =
         test_taint_reach_refined;
       Alcotest.test_case "absint prune digest-identical" `Quick
         test_absint_prune_digest_identical;
-      Alcotest.test_case "known-bits encoding digest-identical" `Quick
-        test_known_bits_encoding_digest_identical;
     ] )

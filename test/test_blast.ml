@@ -54,30 +54,31 @@ let sim_pattern nl ~seed ~cycles =
       let s = Option.get (N.find_named nl (Printf.sprintf "acc%d" i)) in
       (s, Sim.peek_bool sim s))
 
-(* Replay a witness on the simulator: from reset, poke each cycle's inputs
-   as the witness records them; every named signal must then read its
-   recorded value on every cycle. *)
-let replay nl cex =
+(* Certify a witness on the simulator: from reset with the witness's
+   symbolic initial state, poke each cycle's inputs as the witness records
+   them; every assumption must hold on every cycle and every cover literal
+   on the last.  Returns the simulator at that last cycle. *)
+let replay nl ~assumes ~cover (w : C.Cex.t) =
   let sim = Sim.create nl in
-  let named =
-    N.fold_nodes nl ~init:[] ~f:(fun acc nd ->
-        match nd.N.name with Some name -> (name, nd.N.id) :: acc | None -> acc)
-  in
-  for cycle = 0 to C.Cex.length cex - 1 do
-    List.iter
-      (fun (name, s) ->
-        if List.mem s (N.inputs nl) then Sim.poke sim s (C.Cex.value_exn cex name ~cycle))
-      named;
-    Sim.eval sim;
-    List.iter
-      (fun (name, s) ->
-        let want = C.Cex.value_exn cex name ~cycle and got = Sim.peek sim s in
-        if not (Bitvec.equal want got) then
-          Alcotest.failf "witness does not replay: %s at cycle %d: witness %s, simulator %s"
-            name cycle (Bitvec.to_hex_string want) (Bitvec.to_hex_string got))
-      named;
-    Sim.step sim
-  done
+  List.iteri (fun i r -> Sim.poke_reg sim r w.C.Cex.init.(i)) (N.symbolic_registers nl);
+  Array.iteri
+    (fun cycle row ->
+      if cycle > 0 then Sim.step sim;
+      List.iteri (fun i s -> Sim.poke sim s row.(i)) (N.inputs nl);
+      Sim.eval sim;
+      List.iter
+        (fun a ->
+          if not (Sim.peek_bool sim a) then
+            Alcotest.failf "witness breaks assumption %d at cycle %d" a cycle)
+        assumes)
+    w.C.Cex.inputs;
+  List.iter
+    (fun (s, pol) ->
+      if Sim.peek_bool sim s <> pol then
+        Alcotest.failf "cover literal %d is not %b on the witness's last cycle %d" s pol
+          (C.Cex.length w - 1))
+    cover;
+  sim
 
 let no_sim_config =
   {
@@ -97,7 +98,7 @@ let test_simulated_patterns_reachable () =
       let cycles = 1 + Random.State.int rng 7 in
       let pattern = sim_pattern nl ~seed:((trial * 17) + run) ~cycles in
       match C.check_cover chk pattern with
-      | C.Reachable cex -> replay nl cex
+      | C.Reachable cex -> ignore (replay nl ~assumes:[] ~cover:pattern cex)
       | o ->
         Alcotest.failf "trial %d run %d: simulated pattern not BMC-reachable (%s)"
           trial run (C.outcome_tag o)
@@ -114,17 +115,16 @@ let test_impossible_pattern_unreachable () =
   | o -> Alcotest.failf "expected unreachable, got %s" (C.outcome_tag o)
 
 let test_model_values_consistent () =
-  (* When BMC finds a witness, the witness's recorded values must satisfy
-     the cover conjunction. *)
+  (* When BMC finds a witness, its replay must satisfy the cover
+     conjunction. *)
   let nl = build_circuit 13 5 in
   let chk = C.create ~config:no_sim_config ~assumes:[] nl in
   let s n = Option.get (N.find_named nl n) in
   let cover = [ (s "acc0", true); (s "acc1", false); (s "acc2", true) ] in
   match C.check_cover chk cover with
   | C.Reachable cex ->
-    replay nl cex;
-    let last = C.Cex.length cex - 1 in
-    let acc = Bitvec.to_int (C.Cex.value_exn cex "acc" ~cycle:last) in
+    let sim = replay nl ~assumes:[] ~cover cex in
+    let acc = Bitvec.to_int (Sim.peek sim (s "acc")) in
     Alcotest.(check int) "acc bits match cover" 0b101 (acc land 0b111)
   | o -> Alcotest.failf "expected reachable, got %s" (C.outcome_tag o)
 
@@ -140,16 +140,16 @@ let test_assume_respected_in_model () =
   let a_zero = wire ~name:"a_zero" 1 in
   a_zero <== (a ==: zero 6);
   let chk = C.create ~config:no_sim_config ~assumes:[ a_zero ] nl in
-  let s n = Option.get (N.find_named nl n) in
-  match C.check_cover chk [ (s "acc0", true) ] with
+  let cover = [ (Option.get (N.find_named nl "acc0"), true) ] in
+  match C.check_cover chk cover with
   | C.Reachable cex ->
-    replay nl cex;
-    for c = 0 to C.Cex.length cex - 1 do
-      Alcotest.(check int)
-        (Printf.sprintf "a = 0 at cycle %d" c)
-        0
-        (Bitvec.to_int (C.Cex.value_exn cex "a" ~cycle:c))
-    done
+    ignore (replay nl ~assumes:[ a_zero ] ~cover cex);
+    let pos = Option.get (List.find_index (( = ) a) (N.inputs nl)) in
+    Array.iteri
+      (fun c row ->
+        Alcotest.(check int) (Printf.sprintf "a = 0 at cycle %d" c) 0
+          (Bitvec.to_int row.(pos)))
+      cex.C.Cex.inputs
   | o -> Alcotest.failf "expected reachable, got %s" (C.outcome_tag o)
 
 let test_cse_hit_rate () =
@@ -196,6 +196,21 @@ let test_cse_outcomes_agree () =
     (List.exists (fun (a, _) -> a = "sat") on);
   Alcotest.(check bool) "the second cover is unreachable at every depth" true
     (List.for_all (fun (_, b) -> b = "unsat") on)
+
+(* Known bits strengthen the induction unrolling: under [`Free] a proven
+   register bit is a constant instead of a free variable, so the unrolling
+   with [?known] allocates fewer variables than the one without. *)
+let test_known_bits_shrink_free () =
+  let nl = (Designs.Gated.build ()).Designs.Meta.nl in
+  let vars known =
+    let b = Mc.Blast.create ?known ~initial:`Free ~assumes:[] nl in
+    Mc.Blast.ensure_depth b 2;
+    Sat.Solver.nvars (Mc.Blast.solver b)
+  in
+  let known = vars (Some (Hdl.Absint.known_bits nl)) and plain = vars None in
+  Alcotest.(check bool)
+    (Printf.sprintf "known bits: %d variables, without: %d" known plain)
+    true (known < plain)
 
 (* The encoding against the reference semantics: at depth 0 under
    [`Free], pin every source (input or register) to a corner value through
@@ -276,5 +291,7 @@ let suite =
         test_assume_respected_in_model;
       Alcotest.test_case "cse hit rate" `Quick test_cse_hit_rate;
       Alcotest.test_case "cse outcomes agree" `Quick test_cse_outcomes_agree;
+      Alcotest.test_case "known bits shrink the Free unrolling" `Quick
+        test_known_bits_shrink_free;
       qcheck_encoding_differential;
     ] )

@@ -32,11 +32,15 @@ let test_reachable_with_witness () =
   let chk = C.create ~config:quick_config ~assumes:[] nl in
   match C.check_cover chk [ (at5, true) ] with
   | C.Reachable cex ->
-    (* count reaches 5 no earlier than cycle 5 *)
+    (* count reaches 5 no earlier than cycle 5: [go], the only input, is
+       high on exactly five cycles before the last *)
     let len = C.Cex.length cex in
     Alcotest.(check bool) "witness length sane" true (len >= 6 && len <= 13);
-    Alcotest.(check int) "count value at end" 5
-      (Bitvec.to_int (C.Cex.value_exn cex "count" ~cycle:(len - 1)))
+    Alcotest.(check int) "go high five times before the hit" 5
+      (Array.fold_left
+         (fun n row -> n + Bitvec.to_int row.(0))
+         0
+         (Array.sub cex.C.Cex.inputs 0 (len - 1)))
   | o -> Alcotest.failf "expected reachable, got %s" (C.outcome_tag o)
 
 let test_bounded_unreachable () =
@@ -122,7 +126,8 @@ let test_symbolic_init_reachability () =
   in
   match C.check_cover chk [ (hit, true) ] with
   | C.Reachable cex ->
-    Alcotest.(check int) "witness at cycle 0" 1 (C.Cex.length cex)
+    Alcotest.(check int) "witness at cycle 0" 1 (C.Cex.length cex);
+    Alcotest.(check int) "r starts at 0xAB" 0xAB (Bitvec.to_int cex.C.Cex.init.(0))
   | o -> Alcotest.failf "expected reachable, got %s" (C.outcome_tag o)
 
 (* --- the shared induction unrolling ---------------------------------------- *)
@@ -407,30 +412,18 @@ let qcheck_shared_matches_fresh =
    symbolic-init register bits in [Netlist.registers] order, then input bits
    time-major in [Netlist.inputs] order, each LSB first.  Returns the first
    assignment (0 preferred, earlier bits more significant) whose simulation
-   hits [cover] at cycle [upto], as the simulator trace of every named
-   signal. *)
+   hits [cover] at cycle [upto], as a witness. *)
 let brute_force_min nl cover ~upto =
-  let sym =
-    List.filter
-      (fun r ->
-        match (N.node nl r).N.kind with
-        | N.Reg { init = N.Init_symbolic; _ } -> true
-        | _ -> false)
-      (N.registers nl)
-  in
+  let sym = N.symbolic_registers nl in
   let inputs = N.inputs nl in
   let bits_of l = List.fold_left (fun acc s -> acc + N.width nl s) 0 l in
   let nbits = bits_of sym + ((upto + 1) * bits_of inputs) in
-  let named =
-    N.fold_nodes nl ~init:[] ~f:(fun acc n ->
-        match n.N.name with Some name -> (name, n.N.id) :: acc | None -> acc)
-  in
   let sim = Sim.create nl in
   (* Bit [i] of the order is bit [nbits - 1 - i] of [x]. *)
-  let run x ~record =
-    Sim.reset sim;
+  let decode x =
     let pos = ref 0 in
-    let take w =
+    let take s =
+      let w = N.width nl s in
       let v = ref 0 in
       for b = 0 to w - 1 do
         if (x lsr (nbits - 1 - (!pos + b))) land 1 = 1 then v := !v lor (1 lsl b)
@@ -438,28 +431,33 @@ let brute_force_min nl cover ~upto =
       pos := !pos + w;
       Bitvec.of_int ~width:w !v
     in
-    List.iter (fun r -> Sim.poke_reg sim r (take (N.width nl r))) sym;
-    let rec cycle c rows =
-      List.iter (fun i -> Sim.poke sim i (take (N.width nl i))) inputs;
-      Sim.eval sim;
-      let rows =
-        if record then List.map (fun (n, s) -> (n, Sim.peek sim s)) named :: rows
-        else rows
-      in
-      if c = upto then (Sim.peek_bool sim cover, List.rev rows)
-      else begin
-        Sim.step sim;
-        cycle (c + 1) rows
-      end
-    in
-    cycle 0 []
+    let init = Array.of_list (List.map take sym) in
+    let row _ = Array.of_list (List.map take inputs) in
+    { C.Cex.init; inputs = Array.init (upto + 1) row }
+  in
+  let hits (w : C.Cex.t) =
+    Sim.reset sim;
+    List.iteri (fun i r -> Sim.poke_reg sim r w.C.Cex.init.(i)) sym;
+    Array.iteri
+      (fun c row ->
+        if c > 0 then Sim.step sim;
+        List.iteri (fun i s -> Sim.poke sim s row.(i)) inputs;
+        Sim.eval sim)
+      w.C.Cex.inputs;
+    Sim.peek_bool sim cover
   in
   let rec search x =
     if x >= 1 lsl nbits then None
-    else if fst (run x ~record:false) then Some (snd (run x ~record:true))
-    else search (x + 1)
+    else
+      let w = decode x in
+      if hits w then Some w else search (x + 1)
   in
   search 0
+
+let show_cex (w : C.Cex.t) =
+  let row r = String.concat " " (Array.to_list (Array.map Bitvec.to_hex_string r)) in
+  Printf.sprintf "init [%s] inputs [%s]" (row w.C.Cex.init)
+    (String.concat "; " (Array.to_list (Array.map row w.C.Cex.inputs)))
 
 let qcheck_canonical_witness_oracle =
   QCheck_alcotest.to_alcotest
@@ -480,29 +478,16 @@ let qcheck_canonical_witness_oracle =
              in
              match (C.check_cover chk [ (cover, true) ], first_hit 0) with
              | C.Unreachable _, None -> true
-             | C.Reachable cex, Some rows ->
-               if C.Cex.length cex <> List.length rows then
-                 QCheck.Test.fail_reportf
-                   "seed %d cover %d: witness length %d, brute force %d" seed cover
-                   (C.Cex.length cex) (List.length rows);
-               List.iteri
-                 (fun cycle row ->
-                   List.iter
-                     (fun (name, v) ->
-                       let got = C.Cex.value_exn cex name ~cycle in
-                       if not (Bitvec.equal got v) then
-                         QCheck.Test.fail_reportf
-                           "seed %d cover %d: %s@%d is %s, brute force %s" seed cover
-                           name cycle (Bitvec.to_hex_string got)
-                           (Bitvec.to_hex_string v))
-                     row)
-                 rows;
-               true
+             | C.Reachable cex, Some min ->
+               C.Cex.equal cex min
+               || QCheck.Test.fail_reportf
+                    "seed %d cover %d: witness %s, brute force %s" seed cover
+                    (show_cex cex) (show_cex min)
              | o, hit ->
                QCheck.Test.fail_reportf "seed %d cover %d: checker %s, brute force %s"
                  seed cover (describe o)
                  (match hit with
-                 | Some rows -> Printf.sprintf "hit at %d" (List.length rows - 1)
+                 | Some min -> Printf.sprintf "hit at %d" (C.Cex.length min - 1)
                  | None -> "no hit"))
            d.rd_covers))
 
